@@ -1,10 +1,11 @@
 // Package agent defines the abstractions shared by every search algorithm in
 // this repository: the Searcher (the behaviour of one agent, expressed as a
-// lazy stream of trajectory segments), the Algorithm (a recipe that equips
-// each of the k identical agents with a Searcher), and the Factory (how an
-// experiment hands an algorithm the advice it is entitled to — the exact
-// number of agents, an approximation of it, or nothing at all for uniform
-// algorithms).
+// lazy stream of trajectory segments emitted a sortie at a time), the
+// Algorithm (a recipe that equips each of the k identical agents with a
+// Searcher, building a fresh one or resetting one the caller held before),
+// and the Factory (how an experiment hands an algorithm the advice it is
+// entitled to — the exact number of agents, an approximation of it, or
+// nothing at all for uniform algorithms).
 //
 // The separation mirrors the paper's model (Section 2): agents are identical
 // probabilistic machines that cannot communicate; the only thing that may
@@ -20,44 +21,26 @@ import (
 )
 
 // Searcher is the behaviour of a single agent: a lazy, possibly infinite
-// sequence of contiguous trajectory segments starting at the source node.
+// sequence of contiguous trajectory segments starting at the source node,
+// handed out a batch at a time.
 //
-// The simulation engine pulls segments one at a time, so uniform algorithms
-// (which formally run forever) are represented without materialising their
-// whole schedule. A Searcher that has nothing more to do (for instance the
-// one-shot harmonic algorithm of Section 5) returns ok == false.
+// EmitSortie appends the next run of segments — typically one sortie (walk
+// out, spiral, walk back), the unit every algorithm here is built from — to
+// the caller-owned buffer and returns the extended slice. The first segment
+// must start at the source; every further segment must start where the
+// previous one ended. When ok is true at least one segment must be appended
+// (the engine counts an empty batch as a zero-progress step and eventually
+// errors); ok == false means the schedule is over (for instance the one-shot
+// harmonic algorithm of Section 5 after its single sortie). Batches should
+// stay modest: segments the engine never scans, because the trial ended
+// first, are wasted work.
 //
-// Segments are emitted as the concrete trajectory.Seg union, not as the
-// boxed trajectory.Segment interface: the engines pull millions of segments
-// per sweep, and a value-type segment costs neither an allocation to box nor
-// an indirect call to query. Seg itself implements Segment, so callers that
-// want the interface view just assign the value across.
+// Batching is what keeps the engines' per-segment loop free of dynamic
+// dispatch: they pay one interface call per batch and scan the buffer of
+// concrete trajectory.Seg values directly, so a segment costs neither an
+// allocation to box nor an indirect call to query. How a schedule is cut
+// into batches is unobservable in every engine result.
 type Searcher interface {
-	// NextSegment returns the next segment of the agent's trajectory. The
-	// first segment must start at the source; every further segment must
-	// start where the previous one ended.
-	NextSegment() (seg trajectory.Seg, ok bool)
-}
-
-// SortieEmitter is the optional batch view of a Searcher: instead of handing
-// out one segment per call, EmitSortie appends a whole run of segments —
-// typically one sortie (walk out, spiral, walk back) — to the caller-owned
-// buffer and returns the extended slice. The engines pull millions of
-// segments per sweep, and the batch view is what lets their per-segment loop
-// scan a flat []Seg with direct calls, paying one interface dispatch per
-// sortie instead of per segment.
-//
-// Contract: the appended segments must be exactly the segments NextSegment
-// would have produced, in order, consuming the same randomness — EmitSortie
-// and NextSegment are two pull styles over one schedule, and implementations
-// must keep them coherent even when a caller switches between them. When
-// ok is true at least one segment must be appended (the engine treats an
-// empty batch as a zero-progress step and eventually errors); ok == false
-// means the schedule is over, exactly like NextSegment's ok == false.
-// Implementations may append more than one sortie per call, but should keep
-// batches modest: segments the engine never scans (because the trial ended
-// first) are wasted work.
-type SortieEmitter interface {
 	EmitSortie(buf []trajectory.Seg) (segs []trajectory.Seg, ok bool)
 }
 
@@ -72,26 +55,21 @@ type Algorithm interface {
 	// All agents execute the same protocol; the index exists only so that
 	// deterministic baselines (which the paper contrasts with the identical-
 	// agent setting) can be expressed in the same framework.
-	NewSearcher(rng *xrand.Stream, agentIndex int) Searcher
+	//
+	// prev is nil or any searcher the caller held earlier, from this or any
+	// other algorithm. When it has this algorithm's searcher type it is reset
+	// in place and returned (ReuseOrNew), which lets the engines run whole
+	// shards of trials without allocating searchers; anything else means
+	// allocate. Either way the result must not depend on prev: it consumes
+	// the same randomness and emits the same schedule as a fresh searcher.
+	NewSearcher(prev Searcher, rng *xrand.Stream, agentIndex int) Searcher
 }
 
-// SearcherReuser is an optional interface an Algorithm may implement to let
-// the simulation engines recycle searcher storage across trials. ReuseSearcher
-// must behave exactly like NewSearcher — same randomness consumption, same
-// schedule — except that when prev is a searcher previously produced by this
-// algorithm's NewSearcher (or ReuseSearcher), it may reset prev in place and
-// return it instead of allocating. Implementations must tolerate a prev of a
-// foreign type (fall back to allocating) so engines can hand back whatever
-// they last held.
-type SearcherReuser interface {
-	ReuseSearcher(prev Searcher, rng *xrand.Stream, agentIndex int) Searcher
-}
-
-// ReuseOrNew is the canonical ReuseSearcher body for struct searchers: when
+// ReuseOrNew is the canonical NewSearcher body for struct searchers: when
 // prev is a *T it overwrites the whole struct with fresh and returns it,
 // otherwise it allocates. Overwriting the entire value (never individual
-// fields) is what makes reuse safe — no field of a prior trial, including
-// embedded emitter state, can survive into the next one.
+// fields) is what makes reuse safe — no field of a prior trial can survive
+// into the next one.
 func ReuseOrNew[T any, PT interface {
 	*T
 	Searcher
@@ -113,20 +91,6 @@ func ReuseOrNew[T any, PT interface {
 //   - a uniform factory ignores its argument entirely, so the algorithm it
 //     returns cannot depend on k.
 type Factory func(k int) Algorithm
-
-// SegmentFunc adapts a function to the Searcher interface. It is the
-// idiomatic way to write generator-style searchers without defining a new
-// type for every closure. Hot-path algorithms prefer dedicated searcher
-// structs (one allocation per searcher instead of one per captured
-// variable); SegmentFunc remains for wrappers and tests.
-type SegmentFunc func() (trajectory.Seg, bool)
-
-// NextSegment implements Searcher.
-func (f SegmentFunc) NextSegment() (trajectory.Seg, bool) { return f() }
-
-// Done is a Searcher with an empty trajectory. It is returned by algorithms
-// whose agents have finished their (finite) schedule.
-var Done Searcher = SegmentFunc(func() (trajectory.Seg, bool) { return trajectory.Seg{}, false })
 
 // Validate checks basic sanity of an algorithm construction parameter and is
 // shared by the concrete algorithm constructors.

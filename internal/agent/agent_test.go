@@ -1,40 +1,6 @@
 package agent
 
-import (
-	"testing"
-
-	"antsearch/internal/grid"
-	"antsearch/internal/trajectory"
-)
-
-func TestSegmentFunc(t *testing.T) {
-	t.Parallel()
-
-	calls := 0
-	var s Searcher = SegmentFunc(func() (trajectory.Seg, bool) {
-		calls++
-		if calls > 2 {
-			return trajectory.Seg{}, false
-		}
-		return trajectory.WalkSeg(grid.Origin, grid.Origin), true
-	})
-	for i := 0; i < 2; i++ {
-		if _, ok := s.NextSegment(); !ok {
-			t.Fatalf("expected segment on call %d", i)
-		}
-	}
-	if _, ok := s.NextSegment(); ok {
-		t.Error("expected exhaustion after two segments")
-	}
-}
-
-func TestDone(t *testing.T) {
-	t.Parallel()
-
-	if seg, ok := Done.NextSegment(); ok || seg != (trajectory.Seg{}) {
-		t.Errorf("Done should produce nothing, got (%v, %v)", seg, ok)
-	}
-}
+import "testing"
 
 func TestValidate(t *testing.T) {
 	t.Parallel()

@@ -44,30 +44,13 @@ func (d *Delayed) Name() string {
 
 // delayedSearcher prepends a single pause to an inner searcher's schedule.
 type delayedSearcher struct {
-	inner Searcher
-	// innerEmit is the inner searcher's batch view, resolved once at
-	// construction (nil when the inner searcher only supports NextSegment),
-	// so the wrapper's own EmitSortie does not repeat the type assertion per
-	// sortie.
-	innerEmit    SortieEmitter
+	inner        Searcher
 	delay        int
 	emittedPause bool
 }
 
-// NextSegment implements Searcher.
-func (s *delayedSearcher) NextSegment() (trajectory.Seg, bool) {
-	if !s.emittedPause {
-		s.emittedPause = true
-		if s.delay > 0 {
-			return trajectory.PauseSeg(grid.Origin, s.delay), true
-		}
-	}
-	return s.inner.NextSegment()
-}
-
-// EmitSortie implements SortieEmitter: the initial pause as its own batch,
-// then the inner searcher's batches (or, for a batch-unaware inner searcher,
-// its segments one at a time).
+// EmitSortie implements Searcher: the initial pause as its own batch, then
+// the inner searcher's batches.
 func (s *delayedSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	if !s.emittedPause {
 		s.emittedPause = true
@@ -75,49 +58,24 @@ func (s *delayedSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bo
 			return append(buf, trajectory.PauseSeg(grid.Origin, s.delay)), true
 		}
 	}
-	if s.innerEmit != nil {
-		return s.innerEmit.EmitSortie(buf)
-	}
-	seg, ok := s.inner.NextSegment()
-	if !ok {
-		return buf, false
-	}
-	return append(buf, seg), true
+	return s.inner.EmitSortie(buf)
 }
 
 // NewSearcher implements Algorithm. The delay consumes randomness from the
-// same per-agent stream as the inner algorithm, so runs remain reproducible.
-func (d *Delayed) NewSearcher(rng *xrand.Stream, agentIndex int) Searcher {
+// same per-agent stream as the inner algorithm, drawn before the inner
+// searcher is built, so runs remain reproducible. A reused wrapper hands its
+// inner searcher on to the inner algorithm for the same treatment.
+func (d *Delayed) NewSearcher(prev Searcher, rng *xrand.Stream, agentIndex int) Searcher {
 	delay := 0
 	if d.MaxDelay > 0 {
 		delay = rng.IntN(d.MaxDelay + 1)
 	}
-	inner := d.Inner.NewSearcher(rng, agentIndex)
-	emit, _ := inner.(SortieEmitter)
-	return &delayedSearcher{inner: inner, innerEmit: emit, delay: delay}
-}
-
-// ReuseSearcher implements SearcherReuser. The delay is drawn before the
-// inner searcher is built, exactly as in NewSearcher, so the stream
-// consumption — and therefore the whole run — is identical.
-func (d *Delayed) ReuseSearcher(prev Searcher, rng *xrand.Stream, agentIndex int) Searcher {
-	s, ok := prev.(*delayedSearcher)
-	if !ok {
-		return d.NewSearcher(rng, agentIndex)
+	var prevInner Searcher
+	if p, ok := prev.(*delayedSearcher); ok {
+		prevInner = p.inner
 	}
-	delay := 0
-	if d.MaxDelay > 0 {
-		delay = rng.IntN(d.MaxDelay + 1)
-	}
-	if reuser, ok := d.Inner.(SearcherReuser); ok {
-		s.inner = reuser.ReuseSearcher(s.inner, rng, agentIndex)
-	} else {
-		s.inner = d.Inner.NewSearcher(rng, agentIndex)
-	}
-	s.innerEmit, _ = s.inner.(SortieEmitter)
-	s.delay = delay
-	s.emittedPause = false
-	return s
+	inner := d.Inner.NewSearcher(prevInner, rng, agentIndex)
+	return ReuseOrNew(prev, delayedSearcher{inner: inner, delay: delay})
 }
 
 // DelayedFactory wraps a factory so that every produced algorithm starts its

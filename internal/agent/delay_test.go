@@ -10,19 +10,29 @@ import (
 )
 
 // walkOut is a minimal test algorithm: every agent walks straight east
-// forever in 1-step segments.
+// forever in 1-step segments, one per batch.
 type walkOut struct{}
 
 func (walkOut) Name() string { return "walk-out" }
 
-func (walkOut) NewSearcher(*xrand.Stream, int) Searcher {
-	pos := grid.Origin
-	return SegmentFunc(func() (trajectory.Seg, bool) {
-		next := pos.Step(grid.East)
-		seg := trajectory.WalkSeg(pos, next)
-		pos = next
-		return seg, true
-	})
+func (walkOut) NewSearcher(Searcher, *xrand.Stream, int) Searcher { return &walkOutSearcher{} }
+
+type walkOutSearcher struct{ pos grid.Point }
+
+func (s *walkOutSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
+	next := s.pos.Step(grid.East)
+	buf = append(buf, trajectory.WalkSeg(s.pos, next))
+	s.pos = next
+	return buf, true
+}
+
+// nextSegment pulls the searcher's next batch and returns its first segment.
+func nextSegment(s Searcher) (trajectory.Seg, bool) {
+	segs, ok := s.EmitSortie(nil)
+	if !ok || len(segs) == 0 {
+		return trajectory.Seg{}, false
+	}
+	return segs[0], true
 }
 
 func TestNewDelayedValidation(t *testing.T) {
@@ -52,8 +62,8 @@ func TestDelayedPrependsPause(t *testing.T) {
 	}
 	sawPause, sawZeroDelay := false, false
 	for seedIdx := 0; seedIdx < 30; seedIdx++ {
-		s := d.NewSearcher(xrand.NewStream(3, uint64(seedIdx)), 0)
-		seg, ok := s.NextSegment()
+		s := d.NewSearcher(nil, xrand.NewStream(3, uint64(seedIdx)), 0)
+		seg, ok := nextSegment(s)
 		if !ok {
 			t.Fatal("no first segment")
 		}
@@ -67,7 +77,7 @@ func TestDelayedPrependsPause(t *testing.T) {
 				t.Errorf("pause not at the source: %v", seg.Start())
 			}
 			// The inner schedule follows, contiguous with the pause.
-			next, ok := s.NextSegment()
+			next, ok := nextSegment(s)
 			if !ok || next.Start() != grid.Origin {
 				t.Errorf("inner schedule does not start at the source after the pause")
 			}
@@ -88,7 +98,7 @@ func TestDelayedPrependsPause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, ok := zero.NewSearcher(xrand.NewStream(1), 0).NextSegment()
+	seg, ok := nextSegment(zero.NewSearcher(nil, xrand.NewStream(1), 0))
 	if !ok {
 		t.Fatal("no segment")
 	}

@@ -54,29 +54,17 @@ type singleSpiralSearcher struct {
 	next int
 }
 
-// NextSegment implements agent.Searcher.
-func (s *singleSpiralSearcher) NextSegment() (trajectory.Seg, bool) {
+// EmitSortie implements agent.Searcher. One chunk per call: a chunk already
+// covers 2^16 steps, so there is nothing to gain from prefetching more (each
+// unscanned chunk would cost a spiral-end square root for nothing).
+func (s *singleSpiralSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	seg := trajectory.SpiralSeg(grid.Origin, s.next, s.next+spiralChunk)
 	s.next += spiralChunk
-	return seg, true
-}
-
-// EmitSortie implements agent.SortieEmitter. One chunk per call: a chunk
-// already covers 2^16 steps, so there is nothing to gain from prefetching
-// more (each unscanned chunk would cost a spiral-end square root for
-// nothing).
-func (s *singleSpiralSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	seg, _ := s.NextSegment()
 	return append(buf, seg), true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (SingleSpiral) NewSearcher(*xrand.Stream, int) agent.Searcher {
-	return &singleSpiralSearcher{}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (SingleSpiral) ReuseSearcher(prev agent.Searcher, _ *xrand.Stream, _ int) agent.Searcher {
+func (SingleSpiral) NewSearcher(prev agent.Searcher, _ *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, singleSpiralSearcher{})
 }
 
@@ -115,54 +103,31 @@ type knownDSearcher struct {
 	started               bool
 }
 
-// NextSegment implements agent.Searcher.
-func (s *knownDSearcher) NextSegment() (trajectory.Seg, bool) {
-	if !s.started {
-		s.started = true
-		target := grid.RingPoint(s.d, s.startIdx)
-		s.pos = target
-		return trajectory.WalkSeg(grid.Origin, target), true
-	}
-	if s.emitted >= s.ringSize {
-		return trajectory.Seg{}, false
-	}
-	nextIdx := (s.startIdx + s.emitted + 1) % s.ringSize
-	next := grid.RingPoint(s.d, nextIdx)
-	seg := trajectory.WalkSeg(s.pos, next)
-	s.pos = next
-	s.emitted++
-	return seg, true
-}
-
 // knownDBatch is the number of ring-arc segments EmitSortie appends per call.
 const knownDBatch = 64
 
-// EmitSortie implements agent.SortieEmitter: the walk out as its own batch,
-// then the ring sweep in runs of knownDBatch arcs.
+// EmitSortie implements agent.Searcher: the walk out as its own batch, then
+// the ring sweep in runs of knownDBatch arcs.
 func (s *knownDSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	if !s.started {
-		seg, _ := s.NextSegment()
-		return append(buf, seg), true
+		s.started = true
+		s.pos = grid.RingPoint(s.d, s.startIdx)
+		return append(buf, trajectory.WalkSeg(grid.Origin, s.pos)), true
 	}
 	if s.emitted >= s.ringSize {
 		return buf, false
 	}
 	for i := 0; i < knownDBatch && s.emitted < s.ringSize; i++ {
-		seg, _ := s.NextSegment()
-		buf = append(buf, seg)
+		s.emitted++
+		next := grid.RingPoint(s.d, (s.startIdx+s.emitted)%s.ringSize)
+		buf = append(buf, trajectory.WalkSeg(s.pos, next))
+		s.pos = next
 	}
 	return buf, true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *KnownD) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	ringSize := grid.RingSize(a.d)
-	return &knownDSearcher{d: a.d, ringSize: ringSize, startIdx: rng.IntN(ringSize)}
-}
-
-// ReuseSearcher implements agent.SearcherReuser. It consumes the same random
-// draw NewSearcher does.
-func (a *KnownD) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *KnownD) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	ringSize := grid.RingSize(a.d)
 	return agent.ReuseOrNew(prev, knownDSearcher{d: a.d, ringSize: ringSize, startIdx: rng.IntN(ringSize)})
 }
@@ -194,20 +159,12 @@ type randomWalkSearcher struct {
 	pos grid.Point
 }
 
-// NextSegment implements agent.Searcher.
-func (s *randomWalkSearcher) NextSegment() (trajectory.Seg, bool) {
-	next := s.pos.Step(s.rng.Direction())
-	seg := trajectory.WalkSeg(s.pos, next)
-	s.pos = next
-	return seg, true
-}
-
 // randomWalkBatch is the number of unit steps EmitSortie appends per call.
 // Prefetched steps the engine never scans consume extra direction draws, but
 // per-agent streams are reseeded every trial, so the surplus is unobservable.
 const randomWalkBatch = 32
 
-// EmitSortie implements agent.SortieEmitter.
+// EmitSortie implements agent.Searcher.
 func (s *randomWalkSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	for i := 0; i < randomWalkBatch; i++ {
 		next := s.pos.Step(s.rng.Direction())
@@ -218,12 +175,7 @@ func (s *randomWalkSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg,
 }
 
 // NewSearcher implements agent.Algorithm.
-func (RandomWalk) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &randomWalkSearcher{rng: rng}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (RandomWalk) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (RandomWalk) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, randomWalkSearcher{rng: rng})
 }
 
@@ -265,8 +217,8 @@ type levyFlightSearcher struct {
 	pos grid.Point
 }
 
-// NextSegment implements agent.Searcher.
-func (s *levyFlightSearcher) NextSegment() (trajectory.Seg, bool) {
+// leg draws the next flight leg.
+func (s *levyFlightSearcher) leg() trajectory.Seg {
 	length := s.rng.PowerLawRadius(s.mu - 1)
 	theta := 2 * math.Pi * s.rng.Float64()
 	dx := int(math.Round(float64(length) * math.Cos(theta)))
@@ -277,7 +229,7 @@ func (s *levyFlightSearcher) NextSegment() (trajectory.Seg, bool) {
 	next := s.pos.Add(grid.Point{X: dx, Y: dy})
 	seg := trajectory.WalkSeg(s.pos, next)
 	s.pos = next
-	return seg, true
+	return seg
 }
 
 // levyBatch is the number of flight legs EmitSortie appends per call. As with
@@ -285,22 +237,16 @@ func (s *levyFlightSearcher) NextSegment() (trajectory.Seg, bool) {
 // because streams are reseeded per trial.
 const levyBatch = 8
 
-// EmitSortie implements agent.SortieEmitter.
+// EmitSortie implements agent.Searcher.
 func (s *levyFlightSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	for i := 0; i < levyBatch; i++ {
-		seg, _ := s.NextSegment()
-		buf = append(buf, seg)
+		buf = append(buf, s.leg())
 	}
 	return buf, true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *LevyFlight) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &levyFlightSearcher{rng: rng, mu: a.mu}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *LevyFlight) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *LevyFlight) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, levyFlightSearcher{rng: rng, mu: a.mu})
 }
 

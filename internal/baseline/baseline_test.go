@@ -10,21 +10,26 @@ import (
 	"antsearch/internal/xrand"
 )
 
-// collect pulls up to n segments, checking contiguity from the source.
+// collect pulls batches until it has n segments or the schedule ends,
+// returns at most n, and checks contiguity from the source.
 func collect(t *testing.T, s agent.Searcher, n int) []trajectory.Seg {
 	t.Helper()
 	var segs []trajectory.Seg
-	pos := grid.Origin
 	for len(segs) < n {
-		seg, ok := s.NextSegment()
-		if !ok {
+		var ok bool
+		if segs, ok = s.EmitSortie(segs); !ok {
 			break
 		}
+	}
+	if len(segs) > n {
+		segs = segs[:n]
+	}
+	pos := grid.Origin
+	for i, seg := range segs {
 		if seg.Start() != pos {
-			t.Fatalf("segment %d (%v) starts at %v, agent is at %v", len(segs), seg, seg.Start(), pos)
+			t.Fatalf("segment %d (%v) starts at %v, agent is at %v", i, seg, seg.Start(), pos)
 		}
 		pos = seg.End()
-		segs = append(segs, seg)
 	}
 	return segs
 }
@@ -36,7 +41,7 @@ func TestSingleSpiral(t *testing.T) {
 	if alg.Name() == "" {
 		t.Error("empty name")
 	}
-	segs := collect(t, alg.NewSearcher(xrand.NewStream(1), 0), 5)
+	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(1), 0), 5)
 	if len(segs) != 5 {
 		t.Fatalf("single spiral should be infinite, got %d segments", len(segs))
 	}
@@ -54,8 +59,8 @@ func TestSingleSpiral(t *testing.T) {
 		total = sp.ToStep()
 	}
 	// Two agents trace identical paths: no speed-up by design.
-	a := collect(t, alg.NewSearcher(xrand.NewStream(1), 0), 3)
-	b := collect(t, alg.NewSearcher(xrand.NewStream(2), 1), 3)
+	a := collect(t, alg.NewSearcher(nil, xrand.NewStream(1), 0), 3)
+	b := collect(t, alg.NewSearcher(nil, xrand.NewStream(2), 1), 3)
 	for i := range a {
 		if a[i].String() != b[i].String() {
 			t.Errorf("single-spiral agents diverge at segment %d", i)
@@ -82,7 +87,7 @@ func TestKnownD(t *testing.T) {
 	}
 
 	// The searcher is finite and visits every node of the ring of radius d.
-	segs := collect(t, alg.NewSearcher(xrand.NewStream(3), 0), 10000)
+	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(3), 0), 10000)
 	if len(segs) == 0 {
 		t.Fatal("no segments")
 	}
@@ -122,7 +127,7 @@ func TestRandomWalk(t *testing.T) {
 	t.Parallel()
 
 	alg := RandomWalk{}
-	segs := collect(t, alg.NewSearcher(xrand.NewStream(5), 0), 500)
+	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(5), 0), 500)
 	if len(segs) != 500 {
 		t.Fatalf("random walk should be infinite, got %d segments", len(segs))
 	}
@@ -156,7 +161,7 @@ func TestLevyFlight(t *testing.T) {
 	if alg.Mu() != 2 {
 		t.Errorf("Mu = %v", alg.Mu())
 	}
-	segs := collect(t, alg.NewSearcher(xrand.NewStream(7), 0), 300)
+	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(7), 0), 300)
 	if len(segs) != 300 {
 		t.Fatalf("levy flight should be infinite, got %d segments", len(segs))
 	}
@@ -208,7 +213,7 @@ func TestSectorSweepPartitionsRings(t *testing.T) {
 	const upTo = 8
 	visited := make(map[grid.Point]bool)
 	for a := 0; a < k; a++ {
-		segs := collect(t, alg.NewSearcher(xrand.NewStream(1, uint64(a)), a), 400)
+		segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(1, uint64(a)), a), 400)
 		for _, seg := range segs {
 			seg.ForEach(func(_ int, p grid.Point) bool {
 				visited[p] = true
@@ -225,7 +230,7 @@ func TestSectorSweepPartitionsRings(t *testing.T) {
 	}
 
 	// Agent indices outside [0, k) are tolerated (wrapped), never panic.
-	segs := collect(t, alg.NewSearcher(xrand.NewStream(2), -3), 5)
+	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(2), -3), 5)
 	if len(segs) == 0 {
 		t.Error("wrapped agent index produced no segments")
 	}
@@ -251,7 +256,7 @@ func TestSectorSweepDisjointWork(t *testing.T) {
 	}
 	onRing := make(map[grid.Point]int)
 	for a := 0; a < k; a++ {
-		segs := collect(t, alg.NewSearcher(xrand.NewStream(1, uint64(a)), a), 3000)
+		segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(1, uint64(a)), a), 3000)
 		seen := make(map[grid.Point]bool)
 		for _, seg := range segs {
 			seg.ForEach(func(_ int, p grid.Point) bool {

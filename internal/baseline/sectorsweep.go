@@ -54,8 +54,8 @@ type sectorSweepSearcher struct {
 	arcEnd     int // end of the current ring's arc
 }
 
-// NextSegment implements agent.Searcher.
-func (s *sectorSweepSearcher) NextSegment() (trajectory.Seg, bool) {
+// arc returns the walk to the next node of the agent's sweep.
+func (s *sectorSweepSearcher) arc() trajectory.Seg {
 	for {
 		if s.r == 0 || s.arcNext >= s.arcEnd {
 			// Advance to the next ring that has a non-empty arc for this
@@ -75,19 +75,18 @@ func (s *sectorSweepSearcher) NextSegment() (trajectory.Seg, bool) {
 		}
 		seg := trajectory.WalkSeg(s.pos, next)
 		s.pos = next
-		return seg, true
+		return seg
 	}
 }
 
 // sectorSweepBatch is the number of arc segments EmitSortie appends per call.
 const sectorSweepBatch = 32
 
-// EmitSortie implements agent.SortieEmitter. The sweep is deterministic, so
+// EmitSortie implements agent.Searcher. The sweep is deterministic, so
 // batching changes nothing but the pull granularity.
 func (s *sectorSweepSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	for i := 0; i < sectorSweepBatch; i++ {
-		seg, _ := s.NextSegment()
-		buf = append(buf, seg)
+		buf = append(buf, s.arc())
 	}
 	return buf, true
 }
@@ -95,15 +94,7 @@ func (s *sectorSweepSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg
 // NewSearcher implements agent.Algorithm. Unlike the paper's algorithms the
 // searcher depends on the agent index: that is precisely the coordination
 // this baseline is allowed to use.
-func (a *SectorSweep) NewSearcher(_ *xrand.Stream, agentIndex int) agent.Searcher {
-	if agentIndex < 0 || agentIndex >= a.k {
-		agentIndex = ((agentIndex % a.k) + a.k) % a.k
-	}
-	return &sectorSweepSearcher{alg: a, agentIndex: agentIndex}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *SectorSweep) ReuseSearcher(prev agent.Searcher, _ *xrand.Stream, agentIndex int) agent.Searcher {
+func (a *SectorSweep) NewSearcher(prev agent.Searcher, _ *xrand.Stream, agentIndex int) agent.Searcher {
 	if agentIndex < 0 || agentIndex >= a.k {
 		agentIndex = ((agentIndex % a.k) + a.k) % a.k
 	}

@@ -99,14 +99,14 @@ func (a *ApproxHedge) Name() string {
 // approxHedgeSearcher cycles through the hedged candidates within growing
 // stages (idx is incremented before use).
 type approxHedgeSearcher struct {
-	sortieEmitter
 	rng        *xrand.Stream
 	candidates []int
 	stage, idx int
 }
 
-// nextSortie implements sortieSource.
-func (s *approxHedgeSearcher) nextSortie() (sortie, bool) {
+// EmitSortie implements agent.Searcher: one sortie, for the next candidate,
+// per call.
+func (s *approxHedgeSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	s.idx++
 	if s.idx >= len(s.candidates) {
 		s.idx = 0
@@ -116,27 +116,14 @@ func (s *approxHedgeSearcher) nextSortie() (sortie, bool) {
 	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
 	radius := clampRadius(math.Sqrt(math.Ldexp(1, s.stage) * c))
 	steps := clampSteps(math.Ldexp(1, s.stage+2))
-	return sortie{
+	return appendSortie(buf, sortie{
 		target:      s.rng.UniformBallPoint(radius),
 		spiralSteps: steps,
-	}, true
-}
-
-// NextSegment implements agent.Searcher.
-func (s *approxHedgeSearcher) NextSegment() (trajectory.Seg, bool) { return s.nextFrom(s) }
-
-// EmitSortie implements agent.SortieEmitter.
-func (s *approxHedgeSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	return s.emitFrom(s, buf)
+	}), true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *ApproxHedge) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &approxHedgeSearcher{rng: rng, candidates: a.candidates, stage: 1, idx: -1}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *ApproxHedge) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *ApproxHedge) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, approxHedgeSearcher{rng: rng, candidates: a.candidates, stage: 1, idx: -1})
 }
 

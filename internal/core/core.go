@@ -74,74 +74,13 @@ type sortie struct {
 	spiralSteps int
 }
 
-// sortieSource produces the parameters of an algorithm's next sortie, or
-// ok == false when the agent's schedule is over. Each algorithm implements it
-// on its searcher struct, which also embeds a sortieEmitter; the pair costs a
-// single allocation per searcher, which is what keeps the trial hot path
-// within its allocation budget (a closure-based searcher costs one allocation
-// per captured variable on top of the closure itself).
-type sortieSource interface {
-	nextSortie() (sortie, bool)
-}
-
-// sortieEmitter expands sorties into their trajectory segments (walk out,
-// spiral, walk back) using fixed inline storage, so emitting segments never
-// allocates.
-type sortieEmitter struct {
-	pending [3]trajectory.Seg
-	head, n int
-}
-
-// nextFrom returns the next segment of the schedule, pulling a fresh sortie
-// from src when the previous one is exhausted.
-func (e *sortieEmitter) nextFrom(src sortieSource) (trajectory.Seg, bool) {
-	for e.head >= e.n {
-		so, ok := src.nextSortie()
-		if !ok {
-			return trajectory.Seg{}, false
-		}
-		e.expand(so)
-	}
-	seg := e.pending[e.head]
-	e.head++
-	return seg, true
-}
-
-// expand fills the emitter with a sortie's explicit segments. Sorties whose
-// target is the source itself skip the (empty) walks, and sorties with a
-// zero-length spiral skip the spiral, so that engines never receive
-// zero-duration segments unless the whole sortie is degenerate.
-func (e *sortieEmitter) expand(so sortie) {
-	e.head, e.n = 0, 0
-	if so.target != grid.Origin {
-		e.pending[e.n] = trajectory.WalkSeg(grid.Origin, so.target)
-		e.n++
-	}
-	spiral := trajectory.SpiralSearchSeg(so.target, so.spiralSteps)
-	e.pending[e.n] = spiral
-	e.n++
-	if spiral.End() != grid.Origin {
-		e.pending[e.n] = trajectory.WalkSeg(spiral.End(), grid.Origin)
-		e.n++
-	}
-}
-
-// emitFrom is the batch counterpart of nextFrom and the shared body of the
-// algorithms' EmitSortie methods: it appends the next sortie's segments to
-// buf, constructing them straight into the caller's buffer instead of
-// staging them through the pending array. Segments still pending from a
-// NextSegment-driven prefix are drained first, so the two pull styles stay
-// coherent even if a caller mixes them mid-sortie.
-func (e *sortieEmitter) emitFrom(src sortieSource, buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	if e.head < e.n {
-		buf = append(buf, e.pending[e.head:e.n]...)
-		e.head = e.n
-		return buf, true
-	}
-	so, ok := src.nextSortie()
-	if !ok {
-		return buf, false
-	}
+// appendSortie appends a sortie's explicit segments to buf — walk out, spiral,
+// walk back — and returns the extended slice; it is the shared body of every
+// searcher's EmitSortie, constructing the segments straight into the engine's
+// buffer. The walks are omitted when they would be empty (a target at the
+// source, or a spiral ending there); the spiral is always emitted, even with
+// zero steps, so every sortie appends at least one segment.
+func appendSortie(buf []trajectory.Seg, so sortie) []trajectory.Seg {
 	if so.target != grid.Origin {
 		buf = append(buf, trajectory.WalkSeg(grid.Origin, so.target))
 	}
@@ -150,20 +89,7 @@ func (e *sortieEmitter) emitFrom(src sortieSource, buf []trajectory.Seg) ([]traj
 	if spiral.End() != grid.Origin {
 		buf = append(buf, trajectory.WalkSeg(spiral.End(), grid.Origin))
 	}
-	return buf, true
-}
-
-// expandSortie converts a sortie into its explicit segments as a fresh slice.
-// The engines never call it (they go through sortieEmitter's inline storage);
-// it exists for tests and introspection.
-func expandSortie(so sortie) []trajectory.Segment {
-	var e sortieEmitter
-	e.expand(so)
-	segs := make([]trajectory.Segment, 0, e.n)
-	for _, seg := range e.pending[:e.n] {
-		segs = append(segs, seg)
-	}
-	return segs
+	return buf
 }
 
 // compile-time interface checks for the algorithm types defined in this
@@ -174,14 +100,4 @@ var (
 	_ agent.Algorithm = (*Uniform)(nil)
 	_ agent.Algorithm = (*Harmonic)(nil)
 	_ agent.Algorithm = (*HarmonicRestart)(nil)
-)
-
-// Every searcher in this package supports batch emission: the analytic engine
-// pulls whole sorties through EmitSortie and never pays a per-segment
-// interface call for these algorithms.
-var (
-	_ agent.SortieEmitter = (*knownKSearcher)(nil)
-	_ agent.SortieEmitter = (*uniformSearcher)(nil)
-	_ agent.SortieEmitter = (*harmonicSearcher)(nil)
-	_ agent.SortieEmitter = (*approxHedgeSearcher)(nil)
 )

@@ -11,22 +11,27 @@ import (
 	"antsearch/internal/xrand"
 )
 
-// collectSegments pulls up to n segments from a searcher and fails the test
-// if the trajectory is discontinuous or does not start at the source.
+// collectSegments pulls batches from a searcher until it has n segments or
+// the schedule ends, returns at most n, and fails the test if the trajectory
+// is discontinuous or does not start at the source.
 func collectSegments(t *testing.T, s agent.Searcher, n int) []trajectory.Seg {
 	t.Helper()
 	var segs []trajectory.Seg
-	pos := grid.Origin
 	for len(segs) < n {
-		seg, ok := s.NextSegment()
-		if !ok {
+		var ok bool
+		if segs, ok = s.EmitSortie(segs); !ok {
 			break
 		}
+	}
+	if len(segs) > n {
+		segs = segs[:n]
+	}
+	pos := grid.Origin
+	for i, seg := range segs {
 		if seg.Start() != pos {
-			t.Fatalf("segment %d (%v) starts at %v, agent is at %v", len(segs), seg, seg.Start(), pos)
+			t.Fatalf("segment %d (%v) starts at %v, agent is at %v", i, seg, seg.Start(), pos)
 		}
 		pos = seg.End()
-		segs = append(segs, seg)
 	}
 	return segs
 }
@@ -72,7 +77,7 @@ func TestKnownKScheduleShape(t *testing.T) {
 	const k = 4
 	a := MustKnownK(k)
 	rng := xrand.NewStream(1, 0)
-	segs := collectSegments(t, a.NewSearcher(rng, 0), 200)
+	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 200)
 	if len(segs) != 200 {
 		t.Fatalf("known-k searcher stopped after %d segments; it should be infinite", len(segs))
 	}
@@ -113,7 +118,7 @@ func TestKnownKTargetsWithinPhaseRadius(t *testing.T) {
 	// that radius.
 	a := MustKnownK(1)
 	rng := xrand.NewStream(7, 0)
-	segs := collectSegments(t, a.NewSearcher(rng, 0), 120)
+	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 120)
 	for _, seg := range segs {
 		sp, ok := seg.AsSpiral()
 		if !ok {
@@ -173,7 +178,7 @@ func TestRhoApprox(t *testing.T) {
 	}
 
 	rng := xrand.NewStream(3, 0)
-	segs := collectSegments(t, a.NewSearcher(rng, 0), 30)
+	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 30)
 	if len(segs) != 30 {
 		t.Errorf("rho-approx searcher stopped after %d segments", len(segs))
 	}
@@ -244,8 +249,8 @@ func TestUniformIsKOblivious(t *testing.T) {
 		t.Errorf("uniform factory returned different algorithms for different k")
 	}
 
-	segs1 := collectSegments(t, a1.NewSearcher(xrand.NewStream(5, 0), 0), 60)
-	segs2 := collectSegments(t, a2.NewSearcher(xrand.NewStream(5, 0), 0), 60)
+	segs1 := collectSegments(t, a1.NewSearcher(nil, xrand.NewStream(5, 0), 0), 60)
+	segs2 := collectSegments(t, a2.NewSearcher(nil, xrand.NewStream(5, 0), 0), 60)
 	if len(segs1) != len(segs2) {
 		t.Fatalf("schedules differ in length: %d vs %d", len(segs1), len(segs2))
 	}
@@ -261,7 +266,7 @@ func TestUniformScheduleGrows(t *testing.T) {
 
 	a := MustUniform(0.5)
 	rng := xrand.NewStream(11, 0)
-	segs := collectSegments(t, a.NewSearcher(rng, 0), 600)
+	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 600)
 	if len(segs) != 600 {
 		t.Fatalf("uniform searcher stopped after %d segments; it should be infinite", len(segs))
 	}
@@ -323,7 +328,7 @@ func TestHarmonicIsOneShot(t *testing.T) {
 
 	a := MustHarmonic(0.5)
 	rng := xrand.NewStream(13, 0)
-	s := a.NewSearcher(rng, 0)
+	s := a.NewSearcher(nil, rng, 0)
 	segs := collectSegments(t, s, 100)
 	if len(segs) == 0 || len(segs) > 3 {
 		t.Fatalf("harmonic sortie should expand to 1–3 segments, got %d", len(segs))
@@ -331,7 +336,7 @@ func TestHarmonicIsOneShot(t *testing.T) {
 	if segs[len(segs)-1].End() != grid.Origin {
 		t.Errorf("harmonic agent must end back at the source, ends at %v", segs[len(segs)-1].End())
 	}
-	if _, ok := s.NextSegment(); ok {
+	if _, ok := s.EmitSortie(nil); ok {
 		t.Error("harmonic searcher should be exhausted after its single sortie")
 	}
 }
@@ -343,7 +348,7 @@ func TestHarmonicSpiralBudgetMatchesDistance(t *testing.T) {
 	a := MustHarmonic(delta)
 	for seedIdx := 0; seedIdx < 50; seedIdx++ {
 		rng := xrand.NewStream(100, uint64(seedIdx))
-		segs := collectSegments(t, a.NewSearcher(rng, 0), 4)
+		segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 4)
 		var sp trajectory.Spiral
 		found := false
 		for _, seg := range segs {
@@ -372,7 +377,7 @@ func TestHarmonicRestartRepeats(t *testing.T) {
 		t.Fatalf("NewHarmonicRestart: %v", err)
 	}
 	rng := xrand.NewStream(17, 0)
-	segs := collectSegments(t, a.NewSearcher(rng, 0), 90)
+	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 90)
 	if len(segs) != 90 {
 		t.Fatalf("harmonic-restart stopped after %d segments; it should be infinite", len(segs))
 	}
@@ -416,7 +421,7 @@ func TestFactoriesProduceUsableAlgorithms(t *testing.T) {
 		if alg.Name() == "" {
 			t.Errorf("%s algorithm has empty name", name)
 		}
-		segs := collectSegments(t, alg.NewSearcher(xrand.NewStream(1, 2), 0), 5)
+		segs := collectSegments(t, alg.NewSearcher(nil, xrand.NewStream(1, 2), 0), 5)
 		if len(segs) == 0 {
 			t.Errorf("%s produced no segments", name)
 		}
@@ -458,7 +463,7 @@ func TestExpandSortie(t *testing.T) {
 
 	// A degenerate sortie at the source with no spiral still yields a single
 	// zero-length spiral segment (never zero segments).
-	segs := expandSortie(sortie{target: grid.Origin, spiralSteps: 0})
+	segs := appendSortie(nil, sortie{target: grid.Origin, spiralSteps: 0})
 	if len(segs) != 1 {
 		t.Fatalf("degenerate sortie expands to %d segments, want 1", len(segs))
 	}
@@ -468,7 +473,7 @@ func TestExpandSortie(t *testing.T) {
 
 	// A normal sortie expands to walk-out, spiral, walk-home, all contiguous
 	// and ending at the source.
-	segs = expandSortie(sortie{target: grid.Point{X: 3, Y: 1}, spiralSteps: 10})
+	segs = appendSortie(nil, sortie{target: grid.Point{X: 3, Y: 1}, spiralSteps: 10})
 	if len(segs) != 3 {
 		t.Fatalf("sortie expands to %d segments, want 3", len(segs))
 	}

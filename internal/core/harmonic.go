@@ -59,40 +59,24 @@ func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(delta=%.2g)", a.
 // harmonicSearcher draws harmonic sorties: exactly one for the one-shot
 // algorithm of Theorem 5.1, forever for the restarting extension.
 type harmonicSearcher struct {
-	sortieEmitter
 	rng     *xrand.Stream
 	delta   float64
 	restart bool
 	done    bool
 }
 
-// nextSortie implements sortieSource.
-func (s *harmonicSearcher) nextSortie() (sortie, bool) {
-	if s.done {
-		return sortie{}, false
-	}
-	if !s.restart {
-		s.done = true
-	}
-	h := Harmonic{delta: s.delta}
-	return h.sortie(s.rng), true
-}
-
-// NextSegment implements agent.Searcher.
-func (s *harmonicSearcher) NextSegment() (trajectory.Seg, bool) { return s.nextFrom(s) }
-
-// EmitSortie implements agent.SortieEmitter.
+// EmitSortie implements agent.Searcher: one harmonic sortie per call.
 func (s *harmonicSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	return s.emitFrom(s, buf)
+	if s.done {
+		return buf, false
+	}
+	s.done = !s.restart
+	h := Harmonic{delta: s.delta}
+	return appendSortie(buf, h.sortie(s.rng)), true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *Harmonic) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &harmonicSearcher{rng: rng, delta: a.delta}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *Harmonic) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *Harmonic) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, delta: a.delta})
 }
 
@@ -146,12 +130,7 @@ func (a *HarmonicRestart) Name() string {
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *HarmonicRestart) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &harmonicSearcher{rng: rng, delta: a.delta, restart: true}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *HarmonicRestart) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *HarmonicRestart) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, harmonicSearcher{rng: rng, delta: a.delta, restart: true})
 }
 

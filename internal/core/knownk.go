@@ -55,14 +55,14 @@ func (a *KnownK) Name() string { return fmt.Sprintf("known-k(k=%d)", a.k) }
 // knownKSearcher holds one agent's double-loop state (stage j, phase i; i is
 // incremented before use).
 type knownKSearcher struct {
-	sortieEmitter
 	rng  *xrand.Stream
 	k    int
 	j, i int
 }
 
-// nextSortie implements sortieSource.
-func (s *knownKSearcher) nextSortie() (sortie, bool) {
+// EmitSortie implements agent.Searcher: one sortie of the double loop per
+// call.
+func (s *knownKSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	s.i++
 	if s.i > s.j {
 		s.j++
@@ -72,27 +72,14 @@ func (s *knownKSearcher) nextSortie() (sortie, bool) {
 	// fraction of the cost; this runs once per sortie on the hot path.
 	radius := clampRadius(math.Ldexp(1, s.i))
 	steps := clampSteps(math.Ldexp(1, 2*s.i+2) / float64(s.k))
-	return sortie{
+	return appendSortie(buf, sortie{
 		target:      s.rng.UniformBallPoint(radius),
 		spiralSteps: steps,
-	}, true
-}
-
-// NextSegment implements agent.Searcher.
-func (s *knownKSearcher) NextSegment() (trajectory.Seg, bool) { return s.nextFrom(s) }
-
-// EmitSortie implements agent.SortieEmitter.
-func (s *knownKSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	return s.emitFrom(s, buf)
+	}), true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *KnownK) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &knownKSearcher{rng: rng, k: a.k, j: 1}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *KnownK) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *KnownK) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, knownKSearcher{rng: rng, k: a.k, j: 1})
 }
 
@@ -148,13 +135,8 @@ func (a *RhoApprox) Name() string {
 func (a *RhoApprox) AssumedK() int { return a.inner.K() }
 
 // NewSearcher implements agent.Algorithm.
-func (a *RhoApprox) NewSearcher(rng *xrand.Stream, agentIndex int) agent.Searcher {
-	return a.inner.NewSearcher(rng, agentIndex)
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *RhoApprox) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, agentIndex int) agent.Searcher {
-	return a.inner.ReuseSearcher(prev, rng, agentIndex)
+func (a *RhoApprox) NewSearcher(prev agent.Searcher, rng *xrand.Stream, agentIndex int) agent.Searcher {
+	return a.inner.NewSearcher(prev, rng, agentIndex)
 }
 
 // RhoApproxFactory returns a Factory modelling the Corollary 3.2 setting: for

@@ -64,14 +64,14 @@ func (a *Uniform) Name() string { return fmt.Sprintf("uniform(eps=%.2g)", a.epsi
 // stage i in [0, ell], phase j in [0, i]. j is incremented before use,
 // starting from -1 so that the first sortie is (ell=0, i=0, j=0).
 type uniformSearcher struct {
-	sortieEmitter
 	rng       *xrand.Stream
 	epsilon   float64
 	ell, i, j int
 }
 
-// nextSortie implements sortieSource.
-func (s *uniformSearcher) nextSortie() (sortie, bool) {
+// EmitSortie implements agent.Searcher: one sortie of the triple loop per
+// call.
+func (s *uniformSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
 	s.j++
 	if s.j > s.i {
 		s.i++
@@ -86,27 +86,14 @@ func (s *uniformSearcher) nextSortie() (sortie, bool) {
 	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
 	radius := clampRadius(math.Sqrt(math.Ldexp(1, s.i+s.j) / denom))
 	steps := clampSteps(math.Ldexp(1, s.i+2) / denom)
-	return sortie{
+	return appendSortie(buf, sortie{
 		target:      s.rng.UniformBallPoint(radius),
 		spiralSteps: steps,
-	}, true
-}
-
-// NextSegment implements agent.Searcher.
-func (s *uniformSearcher) NextSegment() (trajectory.Seg, bool) { return s.nextFrom(s) }
-
-// EmitSortie implements agent.SortieEmitter.
-func (s *uniformSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
-	return s.emitFrom(s, buf)
+	}), true
 }
 
 // NewSearcher implements agent.Algorithm.
-func (a *Uniform) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
-	return &uniformSearcher{rng: rng, epsilon: a.epsilon, j: -1}
-}
-
-// ReuseSearcher implements agent.SearcherReuser.
-func (a *Uniform) ReuseSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
+func (a *Uniform) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	return agent.ReuseOrNew(prev, uniformSearcher{rng: rng, epsilon: a.epsilon, j: -1})
 }
 

@@ -20,11 +20,10 @@ import (
 // Inside a marked function the analyzer rejects:
 //
 //   - interface method calls — dynamic dispatch; the engine's one sanctioned
-//     dispatch per sortie (agent.SortieEmitter.EmitSortie and the
-//     NextSegment fallback in advanceAnalytic) carries an explicit
-//     //antlint:allow hotpath. Calls on type parameters are exempt: the
-//     kernel's gcshape instantiation is a deliberate, bounded dictionary
-//     call (one per buffer underflow), not per-segment dispatch.
+//     dispatch per batch (agent.Searcher.EmitSortie in the engine's refill)
+//     carries an explicit //antlint:allow hotpath. Calls on type parameters
+//     are exempt (a gcshape dictionary call, not interface dispatch); no
+//     marked function currently makes one.
 //   - closure allocations (func literals) and defer/go statements;
 //   - any fmt or log call — formatting allocates and boxes every operand;
 //     error construction belongs in cold helper functions;

@@ -54,7 +54,7 @@ type nopEmitter struct{}
 // Emit implements Emitter.
 func (nopEmitter) Emit(int) {}
 
-// HotAllowed shows the audited one-dispatch escape hatch advanceAnalytic
+// HotAllowed shows the audited one-dispatch escape hatch the engine's refill
 // uses for EmitSortie.
 //
 //antlint:hotpath

@@ -2,8 +2,8 @@ package sim
 
 // Allocation-regression tests for the trial hot path. The engine's guarantee
 // is O(1) allocations per shard rather than per trial: agent slots, heap
-// storage, random streams and (through agent.SearcherReuser) searchers are
-// all reset in place between trials. These tests pin the amortized per-trial
+// storage, random streams and (through NewSearcher's build-or-reset) searchers
+// are all reset in place between trials. These tests pin the amortized per-trial
 // allocation rate for a representative non-uniform (known-k) and uniform
 // one-shot (harmonic) cell, so a regression — a new per-segment box, a
 // searcher that stops being reusable, a stream that reallocates — fails

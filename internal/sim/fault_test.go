@@ -32,28 +32,17 @@ func faultPlans() map[string]*fault.Plan {
 }
 
 // TestFaultRunMatchesRunExact checks, for every scenario in the registry and
-// every fault plan, that the analytic engine (batch and segment-at-a-time
-// paths) and the exact cell-by-cell engine produce identical Results. Faults
+// every fault plan, that the analytic engine (fed full batches and
+// one-segment batches) and the exact cell-by-cell engine produce identical
+// Results. Faults
 // are interpreted by two entirely separate code paths (scanSeg's interval
 // arithmetic vs the exact engine's per-cell wall clock), so agreement here is
 // the strongest single check on the fault semantics.
 func TestFaultRunMatchesRunExact(t *testing.T) {
 	t.Parallel()
 
-	params := scenario.DefaultParams()
-	params.D = 5 // known-d needs the distance filled in
 	treasures := []grid.Point{{X: 4, Y: 1}, {X: -3, Y: -2}}
-
-	algos := make(map[string]agent.Algorithm)
-	for _, name := range scenario.Names() {
-		alg, err := scenario.Algorithm(name, params, 4)
-		if err != nil {
-			t.Fatalf("scenario %q: %v", name, err)
-		}
-		algos[name] = alg
-	}
-
-	for name, alg := range algos {
+	for name, alg := range registryAlgorithms(t, false) {
 		for planName, plan := range faultPlans() {
 			for _, treasure := range treasures {
 				for _, seed := range []uint64{3, 11} {
@@ -65,15 +54,15 @@ func TestFaultRunMatchesRunExact(t *testing.T) {
 						t.Fatalf("%s/%s treasure=%v seed=%d: batch run: %v", name, planName, treasure, seed, err)
 					}
 
-					strippedInst := inst
-					strippedInst.Algorithm = noBatchAlgorithm{inner: alg}
-					stripped, err := sim.Run(strippedInst, opts)
+					oneInst := inst
+					oneInst.Algorithm = oneSegmentAlgorithm{inner: alg}
+					one, err := sim.Run(oneInst, opts)
 					if err != nil {
-						t.Fatalf("%s/%s treasure=%v seed=%d: stripped run: %v", name, planName, treasure, seed, err)
+						t.Fatalf("%s/%s treasure=%v seed=%d: one-segment run: %v", name, planName, treasure, seed, err)
 					}
-					if !reflect.DeepEqual(batch, stripped) {
-						t.Errorf("%s/%s treasure=%v seed=%d: batch path differs from segment-at-a-time path:\n batch    %+v\n stripped %+v",
-							name, planName, treasure, seed, batch, stripped)
+					if !reflect.DeepEqual(batch, one) {
+						t.Errorf("%s/%s treasure=%v seed=%d: full batches differ from one-segment batches:\n batch %+v\n one   %+v",
+							name, planName, treasure, seed, batch, one)
 					}
 
 					exact, err := sim.RunExact(inst, opts, nil)

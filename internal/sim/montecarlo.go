@@ -369,9 +369,9 @@ func runTrial(cfg TrialConfig, alg agent.Algorithm, trial int) (Result, error) {
 	})
 }
 
-// enginePool recycles engines — their agent slots, heap storage and, through
-// agent.SearcherReuser, their searchers — across shards and across cells, so
-// steady state serves every shard of every concurrent sweep from a handful
+// enginePool recycles engines — their agent slots, heap storage, segment
+// buffers and searchers — across shards, cells and single Run/RunExact calls,
+// so steady state serves every shard of every concurrent sweep from a handful
 // of engines per worker goroutine. Engines carry no results, only scratch
 // state, and reset re-derives everything from (seed, trial), so reuse cannot
 // leak state between trials.
@@ -381,8 +381,8 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 // engine and folds the results into a fresh accumulator. All per-trial state
 // — agent slots, heap storage, per-agent and placement streams — is reset in
 // place between trials, so the engine-level allocation cost is O(1) per
-// shard, not per trial; algorithms implementing agent.SearcherReuser bring
-// even the searcher allocations down to pool-miss-only. Every trial's
+// shard, not per trial, and searchers reset in place bring even the searcher
+// allocations down to pool-miss-only. Every trial's
 // randomness still derives from (seed, trial) alone, exactly as in runTrial,
 // so the per-trial results are independent of the sharding.
 func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) (*TrialAccumulator, error) {
@@ -391,9 +391,6 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 	defer enginePool.Put(e)
 	inst := Instance{Algorithm: alg, NumAgents: cfg.NumAgents, Faults: cfg.Faults}
 	opts := Options{MaxTime: cfg.MaxTime}
-	// One type assertion per shard, not per trial: reset receives the hoisted
-	// reuser for every trial in the range.
-	reuser, _ := alg.(agent.SearcherReuser)
 	for trial := lo; trial < hi; trial++ {
 		if err := ctx.Err(); err != nil {
 			// Batched shards run many trials per task; observe cancellation
@@ -403,7 +400,7 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 		e.placeRNG.Reset(cfg.Seed, xrand.PathPlacement, uint64(trial))
 		inst.Treasure = cfg.Adversary.Place(trial, &e.placeRNG)
 		opts.Seed = xrand.DeriveSeed(cfg.Seed, xrand.PathTrial, uint64(trial))
-		r, err := e.runAnalytic(inst, opts, reuser)
+		r, err := e.runLoop(inst, opts, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -23,11 +23,11 @@ type randomSortieAlgorithm struct {
 
 func (a randomSortieAlgorithm) Name() string { return "random-sorties" }
 
-func (a randomSortieAlgorithm) NewSearcher(rng *xrand.Stream, _ int) agent.Searcher {
+func (a randomSortieAlgorithm) NewSearcher(_ agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
 	remaining := a.sorties
 	var pending []trajectory.Seg
 	pos := grid.Origin
-	return agent.SegmentFunc(func() (trajectory.Seg, bool) {
+	return segmentFunc(func() (trajectory.Seg, bool) {
 		for len(pending) == 0 {
 			if remaining == 0 {
 				return trajectory.Seg{}, false

@@ -2,14 +2,16 @@
 // on the grid and measure the quantity the paper is about: the time until the
 // first of the k agents steps on the treasure.
 //
-// Two engines share the same semantics:
+// Two engines share the same semantics and the same loop. Each agent's
+// searcher hands out its trajectory a sortie at a time (agent.Searcher's
+// EmitSortie) into a per-agent segment buffer, and the loop steps through
+// the buffered segments:
 //
-//   - the analytic engine (Run) walks the trajectory segment by segment and
-//     answers "does this segment hit the treasure, and when?" with the
-//     segments' closed-form queries, so a multi-million-step spiral search
-//     costs O(1);
+//   - the analytic engine (Run) answers "does this segment hit the treasure,
+//     and when?" with the segments' closed-form queries, so a
+//     multi-million-step spiral search costs O(1);
 //   - the exact engine (RunExact) enumerates every cell an agent stands on
-//     and can report each visit to a caller-supplied visitor, which the
+//     and reports each visit to a caller-supplied visitor, which the
 //     coverage and overlap analyses need.
 //
 // Both engines replay exactly the same random decisions for a given seed, so
@@ -189,11 +191,8 @@ var ErrDiscontinuousTrajectory = errors.New("sim: searcher emitted a discontinuo
 type agentState struct {
 	idx      int
 	searcher agent.Searcher
-	// emitter is the searcher's batch view (agent.SortieEmitter), resolved
-	// once per reset; nil when the searcher only supports NextSegment.
-	emitter agent.SortieEmitter
-	elapsed int
-	pos     grid.Point
+	elapsed  int
+	pos      grid.Point
 	// zeroStreak counts consecutive segments that made no progress in time;
 	// it guards the engine loop against algorithms that emit zero-duration
 	// segments forever.
@@ -229,7 +228,7 @@ const maxZeroStreak = 1 << 20
 var ErrNoProgress = errors.New("sim: searcher makes no progress (zero-duration segments)")
 
 // discontinuityError builds the ErrDiscontinuousTrajectory report. It lives
-// outside the hot functions that detect the condition (scanSeg, advanceExact)
+// outside the hot functions that detect the condition (scanSeg, exactSeg)
 // so their bodies stay fmt-free: formatting boxes every operand, and the
 // hotpath analyzer holds the kernel to zero fmt usage.
 func discontinuityError(seg trajectory.Seg, start, at grid.Point) error {
@@ -326,17 +325,12 @@ func (e *engine) fixTop(elapsed int) {
 // time zero with a freshly reseeded stream and a new searcher, and the heap
 // over all agents. All agents start with equal elapsed time and the heap
 // breaks ties by index, so the identity ordering is the correct initial heap.
-// Algorithms that implement agent.SearcherReuser get their previous trial's
-// searcher back to reset in place, which makes a whole shard of trials run
-// without a single engine-level allocation after the first trial. The reuser
-// is the caller's hoisted view of in.Algorithm (nil when the algorithm does
-// not implement the interface): runShard derives it once per shard, so reset
-// does not repeat the type assertion on every trial.
-func (e *engine) reset(in Instance, opts Options, reuser agent.SearcherReuser) {
+// Each agent slot hands the searcher it held last to the algorithm's
+// NewSearcher, which resets a searcher of its own type in place, so a whole
+// shard of trials runs without a single engine-level allocation after the
+// first trial.
+func (e *engine) reset(in Instance, opts Options) {
 	if cap(e.agents) < in.NumAgents {
-		// A fresh slice leaves every searcher nil, so the reuse path below
-		// cannot hand an algorithm a searcher whose stream pointer refers to
-		// the previous slice's storage.
 		e.agents = make([]agentState, in.NumAgents)
 		e.heap = make([]heapKey, in.NumAgents)
 	}
@@ -370,12 +364,7 @@ func (e *engine) reset(in Instance, opts Options, reuser agent.SearcherReuser) {
 			}
 		}
 		st.stream.Reset(opts.Seed, uint64(a))
-		if reuser != nil && st.searcher != nil {
-			st.searcher = reuser.ReuseSearcher(st.searcher, &st.stream, a)
-		} else {
-			st.searcher = in.Algorithm.NewSearcher(&st.stream, a)
-		}
-		st.emitter, _ = st.searcher.(agent.SortieEmitter)
+		st.searcher = in.Algorithm.NewSearcher(st.searcher, &st.stream, a)
 		e.heap[a] = heapKey{elapsed: 0, idx: int32(a)}
 	}
 }
@@ -386,33 +375,38 @@ type stepOutcome struct {
 	// hit is the global hit time, or -1 if the segment did not reach the
 	// treasure before the budget.
 	hit int
-	// finished is true if the searcher has no more segments.
+	// finished is true if the agent performs no further action (it crashed);
+	// the engine loop retires it. A searcher whose schedule is over is
+	// retired by the loop's refill instead.
 	finished bool
 }
 
 // Run simulates the instance with the analytic engine and returns the
 // first-hit result.
 func Run(in Instance, opts Options) (Result, error) {
-	var e engine
-	reuser, _ := in.Algorithm.(agent.SearcherReuser)
-	return e.runAnalytic(in, opts, reuser)
+	return runPooled(in, opts, nil)
 }
 
 // RunExact simulates the instance cell by cell. If visit is non-nil it is
 // called for every (agent, time, position) pair the simulation touches —
 // including the source at time zero for each agent — up to the first-hit
 // time (or the cap). The visitor must not retain the values beyond the call.
+// An instance that fails validation is rejected before any visit.
 func RunExact(in Instance, opts Options, visit func(agentIdx, t int, p grid.Point)) (Result, error) {
-	if visit != nil {
-		// Report every agent's presence at the source at time zero, exactly
-		// once, before any movement.
-		for a := 0; a < in.NumAgents; a++ {
-			visit(a, 0, grid.Origin)
-		}
+	if visit == nil {
+		// The engine enumerates cells exactly when it has a visitor.
+		visit = func(int, int, grid.Point) {}
 	}
-	var e engine
-	reuser, _ := in.Algorithm.(agent.SearcherReuser)
-	return runLoop(&e, in, opts, reuser, exactAdvancer{visit: visit})
+	return runPooled(in, opts, visit)
+}
+
+// runPooled runs one instance on an engine from enginePool, so repeated Run
+// and RunExact calls reuse warm agent slots, segment buffers and searchers
+// the way runShard's trials do.
+func runPooled(in Instance, opts Options, visit func(agentIdx, t int, p grid.Point)) (Result, error) {
+	e := enginePool.Get().(*engine)
+	defer enginePool.Put(e)
+	return e.runLoop(in, opts, visit)
 }
 
 // initialResult seeds the Result for a run: capped at timeCap until some
@@ -427,43 +421,14 @@ func initialResult(in Instance, timeCap int) Result {
 	}
 }
 
-// advancer is the step strategy the shared engine loop is parameterized over.
-// Both implementations are zero-or-tiny structs, so runLoop's instantiations
-// share one gcshape body; the dictionary call only fires when an agent's
-// segment buffer is empty (analytic: once per emitted batch; exact: every
-// step, matching the historical per-segment cost of that engine).
-type advancer interface {
-	advance(st *agentState, treasure grid.Point, budget int) (stepOutcome, error)
-}
-
-// analyticAdvancer refills the agent's segment buffer (or falls back to
-// single-segment pulls) and scans with the closed-form queries.
-type analyticAdvancer struct{}
-
-func (analyticAdvancer) advance(st *agentState, treasure grid.Point, budget int) (stepOutcome, error) {
-	return st.advanceAnalytic(treasure, budget)
-}
-
-// exactAdvancer enumerates every cell of the next segment, reporting each to
-// the visitor.
-type exactAdvancer struct {
-	visit func(agentIdx, t int, p grid.Point)
-}
-
-func (a exactAdvancer) advance(st *agentState, treasure grid.Point, budget int) (stepOutcome, error) {
-	return advanceExact(st, treasure, budget, a.visit)
-}
-
-// runAnalytic is the analytic engine behind Run and runShard.
-func (e *engine) runAnalytic(in Instance, opts Options, reuser agent.SearcherReuser) (Result, error) {
-	return runLoop(e, in, opts, reuser, analyticAdvancer{})
-}
-
-// runLoop is the single engine loop shared by the analytic and exact engines.
-// The hot path is monomorphic: buffered segments (filled by SortieEmitter
-// batch emission) are consumed inline via scanSeg with zero interface or
-// dictionary dispatch, and the generic adv.advance only runs on buffer
-// underflow. Two further properties keep the per-segment cost low:
+// runLoop is the single engine loop behind both engines. With a nil visitor
+// it is the analytic engine: each buffered segment is folded in with its
+// closed-form queries (scanSeg). With a visitor it is the exact engine: each
+// buffered segment is enumerated cell by cell (exactSeg), and every agent's
+// presence at the source at time zero is reported first. Both read the same
+// per-agent segment buffers, refilled by one EmitSortie dispatch per batch
+// (refill), so the per-segment path makes no dynamic call. Two further
+// properties keep the per-segment cost low:
 //
 //   - the inner loop keeps advancing the same agent while it still strictly
 //     precedes every other live agent, skipping the heap sift exactly when it
@@ -477,18 +442,24 @@ func (e *engine) runAnalytic(in Instance, opts Options, reuser agent.SearcherReu
 //     one-segment-per-heap-round loops this replaces.
 //
 // The hotpath marker holds this body to no dynamic dispatch and no
-// allocation; adv.advance is exempt by rule (a call on a type parameter is
-// the kernel's one sanctioned, gcshape-bounded dictionary call).
+// allocation.
 //
 //antlint:hotpath
-func runLoop[A advancer](e *engine, in Instance, opts Options, reuser agent.SearcherReuser, adv A) (Result, error) {
+func (e *engine) runLoop(in Instance, opts Options, visit func(agentIdx, t int, p grid.Point)) (Result, error) {
 	if err := in.Validate(); err != nil { //antlint:allow hotpath validation runs once before the loop and allocates only when rejecting the input
 		return Result{}, err
 	}
 	timeCap := opts.maxTime()
 	res := initialResult(in, timeCap)
 
-	e.reset(in, opts, reuser) //antlint:allow hotpath per-run setup, not per-step: the one ReuseSearcher dispatch happens before the loop
+	e.reset(in, opts) //antlint:allow hotpath per-run setup, not per-step: the one NewSearcher dispatch per agent happens before the loop
+	if visit != nil {
+		// Every agent stands on the source at time zero, reported exactly
+		// once, before any movement.
+		for a := range e.agents {
+			visit(a, 0, grid.Origin)
+		}
+	}
 	best := timeCap
 	for len(e.heap) > 0 {
 		st := &e.agents[e.heap[0].idx]
@@ -512,18 +483,28 @@ func runLoop[A advancer](e *engine, in Instance, opts Options, reuser agent.Sear
 			restElapsed, restIdx = m.elapsed, m.idx
 		}
 		for {
+			if st.segNext == len(st.segs) {
+				more, err := st.refill()
+				if err != nil {
+					return Result{}, agentError(st.idx, err) //antlint:allow hotpath error exit aborts the run; the cold helper may allocate
+				}
+				if !more {
+					e.popTop()
+					break
+				}
+			}
+			seg := st.segs[st.segNext]
+			st.segNext++
 			var outcome stepOutcome
 			var err error
-			if st.segNext < len(st.segs) {
-				seg := st.segs[st.segNext]
-				st.segNext++
+			if visit == nil {
 				outcome, err = st.scanSeg(seg, in.Treasure, best)
 			} else {
-				outcome, err = adv.advance(st, in.Treasure, best)
+				outcome, err = st.exactSeg(seg, in.Treasure, best, visit) //antlint:allow hotpath exact engine only (a visitor is set): per-cell enumeration through a callback closure; Run never takes this branch
 			}
 			if err != nil {
 				// Includes ErrNoProgress: the zero-streak guard lives in the
-				// advance leaves, which see segment durations for free.
+				// step leaves, which see segment durations for free.
 				return Result{}, agentError(st.idx, err) //antlint:allow hotpath error exit aborts the run; the cold helper may allocate
 			}
 			if outcome.hit >= 0 && (outcome.hit < best || (outcome.hit == best && !res.Found)) {
@@ -560,6 +541,31 @@ func runLoop[A advancer](e *engine, in Instance, opts Options, reuser agent.Sear
 		res.Survivors = n
 	}
 	return res, nil
+}
+
+// refill replaces the agent's drained segment buffer with the searcher's next
+// batch — the engine's one dynamic dispatch, paid per batch rather than per
+// segment. It reports false when the schedule is over. A batch that reports
+// ok without appending anything is a zero-progress step: it counts toward
+// the same zero-streak guard as a zero-duration segment, so a persistent
+// offender ends in ErrNoProgress instead of spinning the engine.
+//
+//antlint:hotpath
+func (st *agentState) refill() (bool, error) {
+	for {
+		segs, ok := st.searcher.EmitSortie(st.segs[:0]) //antlint:allow hotpath one dispatch per batch by design
+		st.segs, st.segNext = segs, 0
+		if !ok {
+			return false, nil
+		}
+		if len(segs) > 0 {
+			return true, nil
+		}
+		st.zeroStreak++
+		if st.zeroStreak > maxZeroStreak {
+			return false, ErrNoProgress
+		}
+	}
 }
 
 // scanSeg folds one segment into the agent's state using the segment's
@@ -716,68 +722,13 @@ func (st *agentState) hitAt(t, budget int) stepOutcome {
 	return stepOutcome{hit: -1}
 }
 
-// advanceAnalytic advances the agent by one segment. Batch-aware searchers
-// (agent.SortieEmitter) refill the agent's buffer a sortie at a time, so one
-// interface call amortizes over the whole batch and the engine loop consumes
-// the rest monomorphically; everything else falls back to one NextSegment
-// pull. A batch-emitted segment sequence is, by the SortieEmitter contract,
-// exactly what NextSegment would have produced with the same randomness, so
-// buffering does not change a single engine decision.
-//
-//antlint:hotpath
-func (st *agentState) advanceAnalytic(treasure grid.Point, budget int) (stepOutcome, error) {
-	if st.segNext < len(st.segs) {
-		// Defensive: runLoop drains the buffer before calling advance, but
-		// keep the invariant local so advanceAnalytic is correct standalone.
-		seg := st.segs[st.segNext]
-		st.segNext++
-		return st.scanSeg(seg, treasure, budget)
-	}
-	var seg trajectory.Seg
-	if st.emitter != nil {
-		// The engine's one sanctioned dynamic dispatch: one EmitSortie call
-		// amortized over the whole batch (PR 6's contract).
-		segs, ok := st.emitter.EmitSortie(st.segs[:0]) //antlint:allow hotpath one dispatch per sortie by design
-		st.segs = segs
-		st.segNext = 0
-		if !ok {
-			return stepOutcome{hit: -1, finished: true}, nil
-		}
-		if len(segs) == 0 {
-			// An emitter that reports ok without appending violates the
-			// contract; treat it as an empty step so the zero-streak guard
-			// catches a persistent offender instead of the engine spinning.
-			st.zeroStreak++
-			if st.zeroStreak > maxZeroStreak {
-				return stepOutcome{}, ErrNoProgress
-			}
-			return stepOutcome{hit: -1}, nil
-		}
-		seg = segs[0]
-		st.segNext = 1
-	} else {
-		var ok bool
-		// Fallback for searchers without batch emission: one dispatch per
-		// segment, the pre-PR 6 cost, never taken by the builtin algorithms.
-		seg, ok = st.searcher.NextSegment() //antlint:allow hotpath non-batch searcher fallback path
-		if !ok {
-			return stepOutcome{hit: -1, finished: true}, nil
-		}
-	}
-	return st.scanSeg(seg, treasure, budget)
-}
-
-// advanceExact advances one agent by one segment, enumerating every cell and
-// reporting it to the visitor.
-func advanceExact(st *agentState, treasure grid.Point, budget int,
+// exactSeg folds one segment into the agent's state the exact engine's way,
+// enumerating every cell it reaches before the budget and reporting each to
+// the visitor.
+func (st *agentState) exactSeg(seg trajectory.Seg, treasure grid.Point, budget int,
 	visit func(agentIdx, t int, p grid.Point)) (stepOutcome, error) {
-	seg, ok := st.searcher.NextSegment()
-	if !ok {
-		return stepOutcome{hit: -1, finished: true}, nil
-	}
 	if seg.Start() != st.pos {
-		return stepOutcome{}, fmt.Errorf("%w: segment %v starts at %v, agent is at %v",
-			ErrDiscontinuousTrajectory, seg, seg.Start(), st.pos)
+		return stepOutcome{}, discontinuityError(seg, seg.Start(), st.pos)
 	}
 	if st.nextFaultAt-st.elapsed <= seg.Duration() {
 		return exactSegFaulty(st, seg, treasure, budget, visit)
@@ -797,9 +748,7 @@ func advanceExact(st *agentState, treasure grid.Point, budget int,
 			truncated = true
 			return false
 		}
-		if visit != nil {
-			visit(st.idx, globalT, p)
-		}
+		visit(st.idx, globalT, p)
 		if p == treasure {
 			hit = globalT
 			return false
@@ -876,9 +825,7 @@ func exactSegFaulty(st *agentState, seg trajectory.Seg, treasure grid.Point, bud
 			truncated = true
 			return false
 		}
-		if visit != nil {
-			visit(st.idx, wall, p)
-		}
+		visit(st.idx, wall, p)
 		if p == treasure {
 			hit = wall
 			return false

@@ -47,6 +47,28 @@ func TestInstanceValidate(t *testing.T) {
 	}
 }
 
+// TestRunExactRejectsBeforeVisiting pins that RunExact validates the instance
+// before reporting anything: a rejected instance produces zero visits, not
+// the agents' time-zero visits followed by an error.
+func TestRunExactRejectsBeforeVisiting(t *testing.T) {
+	t.Parallel()
+
+	cases := map[string]Instance{
+		"nil algorithm":      {NumAgents: 3, Treasure: grid.Point{X: 3}},
+		"treasure on source": {Algorithm: core.MustKnownK(3), NumAgents: 3},
+	}
+	for name, inst := range cases {
+		visits := 0
+		_, err := RunExact(inst, Options{}, func(int, int, grid.Point) { visits++ })
+		if err == nil {
+			t.Errorf("%s: expected a validation error", name)
+		}
+		if visits != 0 {
+			t.Errorf("%s: rejected instance reported %d visits, want 0", name, visits)
+		}
+	}
+}
+
 func TestRunFindsTreasure(t *testing.T) {
 	t.Parallel()
 
@@ -208,15 +230,28 @@ func TestRunExactVisitor(t *testing.T) {
 	}
 }
 
+// segmentFunc adapts a one-segment-at-a-time generator to agent.Searcher:
+// every EmitSortie call appends the generator's next segment, so test
+// algorithms can be written as plain closures.
+type segmentFunc func() (trajectory.Seg, bool)
+
+func (f segmentFunc) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
+	seg, ok := f()
+	if !ok {
+		return buf, false
+	}
+	return append(buf, seg), true
+}
+
 // teleportAlgorithm emits a discontinuous trajectory to exercise engine error
 // handling.
 type teleportAlgorithm struct{}
 
 func (teleportAlgorithm) Name() string { return "teleport" }
 
-func (teleportAlgorithm) NewSearcher(*xrand.Stream, int) agent.Searcher {
+func (teleportAlgorithm) NewSearcher(agent.Searcher, *xrand.Stream, int) agent.Searcher {
 	emitted := false
-	return agent.SegmentFunc(func() (trajectory.Seg, bool) {
+	return segmentFunc(func() (trajectory.Seg, bool) {
 		if emitted {
 			// Starts at (5,5) although the previous segment ended at (1,0).
 			return trajectory.WalkSeg(grid.Point{X: 5, Y: 5}, grid.Point{X: 6, Y: 5}), true

@@ -8,9 +8,9 @@ import (
 
 // Path is a recorded, finite trajectory: a sequence of contiguous segments
 // with precomputed cumulative durations. It supports the same queries as a
-// single segment (position at a global time, first hit time of a node) and is
-// used by tests, the trace recorder and the example programs. Engines do not
-// need a Path: they consume segments lazily.
+// single segment (position at a global time, first hit time of a node); only
+// this package's tests use it. Engines do not need a Path: they consume
+// segments lazily.
 type Path struct {
 	segments []Segment
 	// cumulative[i] is the total duration of segments[0..i-1]; cumulative[0]

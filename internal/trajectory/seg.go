@@ -21,9 +21,8 @@ const (
 // Segment interface value. It is the representation the simulation engines
 // move through the hot path: a Seg is passed and stored by value, so emitting
 // one per sortie leg costs no allocation and querying it costs no interface
-// dispatch. Seg also implements Segment, so everything written against the
-// interface (tests, the trace tooling, external callers) accepts it
-// unchanged.
+// dispatch. Seg also implements Segment; the boxed Walk, Spiral and Pause
+// types serve as its reference in this package's tests.
 //
 // Field use by kind:
 //
