@@ -49,14 +49,10 @@ func TestSingleSpiral(t *testing.T) {
 	// with consecutive spiral step indices.
 	total := 0
 	for _, seg := range segs {
-		sp, ok := seg.AsSpiral()
-		if !ok {
-			t.Fatalf("segment %v is not a spiral", seg)
+		if want := trajectory.SpiralSeg(grid.Origin, total, total+seg.Duration()); seg != want {
+			t.Fatalf("chunk %v, want %v", seg, want)
 		}
-		if sp.FromStep() != total {
-			t.Errorf("chunk starts at spiral step %d, want %d", sp.FromStep(), total)
-		}
-		total = sp.ToStep()
+		total += seg.Duration()
 	}
 	// Two agents trace identical paths: no speed-up by design.
 	a := collect(t, alg.NewSearcher(nil, xrand.NewStream(1), 0), 3)

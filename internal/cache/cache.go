@@ -178,7 +178,8 @@ func New(capacity int) *Cache {
 //
 // Persisted entries whose key predates the current schema
 // (!Key.CurrentSchema()) are dropped during the warm start: an old keying
-// scheme must cost recomputation, never a wrong answer. Loading replays
+// scheme must cost recomputation, never a wrong answer. DiskStore already
+// skips (and counts) them itself; the guard here covers every other Store. Loading replays
 // entries oldest-first, so LRU recency survives the restart, and the LRU
 // bound applies during the replay — a store larger than capacity warm-starts
 // the most recently snapshotted entries.

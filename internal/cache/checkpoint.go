@@ -1,26 +1,21 @@
 // This file holds the checkpoint tier of the durable store: mid-cell prefix
 // aggregates (sim.CheckpointState) persisted while a mega-cell is still
 // running, so a crashed or killed process resumes the fold instead of
-// restarting it. It reuses the result store's machinery — an append-only
-// NDJSON log compacted into a snapshot under an flock-claimed directory —
-// with its own files and schema, so a CheckpointStore can share a directory
-// with a DiskStore. Unlike results, checkpoints are disposable: any record
-// may be dropped at any time (the worst outcome is recomputation), which is
-// why every error path here degrades instead of failing and why a cell's
-// checkpoints are garbage-collected the moment its final aggregate lands in
-// the result store.
+// restarting it. It shares the result store's crash-safe layout (logStore: an
+// append-only NDJSON log compacted into a snapshot under an flock-claimed
+// directory) with its own files and schema, so a CheckpointStore can share a
+// directory with a DiskStore. Unlike results, checkpoints are disposable: any
+// record may be dropped at any time (the worst outcome is recomputation),
+// which is why every error path here degrades instead of failing and why a
+// cell's checkpoints are garbage-collected the moment its final aggregate
+// lands in the result store.
 
 package cache
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync"
 
 	"antsearch/internal/sim"
 )
@@ -58,6 +53,20 @@ type checkpointRecord struct {
 	State         []byte `json:"state"`
 }
 
+// newCheckpointRecord is the current-schema wire form of cp under key.
+func newCheckpointRecord(key Key, cp sim.CheckpointState) checkpointRecord {
+	return checkpointRecord{
+		SchemaVersion: CheckpointSchemaVersion,
+		Key:           key,
+		ShardsDone:    cp.ShardsDone,
+		TotalShards:   cp.TotalShards,
+		TrialsDone:    cp.TrialsDone,
+		TotalTrials:   cp.TotalTrials,
+		StateLen:      len(cp.State),
+		State:         cp.State,
+	}
+}
+
 const (
 	checkpointLogFile      = "checkpoints.ndjson"
 	checkpointSnapshotFile = "checkpoints-snapshot.ndjson"
@@ -89,11 +98,7 @@ type CheckpointStats struct {
 // storage side of sim.Checkpointer; ForCell binds it to one cell's key. Safe
 // for concurrent use by multiple in-flight sweeps.
 type CheckpointStore struct {
-	mu     sync.Mutex
-	dir    string
-	log    *os.File
-	lock   *os.File
-	closed bool
+	logStore
 	// index holds, per cell, the persisted checkpoints sorted by ascending
 	// TrialsDone (largest — the preferred resume point — last), capped at
 	// maxCheckpointsPerCell.
@@ -107,52 +112,16 @@ type CheckpointStore struct {
 // directory is claimed with its own exclusive lock (separate from the result
 // store's), so a result DiskStore and a CheckpointStore may share dir.
 func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &CheckpointStore{index: make(map[Key][]sim.CheckpointState)}
+	if err := s.open(dir, checkpointLockFile, checkpointSnapshotFile, checkpointLogFile); err != nil {
 		return nil, fmt.Errorf("cache: open checkpoint store: %w", err)
 	}
-	lock, err := claimDirLock(dir, checkpointLockFile)
-	if err != nil {
-		return nil, fmt.Errorf("cache: checkpoint directory %s is already in use by another process: %w", dir, err)
-	}
-	sweepOrphans(dir, checkpointSnapshotFile+".tmp-*")
-	log, err := os.OpenFile(filepath.Join(dir, checkpointLogFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		lock.Close() //antlint:allow storeerr open failed; the claim is being abandoned, nothing acknowledged can be lost
-		return nil, fmt.Errorf("cache: open checkpoint log: %w", err)
-	}
-	s := &CheckpointStore{dir: dir, log: log, lock: lock, index: make(map[Key][]sim.CheckpointState)}
-	for _, name := range []string{checkpointSnapshotFile, checkpointLogFile} {
-		if err := s.loadFile(filepath.Join(dir, name)); err != nil {
-			log.Close() //antlint:allow storeerr open failed; best-effort cleanup of both handles, the load error propagates
-			lock.Close()
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// loadFile replays one NDJSON file into the index. Unparseable lines (torn
-// tails, damaged records) and foreign schema versions are skipped: a damaged
-// checkpoint costs recomputation, never an error.
-func (s *CheckpointStore) loadFile(path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("cache: load checkpoint store: %w", err)
-	}
-	defer f.Close() //antlint:allow storeerr read-only handle; a close failure cannot lose data
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	// Unparseable lines (torn tails, damaged records) and unusable records
+	// are skipped: a damaged checkpoint costs recomputation, never an error.
+	err := s.replay(func(line []byte) {
 		var rec checkpointRecord
-		if err := json.Unmarshal(line, &rec); err != nil || !recordUsable(rec) {
-			continue
+		if json.Unmarshal(line, &rec) != nil || !recordUsable(rec) {
+			return
 		}
 		s.insertLocked(rec.Key, sim.CheckpointState{
 			ShardsDone:  rec.ShardsDone,
@@ -161,11 +130,12 @@ func (s *CheckpointStore) loadFile(path string) error {
 			TotalTrials: rec.TotalTrials,
 			State:       rec.State,
 		})
+	})
+	if err != nil {
+		s.close() //antlint:allow storeerr open failed; best-effort release of both handles, the load error propagates
+		return nil, fmt.Errorf("cache: load checkpoint store: %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("cache: load checkpoint store %s: %w", filepath.Base(path), err)
-	}
-	return nil
+	return s, nil
 }
 
 // recordUsable filters loaded records: current schema, internally consistent
@@ -203,16 +173,7 @@ func (s *CheckpointStore) insertLocked(key Key, cp sim.CheckpointState) {
 //
 //antlint:blocking
 func (s *CheckpointStore) save(key Key, cp sim.CheckpointState) error {
-	line, err := json.Marshal(checkpointRecord{
-		SchemaVersion: CheckpointSchemaVersion,
-		Key:           key,
-		ShardsDone:    cp.ShardsDone,
-		TotalShards:   cp.TotalShards,
-		TrialsDone:    cp.TrialsDone,
-		TotalTrials:   cp.TotalTrials,
-		StateLen:      len(cp.State),
-		State:         cp.State,
-	})
+	line, err := json.Marshal(newCheckpointRecord(key, cp))
 	if err != nil {
 		return fmt.Errorf("cache: save checkpoint: %w", err)
 	}
@@ -283,10 +244,9 @@ func (s *CheckpointStore) Prune(done func(Key) bool) int {
 }
 
 // compactLocked rewrites the snapshot from the live index and truncates the
-// log — the same temp-file-then-rename dance as the result store, so every
-// crash point leaves a loadable state. The caller holds s.mu.
+// log, crash-safely (see logStore.compact). The caller holds s.mu.
 func (s *CheckpointStore) compactLocked() error {
-	err := writeAtomicSnapshot(s.dir, checkpointSnapshotFile, func(enc *json.Encoder) error {
+	err := s.compact(func(enc *json.Encoder) error {
 		keys := make([]string, 0, len(s.index))
 		for key := range s.index { //antlint:allow maporder keys are sorted before use below
 			keys = append(keys, string(key))
@@ -294,17 +254,7 @@ func (s *CheckpointStore) compactLocked() error {
 		sort.Strings(keys) // deterministic file layout
 		for _, key := range keys {
 			for _, cp := range s.index[Key(key)] {
-				rec := checkpointRecord{
-					SchemaVersion: CheckpointSchemaVersion,
-					Key:           Key(key),
-					ShardsDone:    cp.ShardsDone,
-					TotalShards:   cp.TotalShards,
-					TrialsDone:    cp.TrialsDone,
-					TotalTrials:   cp.TotalTrials,
-					StateLen:      len(cp.State),
-					State:         cp.State,
-				}
-				if err := enc.Encode(rec); err != nil {
+				if err := enc.Encode(newCheckpointRecord(Key(key), cp)); err != nil {
 					return err
 				}
 			}
@@ -313,9 +263,6 @@ func (s *CheckpointStore) compactLocked() error {
 	})
 	if err != nil {
 		return fmt.Errorf("cache: compact checkpoints: %w", err)
-	}
-	if err := s.log.Truncate(0); err != nil {
-		return fmt.Errorf("cache: compact checkpoints: truncate log: %w", err)
 	}
 	return nil
 }
@@ -345,15 +292,10 @@ func (s *CheckpointStore) Close() error {
 	if compactErr != nil {
 		s.storeErrors++
 	}
-	s.closed = true
-	err := s.log.Close()
-	if cerr := s.lock.Close(); err == nil {
-		err = cerr
+	if err := s.close(); err != nil {
+		return err
 	}
-	if err == nil {
-		err = compactErr
-	}
-	return err
+	return compactErr
 }
 
 // cellCheckpointDisableAfter is how many consecutive Save failures a cell's

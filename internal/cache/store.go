@@ -10,12 +10,8 @@
 package cache
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,25 +72,20 @@ type record struct {
 const (
 	snapshotFile = "snapshot.ndjson"
 	logFile      = "log.ndjson"
+	lockFile     = "lock"
 )
 
 // DiskStore is the disk-backed Store: an append-only NDJSON log of
 // {schema_version, key, stats} records next to a compacted snapshot file,
-// both under one directory. Writes are crash-safe by construction — appends
-// are single line-writes (a torn final line is dropped on load), snapshots
-// are written to a temp file and renamed into place before the log is
-// truncated, so every crash point leaves a loadable superset or equal set of
-// the acknowledged state.
+// both under one directory, in the crash-safe layout of logStore — every
+// crash point leaves a loadable superset or equal set of the acknowledged
+// state.
 type DiskStore struct {
-	mu         sync.Mutex
-	dir        string
-	log        *os.File
-	lock       *os.File // holds the directory's exclusive flock
-	fsync      bool     // fsync the log after every append
+	logStore
+	fsync      bool // fsync the log after every append
 	maxRetries int
 	backoff    time.Duration
-	closed     bool
-	skipped    int // records dropped by the last Load (schema or parse)
+	skipped    int // records dropped by the last Load (schema, key schema or parse)
 	// retries counts retried append attempts. Atomic so Retries (the /stats
 	// path) never waits behind an Append sleeping through its backoff.
 	retries atomic.Uint64
@@ -143,79 +134,8 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	return OpenDiskStoreWith(dir, DiskStoreOptions{})
 }
 
-// claimDirLock takes the exclusive flock named name under dir, returning the
-// open lock file whose lifetime holds the claim. Each store tier locks its
-// own file, so different tiers may share a directory while two processes
-// running the same tier fail loudly instead of truncating each other's
-// acknowledged writes at compaction time.
-func claimDirLock(dir, name string) (*os.File, error) {
-	lock, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := lockFileExclusive(lock.Fd()); err != nil {
-		lock.Close() //antlint:allow storeerr the claim failed; nothing was written through this handle
-		return nil, err
-	}
-	return lock, nil
-}
-
-// sweepOrphans removes leftover snapshot temp files matching pattern under
-// dir. A crash between writing a temp file and renaming it into place orphans
-// it; sweeping at open (safe: the directory lock guarantees no live peer is
-// mid-snapshot) keeps repeated crashes from accumulating full-size snapshots
-// forever.
-func sweepOrphans(dir, pattern string) {
-	if orphans, err := filepath.Glob(filepath.Join(dir, pattern)); err == nil {
-		for _, orphan := range orphans {
-			_ = os.Remove(orphan) //antlint:allow storeerr best-effort sweep: a surviving orphan is swept again at the next open
-		}
-	}
-}
-
-// writeAtomicSnapshot streams NDJSON records produced by write into a temp
-// file under dir, fsyncs it and renames it over name — the crash-safe
-// replacement both store tiers compact with: every crash point leaves either
-// the old snapshot or the complete new one, never a torn mix.
-func writeAtomicSnapshot(dir, name string, write func(enc *json.Encoder) error) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) //antlint:allow storeerr no-op after a successful rename; a leftover temp is swept at the next open
-	w := bufio.NewWriter(tmp)
-	err = write(json.NewEncoder(w))
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close() //antlint:allow storeerr the write error propagates; the temp file is doomed either way
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
-}
-
 // OpenDiskStoreWith is OpenDiskStore with explicit options.
 func OpenDiskStoreWith(dir string, opts DiskStoreOptions) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cache: open store: %w", err)
-	}
-	lock, err := claimDirLock(dir, "lock")
-	if err != nil {
-		return nil, fmt.Errorf("cache: store directory %s is already in use by another process: %w", dir, err)
-	}
-	sweepOrphans(dir, snapshotFile+".tmp-*")
-	log, err := os.OpenFile(filepath.Join(dir, logFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		lock.Close() //antlint:allow storeerr open failed; the claim is being abandoned, nothing acknowledged can be lost
-		return nil, fmt.Errorf("cache: open store log: %w", err)
-	}
 	retries := opts.AppendRetries
 	switch {
 	case retries == 0:
@@ -227,60 +147,40 @@ func OpenDiskStoreWith(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 	if backoff <= 0 {
 		backoff = DefaultRetryBackoff
 	}
-	return &DiskStore{
-		dir: dir, log: log, lock: lock,
-		fsync: opts.FsyncAppends, maxRetries: retries, backoff: backoff,
-	}, nil
+	s := &DiskStore{fsync: opts.FsyncAppends, maxRetries: retries, backoff: backoff}
+	if err := s.open(dir, lockFile, snapshotFile, logFile); err != nil {
+		return nil, fmt.Errorf("cache: open store: %w", err)
+	}
+	return s, nil
 }
 
 // Load implements Store: snapshot first, then the log, so log records
 // (written after the snapshot they follow) win on duplicate keys when the
 // caller replays emissions in order. Unparseable lines (a crash-torn tail,
-// hand-edited files) and records from other schema versions are skipped, not
-// errors: the worst outcome of a damaged store is recomputation.
+// hand-edited files), records from other schema versions and records keyed
+// under an older key schema (!Key.CurrentSchema()) are skipped and counted,
+// not errors: the worst outcome of a damaged or outdated store is
+// recomputation.
 func (s *DiskStore) Load(emit func(Entry)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.skipped = 0
-	for _, name := range []string{snapshotFile, logFile} {
-		if err := s.loadFileLocked(filepath.Join(s.dir, name), emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *DiskStore) loadFileLocked(path string, emit func(Entry)) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("cache: load store: %w", err)
-	}
-	defer f.Close() //antlint:allow storeerr read-only handle; a close failure cannot lose data
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	err := s.replay(func(line []byte) {
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.SchemaVersion != StoreSchemaVersion {
+		if json.Unmarshal(line, &rec) != nil || rec.SchemaVersion != StoreSchemaVersion || !rec.Key.CurrentSchema() {
 			s.skipped++
-			continue
+			return
 		}
 		emit(Entry{Key: rec.Key, Stats: rec.Stats})
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("cache: load store %s: %w", filepath.Base(path), err)
+	})
+	if err != nil {
+		return fmt.Errorf("cache: load store: %w", err)
 	}
 	return nil
 }
 
 // Skipped reports how many records the last Load dropped (wrong schema
-// version or unparseable).
+// version, stale key schema or unparseable).
 func (s *DiskStore) Skipped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,18 +253,15 @@ func (s *DiskStore) writeLocked(payload []byte) error {
 // lifetime; cache.Stats surfaces it as store_retries.
 func (s *DiskStore) Retries() uint64 { return s.retries.Load() }
 
-// Snapshot implements Store: write every entry to a temp file, fsync, rename
-// over the old snapshot, then truncate the log. A crash before the rename
-// leaves the previous snapshot + full log (nothing lost); a crash between
-// rename and truncate leaves snapshot + stale log whose records duplicate
-// snapshot ones — harmless, since identical keys carry identical values.
+// Snapshot implements Store: the entries replace the snapshot and the log is
+// truncated, crash-safely (see logStore.compact).
 func (s *DiskStore) Snapshot(entries []Entry) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("cache: snapshot on closed store")
 	}
-	err := writeAtomicSnapshot(s.dir, snapshotFile, func(enc *json.Encoder) error {
+	err := s.compact(func(enc *json.Encoder) error {
 		for _, e := range entries {
 			if err := enc.Encode(record{SchemaVersion: StoreSchemaVersion, Key: e.Key, Stats: e.Stats}); err != nil {
 				return err
@@ -375,24 +272,13 @@ func (s *DiskStore) Snapshot(entries []Entry) error {
 	if err != nil {
 		return fmt.Errorf("cache: snapshot: %w", err)
 	}
-	if err := s.log.Truncate(0); err != nil {
-		return fmt.Errorf("cache: snapshot: truncate log: %w", err)
-	}
 	return nil
 }
 
-// Close implements Store. Closing the lock file releases the directory's
-// exclusive lock, so another process may open the store afterwards.
+// Close implements Store. It releases the directory's exclusive lock, so
+// another process may open the store afterwards.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.log.Close()
-	if cerr := s.lock.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.close()
 }

@@ -206,7 +206,8 @@ func TestNewWithStoreWarmStart(t *testing.T) {
 
 // TestWarmStartDropsStaleKeySchema pins the key-versioning half of the
 // durability contract: entries keyed under an older CellKey scheme are
-// ignored on warm start (they cost recomputation), never served.
+// ignored on warm start (they cost recomputation), never served, and the
+// store counts them as skipped so an operator sees the store shrink.
 func TestWarmStartDropsStaleKeySchema(t *testing.T) {
 	t.Parallel()
 
@@ -231,6 +232,9 @@ func TestWarmStartDropsStaleKeySchema(t *testing.T) {
 	defer c.Close()
 	if st := c.Stats(); st.Loaded != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v, want exactly the current-schema entry loaded", st)
+	}
+	if skipped := s.Skipped(); skipped != 1 {
+		t.Errorf("Skipped() = %d, want the stale-key record counted", skipped)
 	}
 	if _, ok := c.Get(staleKey); ok {
 		t.Error("a stale-schema key must not be served")
@@ -644,4 +648,70 @@ func TestCacheStatsSurfacesStoreRetries(t *testing.T) {
 	if st.Persisted != 1 {
 		t.Errorf("Persisted = %d, want 1", st.Persisted)
 	}
+}
+
+// FuzzStoreReplay writes arbitrary bytes as each tier's log and opens the
+// tier on them. Opening never panics or fails on damaged content; the result
+// store accounts for every non-blank line, either emitting it or counting it
+// in Skipped(), and the checkpoint store indexes only records recordUsable
+// accepts.
+func FuzzStoreReplay(f *testing.F) {
+	result, err := json.Marshal(record{SchemaVersion: StoreSchemaVersion, Key: testKeyV2("seed"), Stats: testStats(3)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	checkpoint, err := json.Marshal(newCheckpointRecord(testKeyV2("seed"), testCheckpoint(256, 1024, []byte{1, 2})))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(result, '\n'))
+	f.Add(append(append(checkpoint, '\n'), checkpoint...))
+	f.Add([]byte(fmt.Sprintf("%s\n \r\n%s\n{\"schema_version\": %d, \"key\": \"torn", result, checkpoint, StoreSchemaVersion)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, name := range []string{logFile, checkpointLogFile} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		ds, err := OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted := 0
+		if err := ds.Load(func(Entry) { emitted++ }); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		nonBlank := 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSpace(line)) > 0 {
+				nonBlank++
+			}
+		}
+		if emitted+ds.Skipped() != nonBlank {
+			t.Fatalf("%d non-blank lines, but %d emitted and %d skipped", nonBlank, emitted, ds.Skipped())
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		cs, err := OpenCheckpointStore(dir)
+		if err != nil {
+			t.Fatalf("OpenCheckpointStore: %v", err)
+		}
+		for key, list := range cs.index { //antlint:allow maporder every entry is checked; the order is irrelevant
+			if len(list) > maxCheckpointsPerCell {
+				t.Fatalf("%s: %d checkpoints indexed, cap %d", key, len(list), maxCheckpointsPerCell)
+			}
+			for _, cp := range list {
+				if !recordUsable(newCheckpointRecord(key, cp)) {
+					t.Fatalf("%s: indexed an unusable checkpoint %+v", key, cp)
+				}
+			}
+		}
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -89,8 +89,7 @@ func TestKnownKScheduleShape(t *testing.T) {
 	// was drawn for: the spiral length divided by the square of the ball
 	// radius is the constant 4/k.
 	for _, seg := range segs {
-		sp, ok := seg.AsSpiral()
-		if !ok || sp.Duration() == 0 {
+		if seg.Kind() != trajectory.KindSpiral || seg.Duration() == 0 {
 			continue
 		}
 		// The target was drawn from B(2^i); we cannot recover i exactly from
@@ -99,13 +98,13 @@ func TestKnownKScheduleShape(t *testing.T) {
 		found := false
 		for i := 1; i <= 40; i++ {
 			want := (1 << (2*i + 2)) / k
-			if sp.Duration() == want {
+			if seg.Duration() == want {
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Errorf("spiral duration %d is not of the form 2^(2i+2)/k", sp.Duration())
+			t.Errorf("spiral duration %d is not of the form 2^(2i+2)/k", seg.Duration())
 		}
 	}
 }
@@ -120,14 +119,14 @@ func TestKnownKTargetsWithinPhaseRadius(t *testing.T) {
 	rng := xrand.NewStream(7, 0)
 	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 120)
 	for _, seg := range segs {
-		sp, ok := seg.AsSpiral()
-		if !ok {
+		if seg.Kind() != trajectory.KindSpiral {
 			continue
 		}
-		radius := grid.SpiralCoveredRadius(sp.Duration()) // ≈ sqrt(budget)/2
-		if sp.Centre().L1() > radius+1 {
+		// A fresh spiral search starts at its centre, the sortie target.
+		radius := grid.SpiralCoveredRadius(seg.Duration()) // ≈ sqrt(budget)/2
+		if seg.Start().L1() > radius+1 {
 			t.Errorf("sortie target %v outside phase ball (budget %d, radius %d)",
-				sp.Centre(), sp.Duration(), radius)
+				seg.Start(), seg.Duration(), radius)
 		}
 	}
 }
@@ -275,15 +274,14 @@ func TestUniformScheduleGrows(t *testing.T) {
 	// radii) and sortie structure must keep returning to the source.
 	maxEarly, maxLate := 0, 0
 	for i, seg := range segs {
-		sp, ok := seg.AsSpiral()
-		if !ok {
+		if seg.Kind() != trajectory.KindSpiral {
 			continue
 		}
-		if i < 100 && sp.Duration() > maxEarly {
-			maxEarly = sp.Duration()
+		if i < 100 && seg.Duration() > maxEarly {
+			maxEarly = seg.Duration()
 		}
-		if i >= 500 && sp.Duration() > maxLate {
-			maxLate = sp.Duration()
+		if i >= 500 && seg.Duration() > maxLate {
+			maxLate = seg.Duration()
 		}
 	}
 	if maxLate <= maxEarly {
@@ -349,18 +347,18 @@ func TestHarmonicSpiralBudgetMatchesDistance(t *testing.T) {
 	for seedIdx := 0; seedIdx < 50; seedIdx++ {
 		rng := xrand.NewStream(100, uint64(seedIdx))
 		segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 4)
-		var sp trajectory.Spiral
+		var sp trajectory.Seg
 		found := false
 		for _, seg := range segs {
-			if s, ok := seg.AsSpiral(); ok {
-				sp, found = s, true
+			if seg.Kind() == trajectory.KindSpiral {
+				sp, found = seg, true
 				break
 			}
 		}
 		if !found {
 			t.Fatalf("no spiral segment in harmonic sortie %d", seedIdx)
 		}
-		d := float64(sp.Centre().L1())
+		d := float64(sp.Start().L1()) // a fresh spiral starts at its centre
 		want := int(math.Pow(d, 2+delta))
 		if sp.Duration() != want {
 			t.Errorf("spiral budget %d for target at distance %.0f, want %d",

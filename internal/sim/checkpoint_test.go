@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 
 	"antsearch/internal/adversary"
 	"antsearch/internal/core"
+	"antsearch/internal/stats"
 )
 
 // memCheckpointer is an in-memory Checkpointer for tests: it records every
@@ -143,6 +145,50 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 			t.Errorf("%s: UnmarshalBinary accepted damaged state", name)
 		}
 	}
+}
+
+// FuzzTrialAccumulatorUnmarshal feeds arbitrary bytes to the checkpoint
+// state decoder, and through it to the stats.Accumulator and stats.Sketch
+// decoders; a resuming MonteCarlo hands them whatever a checkpoint store
+// holds. Decoding must never panic, and an accepted state must re-encode to a
+// fixed point: decoding its encoding and encoding again reproduces it byte
+// for byte. The seeds are real accumulators with both quantile sketches in
+// exact mode (few trials) and in estimation mode (past the sketch cap).
+func FuzzTrialAccumulatorUnmarshal(f *testing.F) {
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, trials := range []int{0, 3, 2 * stats.DefaultSketchCap} {
+		a := NewTrialAccumulator(4, 8)
+		for i := 0; i < trials; i++ {
+			found := rng.Float64() < 0.9
+			a.Add(Result{Found: found, Capped: !found, Time: 1 + rng.IntN(500), Survivors: 4, Distance: 8, LowerBound: 24})
+		}
+		data, err := a.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a TrialAccumulator
+		if a.UnmarshalBinary(data) != nil {
+			return
+		}
+		enc, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b TrialAccumulator
+		if err := b.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("re-encoded accepted state is rejected: %v", err)
+		}
+		again, err := b.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not a fixed point:\n first %x\nsecond %x", enc, again)
+		}
+	})
 }
 
 func TestAlignShard(t *testing.T) {

@@ -65,7 +65,8 @@ func takeF64s(b []byte, maxLen int) ([]float64, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if n < 0 || n > maxLen || len(b) < 8*n {
+	// n > len(b)/8, not len(b) < 8*n: the product wraps for n >= 2^61.
+	if n < 0 || n > maxLen || n > len(b)/8 {
 		return nil, nil, fmt.Errorf("stats: binary state declares %d values, have %d bytes", n, len(b))
 	}
 	if n == 0 {

@@ -158,10 +158,22 @@ func TestSketchDecodeRejectsDamage(t *testing.T) {
 		a.Add(float64(i % 37))
 	}
 	good := a.AppendBinary(nil)
+	// A sample count of at least 2^61 once passed the length check, whose
+	// 8*n wrapped, and made the allocation panic.
+	huge := []byte{sketchStateVersion}
+	huge = appendI64(huge, 1<<62) // cap: admits the count below
+	huge = appendI64(huge, 1<<62) // n
+	huge = appendF64(huge, 0)     // min
+	huge = appendF64(huge, 0)     // max
+	huge = appendF64s(huge, nil)  // tracked
+	huge = append(huge, 0)        // exact mode
+	huge = appendI64(huge, 1<<61) // sample count: 8*n wraps to 0
+	huge = appendF64(huge, 1)
 	for name, data := range map[string][]byte{
-		"empty":       nil,
-		"bad version": append([]byte{sketchStateVersion + 1}, good[1:]...),
-		"truncated":   good[:len(good)/2],
+		"empty":             nil,
+		"bad version":       append([]byte{sketchStateVersion + 1}, good[1:]...),
+		"truncated":         good[:len(good)/2],
+		"huge sample count": huge,
 	} {
 		b := NewSketch(0)
 		if _, err := b.DecodeBinary(data); err == nil {

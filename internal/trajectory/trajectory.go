@@ -2,13 +2,16 @@
 //
 // The paper's algorithms are built from three navigation primitives: walking
 // in a (discretised) straight line to a node, performing a spiral search
-// around a node, and returning to the source. Each primitive becomes a
-// Segment: a deterministic sub-path with a known duration for which both
-// "where is the agent after t steps?" and "when does the agent first visit
-// node v?" can be answered in constant time. The analytic simulation engine
-// relies on those constant-time answers to skip over long spiral searches
-// without enumerating every cell, while the exact engine uses ForEach to
-// enumerate cells one by one; property tests keep the two views consistent.
+// around a node, and returning to the source. Each primitive, plus the pause
+// of the asynchronous-start remark, is one kind of Seg: a deterministic
+// sub-path with a known duration. The analytic simulation engine asks a Seg
+// one constant-time question, Scan ("where does it start and end, how long is
+// it, and when does it first stand on the treasure?"), to skip over long
+// spiral searches without enumerating every cell; the exact engine uses
+// ForEach to enumerate cells one by one. Scan uses closed forms
+// (grid.PathHitTime, grid.SpiralIndex) and ForEach enumerates
+// (grid.ForEachOnPath, grid.SpiralOffset); the property tests pin each
+// closed form to the enumeration.
 package trajectory
 
 import (
@@ -17,163 +20,175 @@ import (
 	"antsearch/internal/grid"
 )
 
-// Segment is a deterministic contiguous piece of an agent trajectory.
+// Kind identifies the concrete shape of a Seg.
+type Kind uint8
+
+// The three navigation primitives of Section 2, plus the pause used by the
+// asynchronous-start relaxation.
+const (
+	KindWalk Kind = iota
+	KindSpiral
+	KindPause
+)
+
+// Seg is a deterministic contiguous piece of an agent trajectory, as a
+// concrete tagged union: it is passed and stored by value, so emitting one
+// per sortie leg costs no allocation and querying it costs no interface
+// dispatch.
 //
-// A segment of duration n occupies positions at the n+1 time offsets
-// 0, 1, ..., n, where offset 0 is Start() and offset n is End(). Offset 0 of
-// a segment coincides (in simulated time) with the final offset of the
-// previous segment, so engines must take care not to double-count it.
-type Segment interface {
-	fmt.Stringer
-
-	// Start returns the node the segment begins at.
-	Start() grid.Point
-	// End returns the node the segment ends at.
-	End() grid.Point
-	// Duration returns the number of edge traversals in the segment.
-	Duration() int
-	// HitTime returns the smallest time offset within [0, Duration()] at
-	// which the segment stands on target, if any.
-	HitTime(target grid.Point) (int, bool)
-	// At returns the position at time offset t, 0 <= t <= Duration().
-	At(t int) grid.Point
-	// ForEach calls fn for every time offset in order, starting at 0. If fn
-	// returns false the iteration stops and ForEach returns false.
-	ForEach(fn func(t int, p grid.Point) bool) bool
+// A Seg of duration n occupies positions at the n+1 time offsets 0, 1, ...,
+// n, where offset 0 is Start() and offset n is End(). Offset 0 of a segment
+// coincides (in simulated time) with the final offset of the previous
+// segment, so engines must take care not to double-count it.
+//
+// Field use by kind:
+//
+//	KindWalk:   a = from, b = to, n = cached path length
+//	KindSpiral: a = centre, b = cached end node, n = fromStep, m = toStep
+//	KindPause:  a = node, n = duration
+//
+// The walk length and the spiral end are computed once at construction: the
+// engines ask for Duration and End several times per segment, and the spiral
+// end costs a square root per evaluation.
+//
+// The zero Seg is a zero-length walk at the origin.
+type Seg struct {
+	kind Kind
+	a, b grid.Point
+	n, m int
 }
 
-// Walk is a straight-line (staircase) walk between two nodes, used both for
-// the "walk to a node chosen at random" primitive and for returning to the
-// source.
-type Walk struct {
-	from grid.Point
-	to   grid.Point
-	// length caches grid.PathLength(from, to): Duration is called several
-	// times per segment by both engines, and the distance never changes.
-	length int
+// WalkSeg returns the straight-line (staircase) walk from one node to
+// another, used both for the "walk to a node chosen at random" primitive and
+// for returning to the source. A zero-length walk (from == to) is valid.
+func WalkSeg(from, to grid.Point) Seg {
+	return Seg{kind: KindWalk, a: from, b: to, n: grid.PathLength(from, to)}
 }
 
-// NewWalk returns a Walk from one node to another. A zero-length walk (from
-// == to) is valid and has duration 0.
-func NewWalk(from, to grid.Point) Walk {
-	return Walk{from: from, to: to, length: grid.PathLength(from, to)}
-}
-
-var _ Segment = Walk{}
-
-// Start implements Segment.
-func (w Walk) Start() grid.Point { return w.from }
-
-// End implements Segment.
-func (w Walk) End() grid.Point { return w.to }
-
-// Duration implements Segment.
-func (w Walk) Duration() int { return w.length }
-
-// HitTime implements Segment.
-func (w Walk) HitTime(target grid.Point) (int, bool) {
-	return grid.PathHitTime(w.from, w.to, target)
-}
-
-// At implements Segment.
-func (w Walk) At(t int) grid.Point { return grid.PathPoint(w.from, w.to, t) }
-
-// ForEach implements Segment.
-func (w Walk) ForEach(fn func(t int, p grid.Point) bool) bool {
-	completed := true
-	grid.ForEachOnPath(w.from, w.to, func(t int, p grid.Point) bool {
-		if !fn(t, p) {
-			completed = false
-			return false
-		}
-		return true
-	})
-	return completed
-}
-
-// String implements fmt.Stringer.
-func (w Walk) String() string {
-	return fmt.Sprintf("walk %v->%v (%d steps)", w.from, w.to, w.Duration())
-}
-
-// Spiral is a (portion of a) spiral search around a centre node. It covers
-// spiral step indices [FromStep, ToStep]; a fresh spiral search started at
-// its centre has FromStep 0. The agent's position at offset t is
-// centre + SpiralOffset(FromStep + t).
-type Spiral struct {
-	centre   grid.Point
-	fromStep int
-	toStep   int
-}
-
-// NewSpiral returns the spiral search around centre covering the given step
-// range. It panics if the range is invalid (fromStep < 0 or toStep <
-// fromStep); spiral bounds are always computed by the algorithms themselves,
-// so an invalid range is a programming error.
-func NewSpiral(centre grid.Point, fromStep, toStep int) Spiral {
+// SpiralSeg returns the spiral search around centre covering spiral step
+// indices [fromStep, toStep]; the position at offset t is
+// centre + SpiralOffset(fromStep + t). It panics if the range is invalid
+// (fromStep < 0 or toStep < fromStep): spiral bounds are always computed by
+// the algorithms themselves, so an invalid range is a programming error.
+func SpiralSeg(centre grid.Point, fromStep, toStep int) Seg {
 	if fromStep < 0 || toStep < fromStep {
 		panic(fmt.Sprintf("trajectory: invalid spiral range [%d, %d]", fromStep, toStep))
 	}
-	return Spiral{centre: centre, fromStep: fromStep, toStep: toStep}
+	return Seg{kind: KindSpiral, a: centre, b: centre.Add(grid.SpiralOffset(toStep)), n: fromStep, m: toStep}
 }
 
-// NewSpiralSearch returns a fresh spiral search of the given number of steps
-// starting at centre.
-func NewSpiralSearch(centre grid.Point, steps int) Spiral {
+// SpiralSearchSeg returns a fresh spiral search of the given number of steps
+// starting at centre (negative step counts clamp to zero).
+func SpiralSearchSeg(centre grid.Point, steps int) Seg {
 	if steps < 0 {
 		steps = 0
 	}
-	return NewSpiral(centre, 0, steps)
+	return Seg{kind: KindSpiral, a: centre, b: centre.Add(grid.SpiralOffset(steps)), m: steps}
 }
 
-var _ Segment = Spiral{}
-
-// Centre returns the node the spiral search is centred on.
-func (s Spiral) Centre() grid.Point { return s.centre }
-
-// FromStep returns the first spiral step index covered by this segment.
-func (s Spiral) FromStep() int { return s.fromStep }
-
-// ToStep returns the last spiral step index covered by this segment.
-func (s Spiral) ToStep() int { return s.toStep }
-
-// Start implements Segment.
-func (s Spiral) Start() grid.Point { return s.centre.Add(grid.SpiralOffset(s.fromStep)) }
-
-// End implements Segment.
-func (s Spiral) End() grid.Point { return s.centre.Add(grid.SpiralOffset(s.toStep)) }
-
-// Duration implements Segment.
-func (s Spiral) Duration() int { return s.toStep - s.fromStep }
-
-// HitTime implements Segment.
-func (s Spiral) HitTime(target grid.Point) (int, bool) {
-	idx := grid.SpiralIndex(target.Sub(s.centre))
-	if idx < s.fromStep || idx > s.toStep {
-		return 0, false
+// PauseSeg returns a pause of the given duration at the given node (negative
+// durations clamp to zero). The paper's core model starts all agents
+// simultaneously; Section 2 notes that the assumption "can easily be
+// removed", and the agent package's Delayed wrapper emits a pause to model
+// agents that begin their search at different times.
+func PauseSeg(at grid.Point, duration int) Seg {
+	if duration < 0 {
+		duration = 0
 	}
-	return idx - s.fromStep, true
+	return Seg{kind: KindPause, a: at, n: duration}
 }
 
-// At implements Segment.
-func (s Spiral) At(t int) grid.Point {
-	if t < 0 || t > s.Duration() {
-		panic("trajectory: spiral offset out of range")
+// Kind returns the segment's shape tag.
+func (s Seg) Kind() Kind { return s.kind }
+
+// Start returns the node the segment begins at.
+func (s Seg) Start() grid.Point {
+	if s.kind == KindSpiral {
+		return s.a.Add(grid.SpiralOffset(s.n))
 	}
-	return s.centre.Add(grid.SpiralOffset(s.fromStep + t))
+	return s.a
 }
 
-// ForEach implements Segment.
-func (s Spiral) ForEach(fn func(t int, p grid.Point) bool) bool {
-	for t := 0; t <= s.Duration(); t++ {
-		if !fn(t, s.At(t)) {
-			return false
+// End returns the node the segment ends at.
+func (s Seg) End() grid.Point {
+	if s.kind == KindPause {
+		return s.a
+	}
+	return s.b
+}
+
+// Duration returns the number of time units the segment lasts: edge
+// traversals for a walk or spiral, waiting steps for a pause.
+func (s Seg) Duration() int {
+	if s.kind == KindSpiral {
+		return s.m - s.n
+	}
+	return s.n
+}
+
+// Scan answers, in a single dispatch on the segment's kind, every query the
+// analytic engine makes of a segment: where it starts and ends, how long it
+// lasts, and whether — and at which offset from the segment start — it first
+// visits target. start, end and duration equal Start, End and Duration; the
+// hit offset is the first offset at which ForEach reports target. The fused
+// form exists for the simulation hot loop, which would otherwise pay several
+// kind switches (and, for spirals, two SpiralOffset evaluations) per segment.
+//
+//antlint:hotpath
+func (s Seg) Scan(target grid.Point) (start, end grid.Point, duration, hitOff int, hit bool) {
+	switch s.kind {
+	case KindWalk:
+		hitOff, hit = grid.PathHitTime(s.a, s.b, target)
+		return s.a, s.b, s.n, hitOff, hit
+	case KindSpiral:
+		if idx := grid.SpiralIndex(target.Sub(s.a)); idx >= s.n && idx <= s.m {
+			hitOff, hit = idx-s.n, true
 		}
+		return s.a.Add(grid.SpiralOffset(s.n)), s.b, s.m - s.n, hitOff, hit
+	default: // KindPause
+		return s.a, s.a, s.n, 0, target == s.a
 	}
-	return true
+}
+
+// ForEach calls fn for every time offset in order, starting at 0. If fn
+// returns false the iteration stops and ForEach returns false.
+func (s Seg) ForEach(fn func(t int, p grid.Point) bool) bool {
+	switch s.kind {
+	case KindWalk:
+		completed := true
+		grid.ForEachOnPath(s.a, s.b, func(t int, p grid.Point) bool {
+			if !fn(t, p) {
+				completed = false
+				return false
+			}
+			return true
+		})
+		return completed
+	case KindSpiral:
+		for t := 0; t <= s.m-s.n; t++ {
+			if !fn(t, s.a.Add(grid.SpiralOffset(s.n+t))) {
+				return false
+			}
+		}
+		return true
+	default:
+		for t := 0; t <= s.n; t++ {
+			if !fn(t, s.a) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 // String implements fmt.Stringer.
-func (s Spiral) String() string {
-	return fmt.Sprintf("spiral at %v steps [%d,%d]", s.centre, s.fromStep, s.toStep)
+func (s Seg) String() string {
+	switch s.kind {
+	case KindWalk:
+		return fmt.Sprintf("walk %v->%v (%d steps)", s.a, s.b, s.n)
+	case KindSpiral:
+		return fmt.Sprintf("spiral at %v steps [%d,%d]", s.a, s.n, s.m)
+	default:
+		return fmt.Sprintf("pause at %v for %d steps", s.a, s.n)
+	}
 }

@@ -1,51 +1,247 @@
 package trajectory
 
 import (
-	"errors"
-	"math/rand"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"antsearch/internal/grid"
 )
 
+// checkSeg pins s against its own ForEach enumeration, which walks the
+// segment position by position (grid.ForEachOnPath, grid.SpiralOffset) and so
+// shares nothing with Scan's closed forms (grid.PathHitTime,
+// grid.SpiralIndex). The enumeration must report offsets 0..Duration() in
+// order, start at Start(), end at End(), move one edge per step (a pause
+// stays put), and stop when asked; Scan must then report the same start, end
+// and duration, and hit every enumerated node and every extra target exactly
+// at the offset of its first visit, or not at all.
+func checkSeg(t *testing.T, s Seg, targets ...grid.Point) {
+	t.Helper()
+	var path []grid.Point
+	first := make(map[grid.Point]int)
+	completed := s.ForEach(func(off int, p grid.Point) bool {
+		if off != len(path) {
+			t.Fatalf("%v: ForEach reported offset %d at position %d", s, off, len(path))
+		}
+		if _, seen := first[p]; !seen {
+			first[p] = off
+		}
+		path = append(path, p)
+		return true
+	})
+	if !completed {
+		t.Fatalf("%v: ForEach stopped early without being asked", s)
+	}
+	if len(path) != s.Duration()+1 {
+		t.Fatalf("%v: ForEach visited %d offsets, Duration() = %d", s, len(path), s.Duration())
+	}
+	if path[0] != s.Start() || path[len(path)-1] != s.End() {
+		t.Fatalf("%v: ForEach runs %v -> %v, Start/End = %v -> %v", s, path[0], path[len(path)-1], s.Start(), s.End())
+	}
+	step := 1
+	if s.Kind() == KindPause {
+		step = 0
+	}
+	for i := 1; i < len(path); i++ {
+		if grid.Dist(path[i-1], path[i]) != step {
+			t.Fatalf("%v: offsets %d -> %d move %v -> %v", s, i-1, i, path[i-1], path[i])
+		}
+	}
+	mid, visited := s.Duration()/2, 0
+	if s.ForEach(func(off int, _ grid.Point) bool { visited++; return off < mid }) || visited != mid+1 {
+		t.Fatalf("%v: ForEach asked to stop at offset %d visited %d offsets and did not report the stop", s, mid, visited)
+	}
+	for _, target := range append(path, targets...) {
+		start, end, duration, off, hit := s.Scan(target)
+		if start != s.Start() || end != s.End() || duration != s.Duration() {
+			t.Fatalf("%v: Scan(%v) shape (%v, %v, %d), want (%v, %v, %d)",
+				s, target, start, end, duration, s.Start(), s.End(), s.Duration())
+		}
+		want, wantHit := first[target]
+		if hit != wantHit || (hit && off != want) {
+			t.Fatalf("%v: Scan(%v) hit (%d, %v), enumeration first visits it at (%d, %v)", s, target, off, hit, want, wantHit)
+		}
+	}
+}
+
+// TestSegScanMatchesQueries pins Scan to ForEach enumeration across all three
+// kinds, random shapes and random targets, on and off the segment. The
+// engines trust this equivalence: the analytic engine answers every segment
+// with Scan, the exact engine with ForEach.
+func TestSegScanMatchesQueries(t *testing.T) {
+	t.Parallel()
+
+	err := quick.Check(func(ax, ay, bx, by int8, steps, from uint8, tx, ty int8) bool {
+		a := grid.Point{X: int(ax), Y: int(ay)}
+		b := grid.Point{X: int(bx), Y: int(by)}
+		target := grid.Point{X: int(tx), Y: int(ty)}
+		near := a.Add(grid.Point{X: int(tx) % 8, Y: int(ty) % 8})
+		fromStep := int(from) % (int(steps) + 1)
+		// The spiral nodes just outside the step range are the likeliest
+		// off-by-one misses.
+		before := a.Add(grid.SpiralOffset(max(fromStep-1, 0)))
+		past := a.Add(grid.SpiralOffset(int(steps) + 1))
+		for _, s := range []Seg{
+			WalkSeg(a, b),
+			SpiralSeg(a, fromStep, int(steps)),
+			SpiralSearchSeg(a, int(steps)),
+			PauseSeg(a, int(steps)),
+		} {
+			checkSeg(t, s, target, near, before, past, a, b)
+		}
+		return !t.Failed()
+	}, &quick.Config{MaxCount: 300})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSegMatchesBoxedSegments checks every constructor against its
+// primitive's definition, written out per kind as a position at each offset:
+// a walk is the staircase grid.PathPoint(a, b, off), a spiral over steps
+// [from, to] is centre + grid.SpiralOffset(from+off), a pause stays on its
+// node. Seg must report that duration, those endpoints and that String,
+// ForEach must enumerate those positions, and Scan must hit each target at
+// its first visit in them. checkSeg pins Seg only against itself; this pins
+// what each constructor builds.
+func TestSegMatchesBoxedSegments(t *testing.T) {
+	t.Parallel()
+
+	type boxed struct {
+		seg      Seg
+		duration int
+		at       func(off int) grid.Point
+		str      string
+	}
+	prop := func(ax, ay, bx, by int8, fromRaw, lenRaw uint8, tx, ty int8) bool {
+		a := grid.Point{X: int(ax) % 20, Y: int(ay) % 20}
+		b := grid.Point{X: int(bx) % 20, Y: int(by) % 20}
+		from := int(fromRaw) % 50
+		to := from + int(lenRaw)%100
+		walkLen := grid.Dist(a, b)
+		for _, ref := range []boxed{
+			{WalkSeg(a, b), walkLen,
+				func(off int) grid.Point { return grid.PathPoint(a, b, off) },
+				fmt.Sprintf("walk %v->%v (%d steps)", a, b, walkLen)},
+			{SpiralSeg(a, from, to), to - from,
+				func(off int) grid.Point { return a.Add(grid.SpiralOffset(from + off)) },
+				fmt.Sprintf("spiral at %v steps [%d,%d]", a, from, to)},
+			{SpiralSearchSeg(a, to), to,
+				func(off int) grid.Point { return a.Add(grid.SpiralOffset(off)) },
+				fmt.Sprintf("spiral at %v steps [0,%d]", a, to)},
+			{PauseSeg(a, from), from,
+				func(int) grid.Point { return a },
+				fmt.Sprintf("pause at %v for %d steps", a, from)},
+		} {
+			s := ref.seg
+			if s.Duration() != ref.duration || s.Start() != ref.at(0) || s.End() != ref.at(ref.duration) || s.String() != ref.str {
+				t.Fatalf("%v: (duration %d, %v -> %v, %q), want (duration %d, %v -> %v, %q)",
+					s, s.Duration(), s.Start(), s.End(), s.String(), ref.duration, ref.at(0), ref.at(ref.duration), ref.str)
+			}
+			first := make(map[grid.Point]int)
+			for off := ref.duration; off >= 0; off-- {
+				first[ref.at(off)] = off
+			}
+			visited := 0
+			s.ForEach(func(off int, p grid.Point) bool {
+				if visited > ref.duration || off != visited || p != ref.at(off) {
+					t.Fatalf("%v: ForEach reported (%d, %v) at position %d of %d", s, off, p, visited, ref.duration+1)
+				}
+				visited++
+				return true
+			})
+			if visited != ref.duration+1 {
+				t.Fatalf("%v: ForEach visited %d offsets, want %d", s, visited, ref.duration+1)
+			}
+			target := grid.Point{X: int(tx) % 20, Y: int(ty) % 20}
+			for _, p := range []grid.Point{a, b, target, ref.at(ref.duration / 2)} {
+				want, wantHit := first[p]
+				if _, _, _, off, hit := s.Scan(p); hit != wantHit || (hit && off != want) {
+					t.Fatalf("%v: Scan(%v) hit (%d, %v), want (%d, %v)", s, p, off, hit, want, wantHit)
+				}
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSegmentConsistencyExhaustive runs the enumeration check over every
+// small shape — all walks inside a 7x7 box, all spiral step ranges up to 60
+// around two centres, pauses of every length up to 6 — against every target
+// in a window covering them.
+func TestSegmentConsistencyExhaustive(t *testing.T) {
+	t.Parallel()
+
+	square := func(r int) []grid.Point {
+		var pts []grid.Point
+		for x := -r; x <= r; x++ {
+			for y := -r; y <= r; y++ {
+				pts = append(pts, grid.Point{X: x, Y: y})
+			}
+		}
+		return pts
+	}
+	box, window := square(3), square(6)
+	for _, from := range box {
+		for _, to := range box {
+			checkSeg(t, WalkSeg(from, to), window...)
+		}
+	}
+	for d := 0; d <= 6; d++ {
+		checkSeg(t, PauseSeg(grid.Point{X: d, Y: -1}, d), window...)
+	}
+	for _, centre := range []grid.Point{grid.Origin, {X: 2, Y: -1}} {
+		for lo := 0; lo <= 60; lo++ {
+			for hi := lo; hi <= 60; hi++ {
+				checkSeg(t, SpiralSeg(centre, lo, hi), window...)
+			}
+		}
+	}
+}
+
 func TestWalkSegment(t *testing.T) {
 	t.Parallel()
 
-	w := NewWalk(grid.Point{X: 1, Y: 1}, grid.Point{X: 4, Y: -2})
+	from, to := grid.Point{X: 1, Y: 1}, grid.Point{X: 4, Y: -2}
+	w := WalkSeg(from, to)
+	if w.Kind() != KindWalk {
+		t.Errorf("Kind = %v, want KindWalk", w.Kind())
+	}
 	if got, want := w.Duration(), 6; got != want {
 		t.Errorf("Duration = %d, want %d", got, want)
 	}
-	if w.Start() != (grid.Point{X: 1, Y: 1}) || w.End() != (grid.Point{X: 4, Y: -2}) {
+	if w.Start() != from || w.End() != to {
 		t.Errorf("endpoints = %v, %v", w.Start(), w.End())
 	}
-	if got := w.At(0); got != w.Start() {
-		t.Errorf("At(0) = %v, want start", got)
-	}
-	if got := w.At(w.Duration()); got != w.End() {
-		t.Errorf("At(end) = %v, want end", got)
-	}
-	if w.String() == "" {
-		t.Error("empty String()")
+	if w.String() != "walk (1,1)->(4,-2) (6 steps)" {
+		t.Errorf("String = %q", w.String())
 	}
 
-	// The walk hits its own endpoints.
-	if hit, ok := w.HitTime(w.Start()); !ok || hit != 0 {
-		t.Errorf("HitTime(start) = (%d, %v)", hit, ok)
+	// The walk hits its own endpoints and misses a faraway node.
+	if _, _, _, off, hit := w.Scan(from); !hit || off != 0 {
+		t.Errorf("Scan(start) hit = (%d, %v)", off, hit)
 	}
-	if hit, ok := w.HitTime(w.End()); !ok || hit != w.Duration() {
-		t.Errorf("HitTime(end) = (%d, %v)", hit, ok)
+	if _, _, _, off, hit := w.Scan(to); !hit || off != w.Duration() {
+		t.Errorf("Scan(end) hit = (%d, %v)", off, hit)
 	}
-	if _, ok := w.HitTime(grid.Point{X: 100, Y: 100}); ok {
+	if _, _, _, _, hit := w.Scan(grid.Point{X: 100, Y: 100}); hit {
 		t.Error("walk should not hit a faraway node")
 	}
+	checkSeg(t, w)
 }
 
 func TestSpiralSegment(t *testing.T) {
 	t.Parallel()
 
 	centre := grid.Point{X: -3, Y: 5}
-	s := NewSpiralSearch(centre, 48)
+	s := SpiralSearchSeg(centre, 48)
+	if s.Kind() != KindSpiral {
+		t.Errorf("Kind = %v, want KindSpiral", s.Kind())
+	}
 	if got := s.Duration(); got != 48 {
 		t.Errorf("Duration = %d, want 48", got)
 	}
@@ -55,33 +251,28 @@ func TestSpiralSegment(t *testing.T) {
 	if got, want := s.End(), centre.Add(grid.SpiralOffset(48)); got != want {
 		t.Errorf("End = %v, want %v", got, want)
 	}
-	if got, want := s.Centre(), centre; got != want {
-		t.Errorf("Centre = %v, want %v", got, want)
+	if s != SpiralSeg(centre, 0, 48) {
+		t.Errorf("SpiralSearchSeg = %v, want the spiral over steps [0,48]", s)
 	}
-	if s.FromStep() != 0 || s.ToStep() != 48 {
-		t.Errorf("step range = [%d, %d], want [0, 48]", s.FromStep(), s.ToStep())
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
+	if s.String() != "spiral at (-3,5) steps [0,48]" {
+		t.Errorf("String = %q", s.String())
 	}
 
 	// A node covered by the spiral is hit exactly at its spiral index.
-	target := centre.Add(grid.SpiralOffset(30))
-	if hit, ok := s.HitTime(target); !ok || hit != 30 {
-		t.Errorf("HitTime = (%d, %v), want (30, true)", hit, ok)
+	if _, _, _, off, hit := s.Scan(centre.Add(grid.SpiralOffset(30))); !hit || off != 30 {
+		t.Errorf("Scan hit = (%d, %v), want (30, true)", off, hit)
 	}
 	// A node beyond the truncation point is missed.
-	far := centre.Add(grid.SpiralOffset(49))
-	if _, ok := s.HitTime(far); ok {
+	if _, _, _, _, hit := s.Scan(centre.Add(grid.SpiralOffset(49))); hit {
 		t.Error("spiral should miss nodes beyond its last step")
 	}
+	checkSeg(t, s)
 }
 
 func TestSpiralRangeSegment(t *testing.T) {
 	t.Parallel()
 
-	centre := grid.Origin
-	s := NewSpiral(centre, 10, 25)
+	s := SpiralSeg(grid.Origin, 10, 25)
 	if got := s.Duration(); got != 15 {
 		t.Errorf("Duration = %d, want 15", got)
 	}
@@ -91,86 +282,121 @@ func TestSpiralRangeSegment(t *testing.T) {
 	if got, want := s.End(), grid.SpiralOffset(25); got != want {
 		t.Errorf("End = %v, want %v", got, want)
 	}
-	// Nodes before the range are not hit.
-	if _, ok := s.HitTime(grid.SpiralOffset(9)); ok {
+	// Nodes before the range are not hit; the range's ends are hit at its
+	// first and last offsets.
+	if _, _, _, _, hit := s.Scan(grid.SpiralOffset(9)); hit {
 		t.Error("range spiral should not hit nodes before its first step")
 	}
-	if hit, ok := s.HitTime(grid.SpiralOffset(10)); !ok || hit != 0 {
-		t.Errorf("HitTime(first) = (%d, %v), want (0, true)", hit, ok)
+	if _, _, _, off, hit := s.Scan(grid.SpiralOffset(10)); !hit || off != 0 {
+		t.Errorf("Scan(first) hit = (%d, %v), want (0, true)", off, hit)
 	}
-	if hit, ok := s.HitTime(grid.SpiralOffset(25)); !ok || hit != 15 {
-		t.Errorf("HitTime(last) = (%d, %v), want (15, true)", hit, ok)
+	if _, _, _, off, hit := s.Scan(grid.SpiralOffset(25)); !hit || off != 15 {
+		t.Errorf("Scan(last) hit = (%d, %v), want (15, true)", off, hit)
 	}
+	checkSeg(t, s)
+}
+
+func TestPauseSegment(t *testing.T) {
+	t.Parallel()
+
+	at := grid.Point{X: 3, Y: -2}
+	p := PauseSeg(at, 5)
+	if p.Kind() != KindPause || p.Duration() != 5 {
+		t.Errorf("PauseSeg = %v (kind %v), want a 5-step pause", p, p.Kind())
+	}
+	if p.Start() != at || p.End() != at {
+		t.Errorf("pause endpoints = %v, %v, want %v", p.Start(), p.End(), at)
+	}
+	if p.String() != "pause at (3,-2) for 5 steps" {
+		t.Errorf("String = %q", p.String())
+	}
+	// A pause hits only the node it rests on, at its first offset.
+	if _, _, _, off, hit := p.Scan(at); !hit || off != 0 {
+		t.Errorf("Scan(own node) hit = (%d, %v), want (0, true)", off, hit)
+	}
+	if _, _, _, _, hit := p.Scan(grid.Origin); hit {
+		t.Error("pause should not hit other nodes")
+	}
+	checkSeg(t, p)
 }
 
 func TestSegmentConstructorPanics(t *testing.T) {
 	t.Parallel()
 
-	assertPanics(t, "negative from", func() { NewSpiral(grid.Origin, -1, 5) })
-	assertPanics(t, "to < from", func() { NewSpiral(grid.Origin, 5, 4) })
-	assertPanics(t, "At out of range", func() { NewSpiralSearch(grid.Origin, 3).At(4) })
+	assertPanics := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	assertPanics("negative fromStep", func() { SpiralSeg(grid.Origin, -1, 3) })
+	assertPanics("inverted range", func() { SpiralSeg(grid.Origin, 5, 2) })
 
-	if got := NewSpiralSearch(grid.Origin, -7).Duration(); got != 0 {
-		t.Errorf("negative-step spiral search should clamp to 0 steps, got %d", got)
+	// Clamping constructors must not panic.
+	if d := SpiralSearchSeg(grid.Origin, -7).Duration(); d != 0 {
+		t.Errorf("negative spiral search clamps to duration 0, got %d", d)
+	}
+	if d := PauseSeg(grid.Origin, -7).Duration(); d != 0 {
+		t.Errorf("negative pause clamps to duration 0, got %d", d)
 	}
 }
 
-// checkSegmentConsistency verifies that At, ForEach, HitTime, Duration, Start
-// and End tell a single consistent story for any segment.
-func checkSegmentConsistency(t *testing.T, seg Segment) {
-	t.Helper()
-
-	if seg.Duration() < 0 {
-		t.Fatalf("%v: negative duration", seg)
-	}
-	prevSet := false
-	var prev grid.Point
-	firstVisit := make(map[grid.Point]int)
-	completed := seg.ForEach(func(tt int, p grid.Point) bool {
-		if got := seg.At(tt); got != p {
-			t.Fatalf("%v: At(%d) = %v but ForEach reports %v", seg, tt, got, p)
-		}
-		if prevSet && grid.Dist(prev, p) != 1 {
-			t.Fatalf("%v: non-adjacent consecutive positions %v -> %v at t=%d", seg, prev, p, tt)
-		}
-		if _, seen := firstVisit[p]; !seen {
-			firstVisit[p] = tt
-		}
-		prev, prevSet = p, true
-		return true
-	})
-	if !completed {
-		t.Fatalf("%v: ForEach stopped early without being asked", seg)
-	}
-	if got := seg.At(0); got != seg.Start() {
-		t.Fatalf("%v: At(0) = %v, Start = %v", seg, got, seg.Start())
-	}
-	if got := seg.At(seg.Duration()); got != seg.End() {
-		t.Fatalf("%v: At(Duration) = %v, End = %v", seg, got, seg.End())
-	}
-	for p, want := range firstVisit {
-		got, ok := seg.HitTime(p)
-		if !ok || got != want {
-			t.Fatalf("%v: HitTime(%v) = (%d, %v), enumeration says %d", seg, p, got, ok, want)
-		}
-	}
-}
-
-func TestSegmentConsistencyExhaustive(t *testing.T) {
+// TestSegPanicsMatchConstructors checks each constructor's argument contract
+// over every small argument: SpiralSeg panics exactly when its range is
+// invalid (fromStep < 0 or toStep < fromStep) and otherwise covers that range,
+// while SpiralSearchSeg and PauseSeg never panic and build, for a negative
+// length, the same zero-length segment as for length 0.
+func TestSegPanicsMatchConstructors(t *testing.T) {
 	t.Parallel()
 
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 60; i++ {
-		from := grid.Point{X: r.Intn(21) - 10, Y: r.Intn(21) - 10}
-		to := grid.Point{X: r.Intn(21) - 10, Y: r.Intn(21) - 10}
-		checkSegmentConsistency(t, NewWalk(from, to))
-
-		centre := grid.Point{X: r.Intn(21) - 10, Y: r.Intn(21) - 10}
-		start := r.Intn(30)
-		checkSegmentConsistency(t, NewSpiral(centre, start, start+r.Intn(120)))
+	centre := grid.Point{X: 2, Y: -3}
+	panics := func(fn func()) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		fn()
+		return false
+	}
+	for from := -3; from <= 3; from++ {
+		for to := -3; to <= 3; to++ {
+			var s Seg
+			invalid := from < 0 || to < from
+			if got := panics(func() { s = SpiralSeg(centre, from, to) }); got != invalid {
+				t.Errorf("SpiralSeg(%v, %d, %d) panicked = %v, want %v", centre, from, to, got, invalid)
+			} else if !invalid && (s.Start() != centre.Add(grid.SpiralOffset(from)) || s.Duration() != to-from) {
+				t.Errorf("SpiralSeg(%v, %d, %d) = %v, want steps [%d,%d]", centre, from, to, s, from, to)
+			}
+		}
+	}
+	for n := -3; n <= 3; n++ {
+		var search, pause Seg
+		if panics(func() { search = SpiralSearchSeg(centre, n) }) || panics(func() { pause = PauseSeg(centre, n) }) {
+			t.Errorf("SpiralSearchSeg/PauseSeg(%v, %d) panicked, want a clamp", centre, n)
+			continue
+		}
+		if want := SpiralSeg(centre, 0, max(n, 0)); search != want {
+			t.Errorf("SpiralSearchSeg(%v, %d) = %v, want %v", centre, n, search, want)
+		}
+		if want := PauseSeg(centre, max(n, 0)); pause != want || pause.Duration() != max(n, 0) {
+			t.Errorf("PauseSeg(%v, %d) = %v, want %v", centre, n, pause, want)
+		}
 	}
 }
 
+func TestSegZeroValue(t *testing.T) {
+	t.Parallel()
+
+	var s Seg
+	if s.Kind() != KindWalk || s.Duration() != 0 || s.Start() != grid.Origin || s.End() != grid.Origin {
+		t.Errorf("zero Seg should be a zero-length walk at the origin, got %v", s)
+	}
+	checkSeg(t, s, grid.Point{X: 1})
+}
+
+// TestWalkHitTimeQuick checks the walk's closed-form hit against enumeration
+// on many short random walks, where the staircase corridor logic of
+// grid.PathHitTime has the most corner cases.
 func TestWalkHitTimeQuick(t *testing.T) {
 	t.Parallel()
 
@@ -178,169 +404,20 @@ func TestWalkHitTimeQuick(t *testing.T) {
 		a := grid.Point{X: int(ax) / 4, Y: int(ay) / 4}
 		b := grid.Point{X: int(bx) / 4, Y: int(by) / 4}
 		target := grid.Point{X: int(tx) / 4, Y: int(ty) / 4}
-		w := NewWalk(a, b)
+		w := WalkSeg(a, b)
 
-		wantTime, wantHit := -1, false
-		w.ForEach(func(t int, p grid.Point) bool {
+		wantOff, wantHit := 0, false
+		w.ForEach(func(off int, p grid.Point) bool {
 			if p == target {
-				wantTime, wantHit = t, true
+				wantOff, wantHit = off, true
 				return false
 			}
 			return true
 		})
-		gotTime, gotHit := w.HitTime(target)
-		if gotHit != wantHit {
-			return false
-		}
-		return !wantHit || gotTime == wantTime
+		_, _, _, off, hit := w.Scan(target)
+		return hit == wantHit && (!hit || off == wantOff)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Errorf("walk HitTime property failed: %v", err)
+		t.Errorf("walk hit property failed: %v", err)
 	}
-}
-
-func TestPathConstruction(t *testing.T) {
-	t.Parallel()
-
-	u := grid.Point{X: 3, Y: 2}
-	seg1 := NewWalk(grid.Origin, u)
-	seg2 := NewSpiralSearch(u, 20)
-	seg3 := NewWalk(seg2.End(), grid.Origin)
-
-	p, err := NewPath(seg1, seg2, seg3)
-	if err != nil {
-		t.Fatalf("NewPath: %v", err)
-	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
-	}
-	if got, want := p.Duration(), seg1.Duration()+seg2.Duration()+seg3.Duration(); got != want {
-		t.Errorf("Duration = %d, want %d", got, want)
-	}
-	if p.Start() != grid.Origin || p.End() != grid.Origin {
-		t.Errorf("path endpoints = %v, %v, want origin, origin", p.Start(), p.End())
-	}
-	if p.Segment(1) != Segment(seg2) {
-		t.Errorf("Segment(1) = %v, want %v", p.Segment(1), seg2)
-	}
-
-	// Discontinuous segments are rejected.
-	_, err = NewPath(seg1, NewWalk(grid.Point{X: 9, Y: 9}, grid.Origin))
-	if !errors.Is(err, ErrDiscontinuous) {
-		t.Errorf("expected ErrDiscontinuous, got %v", err)
-	}
-}
-
-func TestPathAtAndHitTime(t *testing.T) {
-	t.Parallel()
-
-	u := grid.Point{X: 5, Y: 0}
-	p, err := NewPath(
-		NewWalk(grid.Origin, u),
-		NewSpiralSearch(u, 30),
-	)
-	if err != nil {
-		t.Fatalf("NewPath: %v", err)
-	}
-
-	// Every global time agrees with a step-by-step replay.
-	expected := make(map[int]grid.Point)
-	p.ForEach(func(t int, pt grid.Point) bool {
-		expected[t] = pt
-		return true
-	})
-	if len(expected) != p.Duration()+1 {
-		t.Fatalf("ForEach produced %d positions, want %d", len(expected), p.Duration()+1)
-	}
-	for tt := 0; tt <= p.Duration(); tt++ {
-		if got := p.At(tt); got != expected[tt] {
-			t.Fatalf("At(%d) = %v, ForEach says %v", tt, got, expected[tt])
-		}
-	}
-
-	// Hit times agree with the replay.
-	target := u.Add(grid.SpiralOffset(17))
-	wantHit := -1
-	p.ForEach(func(t int, pt grid.Point) bool {
-		if pt == target {
-			wantHit = t
-			return false
-		}
-		return true
-	})
-	gotHit, ok := p.HitTime(target)
-	if !ok || gotHit != wantHit {
-		t.Errorf("HitTime(%v) = (%d, %v), want (%d, true)", target, gotHit, ok, wantHit)
-	}
-	if _, ok := p.HitTime(grid.Point{X: 500, Y: 500}); ok {
-		t.Error("path should not hit a faraway node")
-	}
-}
-
-func TestPathAtPanics(t *testing.T) {
-	t.Parallel()
-
-	p, err := NewPath(NewWalk(grid.Origin, grid.Point{X: 2}))
-	if err != nil {
-		t.Fatalf("NewPath: %v", err)
-	}
-	assertPanics(t, "negative time", func() { p.At(-1) })
-	assertPanics(t, "time beyond end", func() { p.At(3) })
-}
-
-func TestPathNodesAndDistinct(t *testing.T) {
-	t.Parallel()
-
-	u := grid.Point{X: 2, Y: 0}
-	p, err := NewPath(
-		NewWalk(grid.Origin, u),
-		NewWalk(u, grid.Origin), // walk back over the same nodes
-	)
-	if err != nil {
-		t.Fatalf("NewPath: %v", err)
-	}
-	nodes := p.Nodes()
-	if len(nodes) != p.Duration()+1 {
-		t.Errorf("Nodes returned %d entries, want %d", len(nodes), p.Duration()+1)
-	}
-	distinct := p.DistinctNodes()
-	if len(distinct) != 3 {
-		t.Errorf("DistinctNodes = %d, want 3 (out-and-back over 3 nodes)", len(distinct))
-	}
-}
-
-func TestPathForEachEarlyStop(t *testing.T) {
-	t.Parallel()
-
-	p, err := NewPath(
-		NewWalk(grid.Origin, grid.Point{X: 3}),
-		NewWalk(grid.Point{X: 3}, grid.Point{X: 3, Y: 3}),
-	)
-	if err != nil {
-		t.Fatalf("NewPath: %v", err)
-	}
-	count := 0
-	completed := p.ForEach(func(t int, _ grid.Point) bool {
-		count++
-		return t < 4
-	})
-	if completed {
-		t.Error("ForEach should report early termination")
-	}
-	// Global times 0..3 from the first segment plus global time 4 (the first
-	// non-junction position of the second segment) are visited before fn
-	// asks to stop.
-	if count != 5 {
-		t.Errorf("visited %d positions before stopping, want 5", count)
-	}
-}
-
-func assertPanics(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
-		}
-	}()
-	fn()
 }
