@@ -5,20 +5,18 @@
 //
 // Usage:
 //
-//	antserve [-addr :8077] [-cache-size 4096] [-adaptive]
-//	         [-workers 0] [-cell-workers 1] [-max-cells 10000]
-//	         [-max-inflight-sweeps 0]
+//	antserve [-addr :8077] [-cache-size 4096]
+//	         [-workers 0] [-max-cells 10000] [-max-inflight-sweeps 0]
 //	         [-store-dir ""] [-fsync-appends] [-snapshot-interval 5m]
 //	         [-checkpoint-dir ""] [-checkpoint-every 0]
 //	         [-debug-addr ""]
 //
-// By default (-adaptive=true) every /sweep request picks its own
-// parallelism split with scenario.AutoSplit: a grid of many small cells
-// routes the cores to cross-cell concurrency, a grid of few big cells
-// routes them to trial-level fan-out, exactly like antsweep -adaptive.
-// Results are bit-identical either way; -adaptive=false restores the fixed
-// -workers/-cell-workers split. -debug-addr exposes net/http/pprof on a
-// separate listener for live profiling (disabled when empty).
+// Every /sweep request splits a budget of -workers cores (0 = GOMAXPROCS)
+// with scenario.AutoSplit, the rule every sweep in the repository uses: a
+// grid of many small cells routes the cores to cross-cell concurrency, a
+// grid of few big cells routes them to trial-level fan-out. Results are
+// bit-identical whatever the budget. -debug-addr exposes net/http/pprof on
+// a separate listener for live profiling (disabled when empty).
 //
 // -store-dir makes the result cache durable: every computed cell is
 // appended to an NDJSON log under the directory, the cache is compacted
@@ -39,8 +37,9 @@
 // process resumes the cell from the longest valid prefix on the next
 // identical request — with final aggregates bit-identical to an
 // uninterrupted run. The directory may equal -store-dir (the tiers lock
-// separately); checkpoints of cells whose final result landed in the cache
-// are garbage-collected on the -snapshot-interval beat and at shutdown.
+// separately); a cell's checkpoints leave memory as soon as its computed
+// result lands in the cache, and the checkpoint log is compacted on the next
+// -snapshot-interval beat and at shutdown.
 // Persistent checkpoint write failures degrade the cell to progress-only
 // (counted in /stats under checkpoints.store_errors), never fail the sweep.
 //
@@ -123,9 +122,7 @@ func run(args []string, logw io.Writer) error {
 	var (
 		addr         = fs.String("addr", ":8077", "listen address")
 		cacheSize    = fs.Int("cache-size", cache.DefaultCapacity, "maximum cached cell results")
-		adaptive     = fs.Bool("adaptive", true, "pick the cells-vs-trials split per request with AutoSplit (ignores -workers/-cell-workers)")
-		workers      = fs.Int("workers", 0, "trial-level worker goroutines per cell with -adaptive=false (0 = GOMAXPROCS)")
-		cellWorkers  = fs.Int("cell-workers", 1, "cells computed concurrently per request with -adaptive=false (1 = sequential)")
+		workers      = fs.Int("workers", 0, "cores per /sweep request, split between cells and trials by AutoSplit (0 = GOMAXPROCS)")
 		maxCells     = fs.Int("max-cells", 10000, "largest grid a single /sweep may expand to")
 		maxInflight  = fs.Int("max-inflight-sweeps", 0, "maximum /sweep requests computing concurrently; excess is shed with 503 (0 = unlimited)")
 		storeDir     = fs.String("store-dir", "", "directory for the durable result store (empty = memory-only cache)")
@@ -152,9 +149,6 @@ func run(args []string, logw io.Writer) error {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
-	}
-	if *cellWorkers < 1 {
-		return fmt.Errorf("-cell-workers must be at least 1, got %d", *cellWorkers)
 	}
 	if *maxCells < 1 {
 		return fmt.Errorf("-max-cells must be at least 1, got %d", *maxCells)
@@ -185,9 +179,7 @@ func run(args []string, logw io.Writer) error {
 	}
 
 	cfg := serverConfig{
-		Adaptive:          *adaptive,
 		Workers:           *workers,
-		CellWorkers:       *cellWorkers,
 		CacheSize:         *cacheSize,
 		MaxCells:          *maxCells,
 		MaxInflightSweeps: *maxInflight,
@@ -243,9 +235,7 @@ func run(args []string, logw io.Writer) error {
 		// Periodic compaction bounds how much of the store lives in the
 		// append log (replayed line-by-line on boot) versus the snapshot,
 		// and bounds data loss on a crash-without-shutdown to one interval
-		// of evictions (appended entries are already on disk). The same beat
-		// garbage-collects checkpoints of cells whose final aggregate is
-		// already cached — a finished cell's prefixes are dead weight.
+		// of evictions (appended entries are already on disk).
 		go func() {
 			t := time.NewTicker(*snapInterval)
 			defer t.Stop()
@@ -254,14 +244,7 @@ func run(args []string, logw io.Writer) error {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if cfg.Store != nil {
-						if err := srv.cache.Snapshot(); err != nil {
-							fmt.Fprintf(logw, "antserve: snapshot failed: %v\n", err)
-						}
-					}
-					if cfg.Checkpoints != nil {
-						cfg.Checkpoints.Prune(srv.cache.Contains)
-					}
+					srv.beat(logw)
 				}
 			}
 		}()
@@ -269,12 +252,7 @@ func run(args []string, logw io.Writer) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	splitMode := fmt.Sprintf("%d cell workers", *cellWorkers)
-	if *adaptive {
-		splitMode = "adaptive split"
-	}
-	fmt.Fprintf(logw, "antserve: listening on %s (cache %d entries, %s)\n",
-		*addr, *cacheSize, splitMode)
+	fmt.Fprintf(logw, "antserve: listening on %s (cache %d entries)\n", *addr, *cacheSize)
 
 	select {
 	case err := <-errc:
@@ -311,6 +289,21 @@ func run(args []string, logw io.Writer) error {
 	return err
 }
 
+// beat is one tick of the -snapshot-interval timer: it compacts the result
+// store, then the checkpoint tier. The checkpoint compaction garbage-collects
+// the prefixes of cells whose final aggregate is cached, and rewrites the
+// log whenever finished cells left the index since the last compaction.
+func (s *server) beat(logw io.Writer) {
+	if s.cfg.Store != nil {
+		if err := s.cache.Snapshot(); err != nil {
+			fmt.Fprintf(logw, "antserve: snapshot failed: %v\n", err)
+		}
+	}
+	if s.cfg.Checkpoints != nil {
+		s.cfg.Checkpoints.Prune(s.cache.Contains)
+	}
+}
+
 // snapIntervalSet reports whether -snapshot-interval was given explicitly on
 // the command line (as opposed to carrying its default), so a value without
 // -store-dir can be rejected as a misconfiguration while the default stays
@@ -327,27 +320,13 @@ func snapIntervalSet(fs *flag.FlagSet) bool {
 
 // serverConfig carries the tunables of a server instance.
 type serverConfig struct {
-	Adaptive          bool                   // pick the per-request split with scenario.AutoSplit
-	Workers           int                    // trial-level goroutines per cell (0 = GOMAXPROCS); fixed mode only
-	CellWorkers       int                    // cells computed concurrently per request (>= 1); fixed mode only
+	Workers           int                    // cores per request, split by scenario.AutoSplit (0 = GOMAXPROCS)
 	CacheSize         int                    // LRU bound of the result cache
 	MaxCells          int                    // largest grid a single request may expand to
 	MaxInflightSweeps int                    // concurrent /sweep cap; excess shed with 503 (0 = unlimited)
 	Store             cache.Store            // durable backing for the result cache (nil = memory-only)
 	Checkpoints       *cache.CheckpointStore // mid-cell checkpoint tier (nil = disabled)
 	CheckpointEvery   int                    // shards between checkpoints (0 = engine default)
-}
-
-// split returns the (cellWorkers, trialWorkers) pair for a request's cells:
-// the AutoSplit decision in adaptive mode, the configured fixed values
-// otherwise. Either choice only schedules work differently — cell results
-// are a pure function of the cell and its seed, so responses are identical
-// whatever the split (TestSweepAdaptiveParity).
-func (c serverConfig) split(cells []scenario.Cell) (cellWorkers, trialWorkers int) {
-	if c.Adaptive {
-		return scenario.AutoSplit(cells, 0)
-	}
-	return c.CellWorkers, c.Workers
 }
 
 // server wires the registry, the sweep runner and the result cache behind
@@ -364,9 +343,6 @@ type server struct {
 }
 
 func newServer(cfg serverConfig) (*server, error) {
-	if cfg.CellWorkers < 1 {
-		cfg.CellWorkers = 1
-	}
 	if cfg.MaxCells < 1 {
 		cfg.MaxCells = 10000
 	}
@@ -659,14 +635,14 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 
 	// Stream the cells in order, computing up to cellWorkers of them
-	// concurrently per chunk; in adaptive mode the request's own cells ×
-	// trials shape picks that chunk width and the per-cell trial fan-out
-	// (scenario.AutoSplit), so a dashboard grid of many small cells and a
-	// single million-trial cell both saturate the cores. Identical cells —
-	// within this request or across concurrent requests — collapse in the
-	// cache, so N simultaneous identical sweeps run one simulation. Memory
-	// per request is bounded by the chunk, never by the grid.
-	cellWorkers, trialWorkers := s.cfg.split(cells)
+	// concurrently per chunk; the request's own cells × trials shape picks
+	// that chunk width and the per-cell trial fan-out (scenario.AutoSplit),
+	// so a dashboard grid of many small cells and a single million-trial
+	// cell both saturate the cores. Identical cells — within this request or
+	// across concurrent requests — collapse in the cache, so N simultaneous
+	// identical sweeps run one simulation. Memory per request is bounded by
+	// the chunk, never by the grid.
+	cellWorkers, trialWorkers := scenario.AutoSplit(cells, s.cfg.Workers)
 	runner := scenario.Runner{Workers: trialWorkers}
 	for lo := 0; lo < len(cells); lo += cellWorkers {
 		hi := min(lo+cellWorkers, len(cells))
@@ -713,6 +689,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			})
 			if err != nil {
 				return cellResult{}, err
+			}
+			if !cached && s.cfg.Checkpoints != nil {
+				// This request computed the cell and its result is cached:
+				// the prefixes are dead weight. The drop is memory-only; the
+				// next beat compacts them off disk.
+				s.cfg.Checkpoints.Drop(key)
 			}
 			return cellResult{stats: st, cached: cached}, nil
 		})

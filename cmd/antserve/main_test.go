@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -294,13 +296,16 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepCellWorkersParity pins that the per-request split changes only
+// scheduling: with a budget of 4 cores, AutoSplit computes the grid's cells
+// four at a time, and the rows are byte-identical to the one-core run's.
 func TestSweepCellWorkersParity(t *testing.T) {
 	t.Parallel()
 
 	body := `{"scenarios": ["known-k", "single-spiral"], "ks": [1, 2], "ds": [4, 6],
 	          "trials": 5, "seed": 11}`
-	sequential := newTestServer(t, serverConfig{CacheSize: 64, CellWorkers: 1})
-	fanned := newTestServer(t, serverConfig{CacheSize: 64, CellWorkers: 4})
+	sequential := newTestServer(t, serverConfig{CacheSize: 64, Workers: 1})
+	fanned := newTestServer(t, serverConfig{CacheSize: 64, Workers: 4})
 
 	a := decodeRows(t, postSweep(t, sequential.URL, body))
 	b := decodeRows(t, postSweep(t, fanned.URL, body))
@@ -308,39 +313,10 @@ func TestSweepCellWorkersParity(t *testing.T) {
 		t.Fatalf("row counts %d and %d, want 8", len(a), len(b))
 	}
 	for i := range a {
-		ja, _ := json.Marshal(a[i].Stats)
-		jb, _ := json.Marshal(b[i].Stats)
+		ja, _ := json.Marshal(a[i])
+		jb, _ := json.Marshal(b[i])
 		if !bytes.Equal(ja, jb) {
-			t.Errorf("row %d differs between cell-worker settings:\n%s\nvs\n%s", i, ja, jb)
-		}
-	}
-}
-
-// TestSweepAdaptiveParity pins the ROADMAP item: the streaming chunk loop
-// picks its split with scenario.AutoSplit in adaptive mode, and the rows are
-// byte-identical to both fixed configurations — scheduling is the only thing
-// adaptivity may change.
-func TestSweepAdaptiveParity(t *testing.T) {
-	t.Parallel()
-
-	body := `{"scenarios": ["known-k", "single-spiral"], "ks": [1, 2], "ds": [4, 6],
-	          "trials": 5, "seed": 11}`
-	adaptive := newTestServer(t, serverConfig{CacheSize: 64, Adaptive: true})
-	cellFanned := newTestServer(t, serverConfig{CacheSize: 64, CellWorkers: 4})
-	trialFanned := newTestServer(t, serverConfig{CacheSize: 64, CellWorkers: 1, Workers: 4})
-
-	a := decodeRows(t, postSweep(t, adaptive.URL, body))
-	b := decodeRows(t, postSweep(t, cellFanned.URL, body))
-	c := decodeRows(t, postSweep(t, trialFanned.URL, body))
-	if len(a) != 8 || len(b) != 8 || len(c) != 8 {
-		t.Fatalf("row counts %d, %d and %d, want 8", len(a), len(b), len(c))
-	}
-	for i := range a {
-		ja, _ := json.Marshal(a[i].Stats)
-		jb, _ := json.Marshal(b[i].Stats)
-		jc, _ := json.Marshal(c[i].Stats)
-		if !bytes.Equal(ja, jb) || !bytes.Equal(ja, jc) {
-			t.Errorf("row %d differs between adaptive and fixed splits:\n%s\nvs\n%s\nvs\n%s", i, ja, jb, jc)
+			t.Errorf("row %d differs between core budgets:\n%s\nvs\n%s", i, ja, jb)
 		}
 	}
 }
@@ -450,7 +426,8 @@ func (c *deadlineCtx) expire() {
 }
 
 // expireAfterFirstRow expires the attached context as soon as the first
-// NDJSON row is written, i.e. exactly between the first chunk and the next.
+// NDJSON row is written: between the first chunk and the next for a result
+// row, right after the fold's first merged shard for a progress row.
 type expireAfterFirstRow struct {
 	*httptest.ResponseRecorder
 	ctx  *deadlineCtx
@@ -474,7 +451,7 @@ func (w *expireAfterFirstRow) Write(b []byte) (int, error) {
 func TestSweepDeadlineTerminatesStreamCleanly(t *testing.T) {
 	t.Parallel()
 
-	srv, err := newServer(serverConfig{CacheSize: 16, CellWorkers: 1})
+	srv, err := newServer(serverConfig{CacheSize: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +550,6 @@ func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-cache-size", "0"},
 		{"-workers", "-1"},
-		{"-cell-workers", "0"},
 		{"-max-cells", "0"},
 		{"-snapshot-interval", "-1s"},
 		{"-snapshot-interval", "30s"}, // explicit interval without -store-dir
@@ -865,16 +841,21 @@ func TestSweepProgressRows(t *testing.T) {
 }
 
 // TestSweepCheckpointResumeAcrossRestart is the serving-layer resume test: a
-// server with a checkpoint tier computes a mega-cell (persisting prefixes as
-// it goes), a second server booted on the same checkpoint directory — with a
-// cold result cache — recomputes the same cell by resuming from the persisted
-// prefixes, bit-identically, and counts the resume in /stats; pruning then
-// clears the finished cell's checkpoints.
+// server with a checkpoint tier starts a mega-cell and is interrupted right
+// after its first persisted prefix; a second server booted on the same
+// checkpoint directory — with a cold result cache — recomputes the cell by
+// resuming from that prefix, bit-identically to an uninterrupted run, and
+// counts the resume in /stats. Completing the cell drops its checkpoints at
+// once, and the next snapshot beat compacts them off disk.
 func TestSweepCheckpointResumeAcrossRestart(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
 	body := `{"scenarios": ["known-k"], "ks": [2], "ds": [16], "trials": 16384, "seed": 11}`
+	ref := decodeRows(t, postSweep(t, newTestServer(t, serverConfig{CacheSize: 16}).URL, body))
+	if len(ref) != 1 || ref[0].Stats == nil {
+		t.Fatalf("reference rows = %+v", ref)
+	}
 
 	ckpts1, err := cache.OpenCheckpointStore(dir)
 	if err != nil {
@@ -884,14 +865,19 @@ func TestSweepCheckpointResumeAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(srv1.routes())
-	ref := decodeRows(t, postSweep(t, ts1.URL, body))
-	ts1.Close()
-	if len(ref) != 1 || ref[0].Stats == nil {
-		t.Fatalf("first boot rows = %+v", ref)
+	// With a progress row per shard, the first row is written by the fold
+	// just before it saves its first checkpoint; expiring the request there
+	// interrupts the sweep with that checkpoint persisted.
+	ctx := newDeadlineCtx()
+	rec := &expireAfterFirstRow{ResponseRecorder: httptest.NewRecorder(), ctx: ctx}
+	progressBody := strings.Replace(body, "}", `, "progress": true, "progress_every": 1}`, 1)
+	srv1.handleSweep(rec, httptest.NewRequest(http.MethodPost, "/sweep",
+		strings.NewReader(progressBody)).WithContext(ctx))
+	if got := srv1.abandonedSweeps.Load(); got != 1 {
+		t.Fatalf("first boot was not interrupted: abandoned %d, stream:\n%s", got, rec.Body.String())
 	}
-	if st := ckpts1.Stats(); st.Saved == 0 {
-		t.Fatalf("first boot persisted no checkpoints: %+v", st)
+	if st := ckpts1.Stats(); st.Saved == 0 || st.Cells != 1 {
+		t.Fatalf("interrupted first boot left no resumable cell: %+v", st)
 	}
 	if err := ckpts1.Close(); err != nil {
 		t.Fatal(err)
@@ -933,14 +919,18 @@ func TestSweepCheckpointResumeAcrossRestart(t *testing.T) {
 	if st.Checkpoints.ResumedRuns == 0 || st.Checkpoints.ResumedShards == 0 {
 		t.Errorf("second boot resumed nothing: %+v", st.Checkpoints)
 	}
-
-	// The cell's final aggregate is cached now; pruning collects its
-	// checkpoints and /stats shows it.
-	if n := ckpts2.Prune(srv2.cache.Contains); n == 0 {
-		t.Error("prune collected nothing despite the finished cell")
+	// The cell completed, so its checkpoints left memory without any prune
+	// call; the log still holds them until the next beat compacts it.
+	if st.Checkpoints.Cells != 0 || st.Checkpoints.Pruned == 0 {
+		t.Errorf("completed cell kept its checkpoints: %+v", st.Checkpoints)
 	}
-	if st := ckpts2.Stats(); st.Cells != 0 || st.Pruned == 0 {
-		t.Errorf("post-prune checkpoint stats = %+v", st)
+	logPath := filepath.Join(dir, "checkpoints.ndjson")
+	if info, err := os.Stat(logPath); err != nil || info.Size() == 0 {
+		t.Fatalf("checkpoint log before the beat: %v, %v", info, err)
+	}
+	srv2.beat(io.Discard)
+	if info, err := os.Stat(logPath); err != nil || info.Size() != 0 {
+		t.Errorf("beat did not compact the checkpoint log: %v, %v", info, err)
 	}
 }
 
@@ -950,7 +940,7 @@ func TestSweepCheckpointResumeAcrossRestart(t *testing.T) {
 func TestSweepCountsAbandonedClients(t *testing.T) {
 	t.Parallel()
 
-	srv, err := newServer(serverConfig{CacheSize: 16, CellWorkers: 1})
+	srv, err := newServer(serverConfig{CacheSize: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

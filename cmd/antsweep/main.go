@@ -9,14 +9,16 @@
 //	antsweep -algs known-k,uniform -k 1,4,16,64 -d 32,128 -trials 50
 //	         [-eps 0.5] [-delta 0.5] [-seed 1] [-format ascii] [-max-time N]
 //	         [-crash-prob 0 -crash-by N] [-stall-prob 0 -stall-by N -stall-dur N]
-//	         [-progress] [-checkpoint-dir ""] [-checkpoint-every 0]
+//	         [-workers 0] [-progress] [-checkpoint-dir ""] [-checkpoint-every 0]
 //	         [-cpuprofile sweep.pprof] [-memprofile heap.pprof]
 //
 // The -algs names come from the scenario registry; -list enumerates them.
 // Trials run through the streaming sweep engine, so arbitrarily large
-// -trials values execute in constant memory. -cpuprofile and -memprofile
-// write pprof profiles of the sweep (the whole run, flags included), so the
-// hot path can be profiled on any real workload without patching the source.
+// -trials values execute in constant memory; -workers is the core budget
+// (0 = GOMAXPROCS) that scenario.AutoSplit divides between cells and
+// trials. -cpuprofile and -memprofile write pprof profiles of the sweep (the
+// whole run, flags included), so the hot path can be profiled on any real
+// workload without patching the source.
 //
 // -progress streams per-shard progress lines to stderr while cells compute
 // (stdout keeps the table, so the output stays pipeable). -checkpoint-dir
@@ -24,7 +26,7 @@
 // engine default) the running prefix aggregate is persisted, and a rerun of
 // the same sweep after an interruption resumes each cell from its longest
 // valid prefix instead of from trial zero — bit-identically, per DESIGN.md
-// §11. A sweep that completes prunes its own cells' checkpoints on exit.
+// §11. A sweep that completes drops its own cells' checkpoints on exit.
 //
 // The -crash-*/-stall-* flags subject every agent to the fault model of
 // DESIGN.md §10 (fail-stop crashes and fail-stall pauses drawn per trial);
@@ -85,8 +87,7 @@ func runWith(args []string, out, errw io.Writer) error {
 		stallDur  = fs.Int("stall-dur", 0, "stall lengths are drawn uniformly over [1, stall-dur] (required with -stall-prob)")
 		maxTime   = fs.Int("max-time", 0, "per-trial time cap (0 = engine default)")
 		format    = fs.String("format", "ascii", "output format: ascii, markdown or csv")
-		workers   = fs.Int("workers", 0, "maximum worker goroutines (0 = GOMAXPROCS)")
-		adaptive  = fs.Bool("adaptive", false, "auto-split cores between cells and trials (ignores -workers)")
+		workers   = fs.Int("workers", 0, "cores, split between cells and trials by AutoSplit (0 = GOMAXPROCS)")
 		progress  = fs.Bool("progress", false, "stream per-shard progress lines to stderr while cells compute")
 		ckptDir   = fs.String("checkpoint-dir", "", "persist shard-range checkpoints here; a rerun resumes interrupted cells")
 		ckptEvery = fs.Int("checkpoint-every", 0, "shards between persisted checkpoints (0 = engine default; needs -checkpoint-dir)")
@@ -183,7 +184,7 @@ func runWith(args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	runner := scenario.Runner{Workers: *workers, Adaptive: *adaptive}
+	runner := scenario.Runner{Workers: *workers}
 	if *progress {
 		// Cells may run concurrently; one mutex keeps their lines whole.
 		var mu sync.Mutex
@@ -217,13 +218,12 @@ func runWith(args []string, out, errw io.Writer) error {
 		return err
 	}
 	if ckpts != nil {
-		// Every swept cell finished, so its checkpoints are dead weight;
-		// cells from other sweeps sharing the directory stay resumable.
-		done := make(map[cache.Key]bool, len(cells))
+		// Every swept cell finished, so its checkpoints are dead weight; the
+		// deferred Close compacts them off disk. Cells from other sweeps
+		// sharing the directory stay resumable.
 		for _, cell := range cells {
-			done[cache.CellKey(cell, params)] = true
+			ckpts.Drop(cache.CellKey(cell, params))
 		}
-		ckpts.Prune(func(k cache.Key) bool { return done[k] })
 	}
 
 	// Faulty sweeps (explicit flags or a -faulty scenario variant) get two

@@ -163,7 +163,7 @@ func TestSweepCoversAllScenarioNames(t *testing.T) {
 // TestSweepProgressAndCheckpointFlags drives the new robustness flags through
 // the real CLI path: -progress streams shard lines to stderr while stdout
 // keeps the table, -checkpoint-dir persists prefixes during the run, and a
-// completed sweep prunes its own cells' checkpoints so the directory does not
+// completed sweep drops its own cells' checkpoints so the directory does not
 // accumulate dead state.
 func TestSweepProgressAndCheckpointFlags(t *testing.T) {
 	t.Parallel()
@@ -190,7 +190,7 @@ func TestSweepProgressAndCheckpointFlags(t *testing.T) {
 		t.Errorf("final progress line missing:\n%s", errw.String())
 	}
 
-	// The sweep finished, so its checkpoints were pruned on the way out.
+	// The sweep finished, so its checkpoints were dropped on the way out.
 	ckpts, err := cache.OpenCheckpointStore(dir)
 	if err != nil {
 		t.Fatal(err)

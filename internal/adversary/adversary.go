@@ -94,49 +94,3 @@ func (a Axis) Distance() int { return a.D }
 
 // Place implements Strategy.
 func (a Axis) Place(int, *xrand.Stream) grid.Point { return grid.Point{X: a.D} }
-
-// WorstOfRing approximates the adversarial placement at distance D: it cycles
-// deterministically through Candidates evenly spread positions of the ring
-// (trial i uses candidate i mod Candidates), so that an experiment averaging
-// over trials effectively reports the average over those candidate
-// placements, and a per-candidate breakdown can expose the worst one. With
-// Candidates == 1 it degenerates to Axis.
-type WorstOfRing struct {
-	D          int
-	Candidates int
-}
-
-// NewWorstOfRing returns a WorstOfRing strategy with the given number of
-// evenly spaced candidate placements on the ring of radius d.
-func NewWorstOfRing(d, candidates int) (*WorstOfRing, error) {
-	if d < 1 {
-		return nil, fmt.Errorf("adversary: ring distance must be at least 1, got %d", d)
-	}
-	if candidates < 1 {
-		return nil, fmt.Errorf("adversary: need at least 1 candidate, got %d", candidates)
-	}
-	return &WorstOfRing{D: d, Candidates: candidates}, nil
-}
-
-var _ Strategy = (*WorstOfRing)(nil)
-
-// Name implements Strategy.
-func (w *WorstOfRing) Name() string {
-	return fmt.Sprintf("worst-of-ring(D=%d,c=%d)", w.D, w.Candidates)
-}
-
-// Distance implements Strategy.
-func (w *WorstOfRing) Distance() int { return w.D }
-
-// Place implements Strategy.
-func (w *WorstOfRing) Place(trial int, _ *xrand.Stream) grid.Point {
-	return w.Candidate(trial)
-}
-
-// Candidate returns the i-th candidate placement (indices wrap modulo
-// Candidates), so analyses can enumerate the candidates explicitly.
-func (w *WorstOfRing) Candidate(i int) grid.Point {
-	ring := grid.RingSize(w.D)
-	idx := (i % w.Candidates) * ring / w.Candidates
-	return grid.RingPoint(w.D, idx%ring)
-}

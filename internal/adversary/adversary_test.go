@@ -75,60 +75,3 @@ func TestAxis(t *testing.T) {
 		t.Errorf("Place = %v, want (12,0)", got)
 	}
 }
-
-func TestWorstOfRing(t *testing.T) {
-	t.Parallel()
-
-	if _, err := NewWorstOfRing(0, 4); err == nil {
-		t.Error("NewWorstOfRing(0, 4) should fail")
-	}
-	if _, err := NewWorstOfRing(5, 0); err == nil {
-		t.Error("NewWorstOfRing(5, 0) should fail")
-	}
-	s, err := NewWorstOfRing(20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Distance() != 20 {
-		t.Errorf("Distance = %d", s.Distance())
-	}
-	if s.Name() == "" {
-		t.Error("empty name")
-	}
-
-	// Placements cycle deterministically through the candidates and all lie
-	// on the ring.
-	var first []grid.Point
-	for trial := 0; trial < 4; trial++ {
-		p := s.Place(trial, nil)
-		if p.L1() != 20 {
-			t.Fatalf("candidate %v not at distance 20", p)
-		}
-		first = append(first, p)
-	}
-	distinct := make(map[grid.Point]bool)
-	for _, p := range first {
-		distinct[p] = true
-	}
-	if len(distinct) != 4 {
-		t.Errorf("expected 4 distinct candidates, got %d", len(distinct))
-	}
-	for trial := 4; trial < 8; trial++ {
-		if got := s.Place(trial, nil); got != first[trial-4] {
-			t.Errorf("Place(%d) = %v, want cycle repeat %v", trial, got, first[trial-4])
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if s.Candidate(i) != first[i] {
-			t.Errorf("Candidate(%d) = %v, want %v", i, s.Candidate(i), first[i])
-		}
-	}
-
-	one, err := NewWorstOfRing(9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := one.Place(7, nil); got != (grid.Point{X: 9}) {
-		t.Errorf("single-candidate strategy = %v, want (9,0)", got)
-	}
-}

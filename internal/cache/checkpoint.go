@@ -7,8 +7,8 @@
 // directory with a DiskStore. Unlike results, checkpoints are disposable: any
 // record may be dropped at any time (the worst outcome is recomputation),
 // which is why every error path here degrades instead of failing and why a
-// cell's checkpoints are garbage-collected the moment its final aggregate
-// lands in the result store.
+// cell's checkpoints leave memory the moment its final aggregate lands in the
+// result cache (Drop) and leave disk at the next compaction.
 
 package cache
 
@@ -84,7 +84,7 @@ type CheckpointStats struct {
 	// under the plan that wrote them) — work a crash did not cost twice.
 	ResumedShards uint64 `json:"resumed_shards"`
 	// Pruned counts checkpoint records garbage-collected because their cell's
-	// final aggregate landed in the result store.
+	// final aggregate landed in the result cache (Drop and Prune).
 	Pruned uint64 `json:"pruned"`
 	// StoreErrors counts failed appends and compactions. Checkpointing
 	// degrades to progress-only on persistent errors; this counter is how
@@ -103,6 +103,9 @@ type CheckpointStore struct {
 	// TrialsDone (largest — the preferred resume point — last), capped at
 	// maxCheckpointsPerCell.
 	index map[Key][]sim.CheckpointState
+	// dropped records that Drop removed entries from the index since the
+	// last compaction, so the on-disk files still hold them.
+	dropped bool
 
 	saved, resumedRuns, resumedShards, pruned, storeErrors uint64
 }
@@ -215,12 +218,27 @@ func (s *CheckpointStore) load(key Key, valid func(sim.CheckpointState) bool) (s
 	return sim.CheckpointState{}, false
 }
 
+// Drop forgets key's checkpoints once its cell has finished: the final
+// aggregate is in the result cache, so the prefixes are dead weight. The drop
+// is memory-only — no compaction, no fsync — so it is cheap enough for the
+// request path; the records leave disk at the next Prune or Close.
+func (s *CheckpointStore) Drop(key Key) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if list, ok := s.index[key]; ok {
+		s.pruned += uint64(len(list))
+		delete(s.index, key)
+		s.dropped = true
+	}
+}
+
 // Prune garbage-collects every checkpoint whose cell done reports finished —
 // typically cache.Contains of the result cache: once the final aggregate is
-// durable, the cell's prefixes are dead weight. When anything was dropped the
-// surviving index is compacted to disk (snapshot + truncated log), bounding
-// the log's growth across sweep generations. It returns the number of
-// checkpoint records pruned.
+// durable, the cell's prefixes are dead weight. When anything was removed,
+// here or by Drop since the last compaction, the surviving index is
+// compacted to disk (snapshot + truncated log), bounding the log's growth
+// across sweep generations. It returns the number of checkpoint records
+// pruned by this call.
 func (s *CheckpointStore) Prune(done func(Key) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,8 +252,8 @@ func (s *CheckpointStore) Prune(done func(Key) bool) int {
 			delete(s.index, key)
 		}
 	}
-	if removed > 0 {
-		s.pruned += uint64(removed)
+	s.pruned += uint64(removed)
+	if removed > 0 || s.dropped {
 		if err := s.compactLocked(); err != nil {
 			s.storeErrors++
 		}
@@ -264,6 +282,7 @@ func (s *CheckpointStore) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("cache: compact checkpoints: %w", err)
 	}
+	s.dropped = false
 	return nil
 }
 

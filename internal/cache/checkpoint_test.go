@@ -154,6 +154,58 @@ func TestCheckpointStorePrune(t *testing.T) {
 	}
 }
 
+// TestCheckpointStoreDrop pins the finished-cell path: Drop forgets a cell's
+// checkpoints in memory only (counted as pruned, the log untouched), and the
+// next Prune compacts the log even though it removes nothing itself.
+func TestCheckpointStoreDrop(t *testing.T) {
+	t.Parallel()
+
+	dir := t.TempDir()
+	s, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished, running := testKeyV2("finished"), testKeyV2("running")
+	for _, key := range []Key{finished, running} {
+		if err := s.ForCell(key).Save(testCheckpoint(128, 1024, []byte{1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, checkpointLogFile)
+	before, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Drop(finished)
+	s.Drop(testKeyV2("never-checkpointed"))
+	if _, ok := s.ForCell(finished).Load(func(sim.CheckpointState) bool { return true }); ok {
+		t.Fatal("dropped cell still loads")
+	}
+	if st := s.Stats(); st.Pruned != 1 || st.Cells != 1 {
+		t.Fatalf("stats after drop = %+v", st)
+	}
+	if info, err := os.Stat(logPath); err != nil || info.Size() != before.Size() {
+		t.Fatalf("drop touched the log: %v, %v", info, err)
+	}
+	if n := s.Prune(func(Key) bool { return false }); n != 0 {
+		t.Fatalf("Prune removed %d records, want 0", n)
+	}
+	if info, err := os.Stat(logPath); err != nil || info.Size() != 0 {
+		t.Fatalf("log not compacted after a drop: %v, %v", info, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Cells != 1 {
+		t.Fatalf("reload holds %d cells, want only the running one", st.Cells)
+	}
+}
+
 func TestCheckpointStoreSkipsDamagedRecords(t *testing.T) {
 	t.Parallel()
 

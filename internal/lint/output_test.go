@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// goldenFindings is a fixed, deliberately out-of-order finding set; both
-// writers must emit it in canonical order regardless of input order.
+// goldenFindings is a fixed, deliberately out-of-order finding set; the
+// writer must emit it in canonical order regardless of input order.
 func goldenFindings() []Finding {
 	return []Finding{
 		{Analyzer: "storeerr", File: "internal/cache/store.go", Line: 40, Col: 2,
@@ -52,15 +52,6 @@ func TestWriteJSONGolden(t *testing.T) {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	checkGolden(t, "golden_report.json", buf.Bytes())
-}
-
-// TestWriteSARIFGolden pins the SARIF log the same way, rule table included.
-func TestWriteSARIFGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, goldenFindings(), Analyzers); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	checkGolden(t, "golden_report.sarif", buf.Bytes())
 }
 
 // TestWriteJSONOrderIndependent proves canonical ordering: shuffled input

@@ -43,24 +43,16 @@ type Cell struct {
 // in shard order. Memory per cell is bounded by the sketch cap, never by the
 // trial budget.
 type Runner struct {
-	// Workers bounds the number of goroutines used per cell (0 = GOMAXPROCS).
-	Workers int
-	// CellWorkers bounds the number of cells executed concurrently. Zero or
-	// one runs cells sequentially, the historical behaviour. Any value is
+	// Workers is the core budget (0 = GOMAXPROCS). Run splits it between
+	// concurrent cells and each cell's trial fan-out with AutoSplit; RunOne
+	// fans its cell's trials over at most Workers goroutines. Any value is
 	// safe for correctness: per-trial randomness derives from (seed, trial)
-	// and results are written index-for-index, so the output is identical to
-	// the sequential path whatever the fan-out (see TestRunnerCellWorkersParity).
-	CellWorkers int
-	// Adaptive, when true, makes Run ignore Workers and CellWorkers and pick
-	// the split itself with AutoSplit: a grid of many small cells routes the
-	// cores to cross-cell parallelism with sequential trials per cell, a grid
-	// of few big cells routes them to trial-level parallelism. The results
-	// are bit-identical to every fixed configuration; only scheduling
-	// changes.
-	Adaptive bool
+	// and results are written index-for-index, so the output is identical
+	// whatever the budget (pinned by the runner parity test).
+	Workers int
 	// Progress, when non-nil, receives intra-cell progress updates as each
-	// cell's ordered fold advances (see sim.TrialConfig.Progress). Cells may
-	// run concurrently (CellWorkers > 1), so the callback must be safe for
+	// cell's ordered fold advances (see sim.TrialConfig.Progress). Run may
+	// compute cells concurrently, so the callback must be safe for
 	// concurrent use; updates for one cell never race each other.
 	Progress func(Cell, sim.Progress)
 	// ProgressEvery is the shard stride between updates (sim's semantics:
@@ -154,30 +146,17 @@ func (r Runner) RunOne(ctx context.Context, cell Cell) (sim.TrialStats, error) {
 }
 
 // Run executes the cells and returns their statistics, index for index.
-// With CellWorkers <= 1 the cells run sequentially; larger values fan
-// independent cells out over goroutines. Either way every cell's statistics
-// are a pure function of its own configuration and seed, so the results are
-// identical — bit for bit — across all CellWorkers values; only wall-clock
-// time and error selection under multiple failures differ.
+// AutoSplit divides the Workers budget between cells computed concurrently
+// and the trial fan-out inside each. Every cell's statistics are a pure
+// function of its own configuration and seed, so the results are identical —
+// bit for bit — across all Workers values; only wall-clock time and error
+// selection under multiple failures differ.
 func (r Runner) Run(ctx context.Context, cells []Cell) ([]sim.TrialStats, error) {
-	if r.Adaptive {
-		r.CellWorkers, r.Workers = AutoSplit(cells, 0)
-		r.Adaptive = false
-	}
-	if r.CellWorkers > 1 {
-		return parallel.Map(ctx, len(cells), r.CellWorkers, func(i int) (sim.TrialStats, error) {
-			return r.RunOne(ctx, cells[i])
-		})
-	}
-	out := make([]sim.TrialStats, len(cells))
-	for i, cell := range cells {
-		st, err := r.RunOne(ctx, cell)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
+	cellWorkers, trialWorkers := AutoSplit(cells, r.Workers)
+	r.Workers = trialWorkers
+	return parallel.Map(ctx, len(cells), cellWorkers, func(i int) (sim.TrialStats, error) {
+		return r.RunOne(ctx, cells[i])
+	})
 }
 
 // Grid describes a (scenario × D × k) sweep in terms of registry names and

@@ -116,34 +116,49 @@ func TestGridCellsExplicitDWithMultipleDs(t *testing.T) {
 	}
 }
 
-// TestRunnerCellWorkersParity is the parity property test of the parallel
-// cross-cell path: on a multi-scenario grid, every CellWorkers value must
-// reproduce the sequential statistics exactly, index for index.
+// TestRunnerCellWorkersParity is the parity property test of Run's one
+// scheduling rule: whatever core budget AutoSplit divides — all of it on
+// cells for a grid of many small cells, the rest on trials for a grid of few
+// big ones — every Workers value must reproduce the one-core statistics
+// exactly, index for index.
 func TestRunnerCellWorkersParity(t *testing.T) {
 	t.Parallel()
 
-	cells, err := Grid{
-		Scenarios: []string{"known-k", "uniform", "single-spiral", "known-d"},
-		Params:    DefaultParams(),
-		Ks:        []int{1, 3},
-		Ds:        []int{6, 11},
-		Trials:    7,
-		Seed:      42,
-	}.Cells()
-	if err != nil {
-		t.Fatal(err)
+	grids := []Grid{
+		{ // many small cells across four scenario families
+			Scenarios: []string{"known-k", "uniform", "single-spiral", "known-d"},
+			Params:    DefaultParams(),
+			Ks:        []int{1, 3},
+			Ds:        []int{6, 11},
+			Trials:    7,
+			Seed:      42,
+		},
+		{ // few big cells: the budget spills into trial-level fan-out
+			Scenarios: []string{"known-k"},
+			Params:    DefaultParams(),
+			Ks:        []int{2},
+			Ds:        []int{7},
+			Trials:    600,
+			Seed:      17,
+		},
 	}
-	want, err := Runner{}.Run(context.Background(), cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cw := range []int{2, 3, 8, 64} {
-		got, err := Runner{CellWorkers: cw}.Run(context.Background(), cells)
+	for i, g := range grids {
+		cells, err := g.Cells()
 		if err != nil {
-			t.Fatalf("CellWorkers=%d: %v", cw, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("CellWorkers=%d: statistics differ from the sequential path", cw)
+		want, err := Runner{Workers: 1}.Run(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{2, 3, 8, 64} {
+			got, err := Runner{Workers: w}.Run(context.Background(), cells)
+			if err != nil {
+				t.Fatalf("grid %d, Workers=%d: %v", i, w, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("grid %d, Workers=%d: statistics differ from the one-core run", i, w)
+			}
 		}
 	}
 }
@@ -159,7 +174,7 @@ func TestRunnerCellWorkersError(t *testing.T) {
 		{Scenario: "known-k", Factory: factory, K: 1, D: 6, Trials: 2, Seed: 1},
 		{Scenario: "known-k", Factory: factory, K: 1, D: 0, Trials: 2, Seed: 1}, // invalid
 	}
-	if _, err := (Runner{CellWorkers: 4}).Run(context.Background(), cells); err == nil {
+	if _, err := (Runner{Workers: 4}).Run(context.Background(), cells); err == nil {
 		t.Error("a failing cell must fail the parallel run")
 	}
 }
@@ -304,60 +319,10 @@ func TestAutoSplit(t *testing.T) {
 	}
 }
 
-// TestRunnerAdaptiveParity checks that the adaptive splitter reproduces the
-// statistics of both fixed configurations it arbitrates between — all cores
-// on cells, and all cores on trials — exactly, on both of its regimes.
-func TestRunnerAdaptiveParity(t *testing.T) {
-	t.Parallel()
-
-	grids := []Grid{
-		{ // many small cells
-			Scenarios: []string{"known-k", "uniform"},
-			Params:    DefaultParams(),
-			Ks:        []int{1, 2, 3, 4},
-			Ds:        []int{5, 9},
-			Trials:    5,
-			Seed:      17,
-		},
-		{ // few big cells
-			Scenarios: []string{"known-k"},
-			Params:    DefaultParams(),
-			Ks:        []int{2},
-			Ds:        []int{7},
-			Trials:    600,
-			Seed:      17,
-		},
-	}
-	for i, g := range grids {
-		cells, err := g.Cells()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Runner{CellWorkers: 8, Workers: 1}.Run(context.Background(), cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cross, err := Runner{CellWorkers: 1, Workers: 8}.Run(context.Background(), cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cross, want) {
-			t.Fatalf("grid %d: the two fixed configurations disagree; parity premise broken", i)
-		}
-		got, err := Runner{Adaptive: true}.Run(context.Background(), cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("grid %d: adaptive runner differs from the fixed configurations", i)
-		}
-	}
-}
-
 // TestFaultySweepParallel runs a faulty sweep — the registered -faulty
-// variants plus a grid with explicit fault knobs — through the parallel
-// cross-cell and trial-level paths and asserts bit-identical statistics
-// against the sequential run. Executed under -race in CI, it also exercises
+// variants plus a grid with explicit fault knobs — under several core
+// budgets, which AutoSplit spreads over cells and trials, and asserts
+// bit-identical statistics against the one-core run. Executed under -race in CI, it also exercises
 // the fault interpreter for data races across worker goroutines.
 func TestFaultySweepParallel(t *testing.T) {
 	t.Parallel()
@@ -399,22 +364,17 @@ func TestFaultySweepParallel(t *testing.T) {
 		}
 	}
 
-	want, err := Runner{}.Run(context.Background(), cells)
+	want, err := Runner{Workers: 1}.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []Runner{
-		{CellWorkers: 3},
-		{Workers: 4},
-		{CellWorkers: 2, Workers: 2},
-		{Adaptive: true},
-	} {
+	for _, r := range []Runner{{Workers: 3}, {Workers: 4}, {Workers: 32}, {}} {
 		got, err := r.Run(context.Background(), cells)
 		if err != nil {
 			t.Fatalf("%+v: %v", r, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: faulty statistics differ from the sequential path", r)
+			t.Errorf("%+v: faulty statistics differ from the one-core run", r)
 		}
 	}
 
@@ -544,7 +504,7 @@ func TestRunnerProgressAndCheckpointPlumbing(t *testing.T) {
 		stores[c.Scenario] = &runnerMemCheckpointer{}
 	}
 	r := Runner{
-		CellWorkers: 2,
+		Workers: 2,
 		Progress: func(c Cell, p sim.Progress) {
 			mu.Lock()
 			final[c.Scenario] = p

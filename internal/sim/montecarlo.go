@@ -206,19 +206,6 @@ func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
 	}
 }
 
-// DisableReplay stops the accumulator's Welford halves from recording replay
-// logs. The shard planner never produces a shard past stats.MergeReplayCap,
-// so the sweep engine does not need it; it remains for callers that fold more
-// than the cap into one accumulator, where the logs would go incomplete and
-// never be replayed. Must be called before the first Add.
-func (a *TrialAccumulator) DisableReplay() {
-	a.time.DisableReplay()
-	a.allTime.DisableReplay()
-	a.ratio.DisableReplay()
-	a.survivors.DisableReplay()
-	a.survivorRatio.DisableReplay()
-}
-
 // Add incorporates one trial result.
 func (a *TrialAccumulator) Add(r Result) {
 	a.trials++

@@ -46,15 +46,16 @@ func (s QuantileSummary) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The decoded summary answers
-// Quantile exactly as the encoded one did.
+// Quantile exactly as the encoded one did. The result store replays these
+// bytes from disk, so a payload no encoder can produce is an error, never a
+// summary that answers wrong numbers (see validate).
 func (s *QuantileSummary) UnmarshalJSON(data []byte) error {
 	var w quantileSummaryJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if len(w.Qs) != len(w.Vs) {
-		return fmt.Errorf("stats: quantile summary has %d tracked quantiles but %d estimates",
-			len(w.Qs), len(w.Vs))
+	if err := w.validate(); err != nil {
+		return fmt.Errorf("stats: quantile summary: %w", err)
 	}
 	if w.Exact && !sort.Float64sAreSorted(w.Samples) {
 		// The encoder always emits sorted samples; tolerate hand-written
@@ -69,6 +70,47 @@ func (s *QuantileSummary) UnmarshalJSON(data []byte) error {
 		samples: w.Samples,
 		qs:      w.Qs,
 		vs:      w.Vs,
+	}
+	return nil
+}
+
+// validate checks the invariants every Sketch.Summary holds: a non-negative
+// count and min <= max; in exact mode exactly N samples and no tracked
+// quantiles; in estimation mode no samples, and tracked quantiles strictly
+// increasing inside (0, 1) with estimates that never decrease; every sample
+// and estimate inside [min, max].
+func (w quantileSummaryJSON) validate() error {
+	switch {
+	case w.N < 0:
+		return fmt.Errorf("negative count %d", w.N)
+	case w.Min > w.Max:
+		return fmt.Errorf("min %v exceeds max %v", w.Min, w.Max)
+	case len(w.Qs) != len(w.Vs):
+		return fmt.Errorf("%d tracked quantiles but %d estimates", len(w.Qs), len(w.Vs))
+	case w.Exact && len(w.Samples) != w.N:
+		return fmt.Errorf("exact mode with %d samples for %d observations", len(w.Samples), w.N)
+	case w.Exact && len(w.Qs) > 0:
+		return fmt.Errorf("exact mode with %d tracked quantiles", len(w.Qs))
+	case !w.Exact && len(w.Samples) > 0:
+		return fmt.Errorf("estimation mode with %d samples", len(w.Samples))
+	}
+	for _, x := range w.Samples {
+		if x < w.Min || x > w.Max {
+			return fmt.Errorf("sample %v outside [min, max] = [%v, %v]", x, w.Min, w.Max)
+		}
+	}
+	prevQ, prevV := 0.0, w.Min
+	for i, q := range w.Qs {
+		v := w.Vs[i]
+		switch {
+		case q <= prevQ || q >= 1:
+			return fmt.Errorf("tracked quantile %v is not strictly increasing inside (0, 1)", q)
+		case v > w.Max || v < w.Min:
+			return fmt.Errorf("estimate %v outside [min, max] = [%v, %v]", v, w.Min, w.Max)
+		case v < prevV:
+			return fmt.Errorf("estimate %v at q=%v decreases from %v", v, q, prevV)
+		}
+		prevQ, prevV = q, v
 	}
 	return nil
 }

@@ -385,7 +385,7 @@ func (s QuantileSummary) Quantile(q float64) float64 {
 	if hi == lo {
 		return loV
 	}
-	return loV + (hiV-loV)*(q-lo)/(hi-lo)
+	return lerp(loV, hiV, (q-lo)/(hi-lo))
 }
 
 // Median returns the 0.5-quantile.
@@ -403,6 +403,15 @@ func sortedQuantile(sorted []float64, q float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lerp(sorted[lo], sorted[hi], pos-float64(lo))
+}
+
+// lerp interpolates from a to b >= a at t in [0, 1] as a + (b-a)·t, clamped
+// into [a, b]. Unlike a·(1-t) + b·t, whose rounding can dip as t grows
+// between neighbours a few ulps apart, this form never decreases in t. It
+// runs on halves, an exact scaling for normal floats, so b-a cannot overflow
+// when a and b sit at opposite ends of the float range.
+func lerp(a, b, t float64) float64 {
+	v := 2 * (a/2 + (b/2-a/2)*t)
+	return math.Min(math.Max(v, a), b)
 }

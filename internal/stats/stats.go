@@ -203,14 +203,7 @@ func Quantile(data []float64, q float64) float64 {
 	}
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sortedQuantile(sorted, q)
 }
 
 // Median returns the 0.5-quantile.
@@ -273,56 +266,4 @@ func LogLogSlope(xs, ys []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: log-log fit: %w", err)
 	}
 	return slope, nil
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); observations outside the
-// range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with the given number of bins over
-// [lo, hi). It returns an error for invalid ranges or a non-positive number
-// of bins.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: number of bins must be positive, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add incorporates one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
 }

@@ -123,6 +123,15 @@ func TestQuantileAndMedian(t *testing.T) {
 	if got := Quantile(pairs, 0.5); got != 15 {
 		t.Errorf("interpolated quantile = %v, want 15", got)
 	}
+	// Interpolation never leaves the bracketing order statistics, even when
+	// they are equal (where a·(1-t) + b·t rounds above them at t = 0.2) or
+	// their gap overflows.
+	if x := 5.6377959581526436e+10; Quantile([]float64{x, x}, 0.2) != x {
+		t.Errorf("quantile of equal samples = %v, want %v", Quantile([]float64{x, x}, 0.2), x)
+	}
+	if got := Quantile([]float64{-1e308, 1e308}, 0.5); got != 0 {
+		t.Errorf("quantile across the float range = %v, want 0", got)
+	}
 	// The input must not be reordered.
 	if data[0] != 9 || data[4] != 5 {
 		t.Error("Quantile modified its input")
@@ -190,49 +199,5 @@ func TestLogLogSlope(t *testing.T) {
 	}
 	if _, err := LogLogSlope([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("mismatched lengths should fail")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	t.Parallel()
-
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range should fail")
-	}
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-3, 0.5, 1, 3, 5, 7, 9, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	// Out-of-range values clamp into the first and last bins.
-	if h.Counts[0] != 3 { // -3, 0.5, 1
-		t.Errorf("first bin = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9, 42
-		t.Errorf("last bin = %d, want 2", h.Counts[4])
-	}
-	if got := h.Fraction(0); math.Abs(got-3.0/8) > 1e-12 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Errorf("BinCenter(4) = %v, want 9", got)
-	}
-
-	var empty Histogram
-	empty.Counts = make([]int, 3)
-	empty.Hi = 3
-	if empty.Fraction(1) != 0 {
-		t.Error("fraction of empty histogram should be 0")
 	}
 }
