@@ -43,6 +43,10 @@
 // Persistent checkpoint write failures degrade the cell to progress-only
 // (counted in /stats under checkpoints.store_errors), never fail the sweep.
 //
+// -max-cells caps a /sweep grid. The server counts a grid's cells before it
+// builds any, and it reads at most 64 KiB plus 64 bytes per allowed cell of
+// a request body; either limit exceeded answers 413.
+//
 // -max-inflight-sweeps is the admission-control valve: with a positive
 // value, at most that many /sweep requests compute concurrently and the
 // excess is shed immediately with 503 + a Retry-After header instead of
@@ -91,6 +95,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -587,24 +592,46 @@ func (sw *streamWriter) write(row any) bool {
 	return true
 }
 
+// maxSweepBody bounds a /sweep body for a server that accepts grids of at
+// most maxCells cells. Such a grid lists at most maxCells scenarios, ks or
+// ds, so 64 bytes per cell (a number or a scenario name, with generous
+// whitespace) plus 64 KiB for the rest of the request admits every
+// acceptable body and cuts off padding long before it costs memory.
+func maxSweepBody(maxCells int) int64 {
+	return 64<<10 + 64*int64(maxCells)
+}
+
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxSweepBody(s.cfg.MaxCells))
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req sweepRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep request: %v", err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "invalid sweep request: %v", err)
 		return
 	}
 	grid := req.grid()
-	cells, err := grid.Cells()
+	// Count before expanding: a small body can name millions of cells, and
+	// building them only to refuse them would cost gigabytes.
+	size, err := grid.Size()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(cells) > s.cfg.MaxCells {
+	if size > s.cfg.MaxCells {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			"grid expands to %d cells, the server accepts at most %d per request",
-			len(cells), s.cfg.MaxCells)
+			size, s.cfg.MaxCells)
+		return
+	}
+	cells, err := grid.Cells()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,6 +247,9 @@ func TestSweepErrors(t *testing.T) {
 			"params": {"d": 4}}`, http.StatusBadRequest},
 		{"too many cells", `{"scenarios": ["known-k"], "ks": [1, 2], "ds": [4, 8], "trials": 1}`,
 			http.StatusRequestEntityTooLarge},
+		// A one-cell grid padded past the body bound for MaxCells 3.
+		{"oversized body", `{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1` +
+			strings.Repeat(" ", int(maxSweepBody(3))) + `}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		resp := postSweep(t, ts.URL, tc.body)
@@ -267,6 +272,41 @@ func TestSweepErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /sweep status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSweepRejectsHugeGridBeforeExpanding pins the order of the size guard:
+// a 17.8 KB body naming 2000 ks and 2000 ds expands to 4,000,000 cells, and
+// the server must count them and answer 413 without building them (which
+// costs about 2 GB). Not parallel: it reads the process-wide allocation
+// counter.
+func TestSweepRejectsHugeGridBeforeExpanding(t *testing.T) {
+	srv, err := newServer(serverConfig{CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.cache.Close() })
+	var vals []string
+	for v := 1; v <= 2000; v++ {
+		vals = append(vals, strconv.Itoa(v))
+	}
+	list := strings.Join(vals, ",")
+	body := `{"scenarios": ["known-k"], "ks": [` + list + `], "ds": [` + list + `], "trials": 1}`
+	handler := srv.routes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(body)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "4000000 cells") {
+		t.Errorf("error %q does not report the grid's 4000000 cells", rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+		t.Errorf("rejecting the grid allocated %d bytes, want under 16 MiB", alloc)
 	}
 }
 

@@ -336,25 +336,11 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func(ctx context.Contex
 	}
 }
 
-// Get returns the value cached under key without computing anything. It
-// counts as a hit when present; an absent key leaves the counters untouched.
-func (c *Cache) Get(key Key) (sim.TrialStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return sim.TrialStats{}, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
-}
-
-// Contains reports whether key holds a completed cached result. Unlike Get
-// it neither counts a hit nor refreshes LRU recency — it exists for
-// bookkeeping probes (checkpoint garbage collection asks "did this cell's
-// final aggregate land?"), which must not distort the cache's access
-// statistics or keep entries artificially warm.
+// Contains reports whether key holds a completed cached result. Unlike a Do
+// on a cached key it neither counts a hit nor refreshes LRU recency — it
+// exists for bookkeeping probes (checkpoint garbage collection asks "did
+// this cell's final aggregate land?"), which must not distort the cache's
+// access statistics or keep entries artificially warm.
 func (c *Cache) Contains(key Key) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -17,6 +17,15 @@ func testStats(trials int) sim.TrialStats {
 	return sim.TrialStats{NumAgents: 1, Distance: 1, Trials: trials}
 }
 
+// lookup returns the value cached under key without computing one: Do on a
+// cached key is a hit, and on any other key its compute fails.
+func lookup(c *Cache, key Key) (sim.TrialStats, bool) {
+	v, cached, err := c.Do(context.Background(), key, func(context.Context) (sim.TrialStats, error) {
+		return sim.TrialStats{}, errors.New("not cached")
+	})
+	return v, cached && err == nil
+}
+
 func TestDoComputesOnceThenHits(t *testing.T) {
 	t.Parallel()
 
@@ -57,17 +66,17 @@ func TestLRUEviction(t *testing.T) {
 	}
 	put("a", 1)
 	put("b", 2)
-	if _, ok := c.Get("a"); !ok { // touch a, making b the LRU entry
+	if _, ok := lookup(c, "a"); !ok { // touch a, making b the LRU entry
 		t.Fatal("a should be cached")
 	}
 	put("c", 3)
-	if _, ok := c.Get("b"); ok {
+	if c.Contains("b") {
 		t.Error("b should have been evicted (least recently used)")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if !c.Contains("a") {
 		t.Error("a should have survived")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if !c.Contains("c") {
 		t.Error("c should be cached")
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {

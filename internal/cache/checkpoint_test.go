@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -348,12 +349,14 @@ func TestCheckpointCrashResumeHelper(t *testing.T) {
 // in a subprocess writing real checkpoints, SIGKILL it as soon as a
 // checkpoint hits disk, then resume in-process from the survivor directory
 // and require the final aggregate byte-identical to an uninterrupted run,
-// with resumed work actually restored.
+// with resumed work actually restored. Not parallel: until the child execs
+// it holds copies of the parent's descriptors, flock'd store locks included,
+// so a store a parallel test closes and reopens in that window would read as
+// claimed by another process.
 func TestCheckpointCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
 	}
-	t.Parallel()
 
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=TestCheckpointCrashResumeHelper$")
@@ -363,13 +366,14 @@ func TestCheckpointCrashResume(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the child the moment a checkpoint record is durable. The log line
-	// may still be mid-write when the kill lands — exactly the torn tail the
-	// loader tolerates.
+	// Kill the child the moment its first checkpoint record is complete on
+	// disk (a JSON line ends in "}\n"). A later record may still be mid-write
+	// when the kill lands — exactly the torn tail the loader tolerates; a
+	// kill inside the first record would leave nothing to resume.
 	logPath := filepath.Join(dir, checkpointLogFile)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if info, err := os.Stat(logPath); err == nil && info.Size() > 2 {
+		if data, err := os.ReadFile(logPath); err == nil && bytes.Contains(data, []byte("}\n")) {
 			break
 		}
 		if time.Now().After(deadline) {

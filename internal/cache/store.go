@@ -82,10 +82,10 @@ const (
 // state.
 type DiskStore struct {
 	logStore
-	fsync      bool // fsync the log after every append
-	maxRetries int
-	backoff    time.Duration
-	skipped    int // records dropped by the last Load (schema, key schema or parse)
+	fsync      bool          // fsync the log after every append
+	maxRetries int           // appendRetries; tests set their own
+	backoff    time.Duration // retryBackoff; tests shorten it
+	skipped    int           // records dropped by the last Load (schema, key schema or parse)
 	// retries counts retried append attempts. Atomic so Retries (the /stats
 	// path) never waits behind an Append sleeping through its backoff.
 	retries atomic.Uint64
@@ -95,15 +95,16 @@ type DiskStore struct {
 	appendFault func() error
 }
 
-// DefaultAppendRetries is the retry budget of a failed append when
-// DiskStoreOptions.AppendRetries is zero, and DefaultRetryBackoff the pause
-// before the first retry (doubling per further attempt). Two retries within
-// ~15ms ride out the transient failures worth riding out — a full disk being
-// cleaned up, a network filesystem hiccup — without stalling the write-behind
-// path noticeably when the failure is permanent.
+// appendRetries is the number of additional attempts a failed append makes
+// before reporting the error and letting the cache degrade to memory-only
+// serving, and retryBackoff the pause before the first retry (doubling per
+// further attempt). Two retries within ~15ms ride out the transient failures
+// worth riding out — a full disk being cleaned up, a network filesystem
+// hiccup — without stalling the write-behind path noticeably when the
+// failure is permanent.
 const (
-	DefaultAppendRetries = 2
-	DefaultRetryBackoff  = 5 * time.Millisecond
+	appendRetries = 2
+	retryBackoff  = 5 * time.Millisecond
 )
 
 // DiskStoreOptions tune a DiskStore beyond the defaults of OpenDiskStore.
@@ -115,14 +116,6 @@ type DiskStoreOptions struct {
 	// the Monte-Carlo work a cell represents, but measurable for tiny cells,
 	// which is why it is opt-in.
 	FsyncAppends bool
-	// AppendRetries is the number of additional attempts a failed Append
-	// makes before reporting the error and letting the cache degrade to
-	// memory-only serving. Zero selects DefaultAppendRetries; negative
-	// disables retrying.
-	AppendRetries int
-	// RetryBackoff is the pause before the first retry, doubling per further
-	// attempt. Zero selects DefaultRetryBackoff.
-	RetryBackoff time.Duration
 }
 
 // OpenDiskStore opens (creating if needed) the store rooted at dir with
@@ -136,18 +129,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 
 // OpenDiskStoreWith is OpenDiskStore with explicit options.
 func OpenDiskStoreWith(dir string, opts DiskStoreOptions) (*DiskStore, error) {
-	retries := opts.AppendRetries
-	switch {
-	case retries == 0:
-		retries = DefaultAppendRetries
-	case retries < 0:
-		retries = 0
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
-	}
-	s := &DiskStore{fsync: opts.FsyncAppends, maxRetries: retries, backoff: backoff}
+	s := &DiskStore{fsync: opts.FsyncAppends, maxRetries: appendRetries, backoff: retryBackoff}
 	if err := s.open(dir, lockFile, snapshotFile, logFile); err != nil {
 		return nil, fmt.Errorf("cache: open store: %w", err)
 	}

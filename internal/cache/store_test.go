@@ -236,10 +236,10 @@ func TestWarmStartDropsStaleKeySchema(t *testing.T) {
 	if skipped := s.Skipped(); skipped != 1 {
 		t.Errorf("Skipped() = %d, want the stale-key record counted", skipped)
 	}
-	if _, ok := c.Get(staleKey); ok {
+	if c.Contains(staleKey) {
 		t.Error("a stale-schema key must not be served")
 	}
-	if v, ok := c.Get(currentKey); !ok || v.Trials != 2 {
+	if v, ok := lookup(c, currentKey); !ok || v.Trials != 2 {
 		t.Errorf("current-schema entry = (%+v, %v), want loaded", v, ok)
 	}
 }
@@ -308,7 +308,7 @@ func TestCachePersistenceUnderConcurrency(t *testing.T) {
 		t.Fatalf("reload stats = %+v, want all %d entries back", st, keys)
 	}
 	for i := 0; i < keys; i++ {
-		v, ok := c2.Get(testKeyV2("cell", i))
+		v, ok := lookup(c2, testKeyV2("cell", i))
 		if !ok || v.Trials != i+1 {
 			t.Errorf("key %d after reload = (%+v, %v), want the computed value", i, v, ok)
 		}
@@ -346,7 +346,7 @@ func TestWarmStartCountersWithSmallCapacity(t *testing.T) {
 	}
 	// The replay preserves append order, so the most recent entries survive.
 	for i := persisted - capacity; i < persisted; i++ {
-		if _, ok := c.Get(testKeyV2("cell", i)); !ok {
+		if !c.Contains(testKeyV2("cell", i)) {
 			t.Errorf("recent entry %d missing after bounded warm start", i)
 		}
 	}
@@ -469,10 +469,11 @@ func TestDiskStoreAppendRetriesTransientFailure(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	s, err := OpenDiskStoreWith(dir, DiskStoreOptions{RetryBackoff: time.Microsecond})
+	s, err := OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.backoff = time.Microsecond
 	failures := 1
 	s.appendFault = func() error {
 		if failures > 0 {
@@ -513,10 +514,11 @@ func TestDiskStoreAppendTornLineRecovery(t *testing.T) {
 	t.Parallel()
 
 	dir := t.TempDir()
-	s, err := OpenDiskStoreWith(dir, DiskStoreOptions{RetryBackoff: time.Microsecond})
+	s, err := OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.backoff = time.Microsecond
 	torn := true
 	s.appendFault = func() error {
 		if torn {
@@ -558,13 +560,11 @@ func TestDiskStoreAppendTornLineRecovery(t *testing.T) {
 func TestDiskStoreAppendExhaustsRetries(t *testing.T) {
 	t.Parallel()
 
-	s, err := OpenDiskStoreWith(t.TempDir(), DiskStoreOptions{
-		AppendRetries: 3,
-		RetryBackoff:  time.Microsecond,
-	})
+	s, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.maxRetries, s.backoff = 3, time.Microsecond
 	defer s.Close()
 	attempts := 0
 	s.appendFault = func() error {
@@ -583,43 +583,17 @@ func TestDiskStoreAppendExhaustsRetries(t *testing.T) {
 	}
 }
 
-// TestDiskStoreAppendRetriesDisabled pins the opt-out: negative
-// AppendRetries means a single attempt, preserving the historical
-// fail-fast behaviour.
-func TestDiskStoreAppendRetriesDisabled(t *testing.T) {
-	t.Parallel()
-
-	s, err := OpenDiskStoreWith(t.TempDir(), DiskStoreOptions{AppendRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	attempts := 0
-	s.appendFault = func() error {
-		attempts++
-		return fmt.Errorf("some failure")
-	}
-	if err := s.Append(Entry{Key: testKeyV2("oneshot", 1), Stats: testStats(4)}); err == nil {
-		t.Fatal("append should fail without retries")
-	}
-	if attempts != 1 {
-		t.Errorf("made %d attempts with retries disabled, want 1", attempts)
-	}
-	if got := s.Retries(); got != 0 {
-		t.Errorf("Retries() = %d with retries disabled, want 0", got)
-	}
-}
-
 // TestCacheStatsSurfacesStoreRetries pins the /stats wiring: a retried
 // append shows up as StoreRetries on the cache's stats without counting as a
 // store error.
 func TestCacheStatsSurfacesStoreRetries(t *testing.T) {
 	t.Parallel()
 
-	s, err := OpenDiskStoreWith(t.TempDir(), DiskStoreOptions{RetryBackoff: time.Microsecond})
+	s, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.backoff = time.Microsecond
 	failures := 2
 	s.appendFault = func() error {
 		if failures > 0 {

@@ -3,10 +3,9 @@ package grid
 import "math"
 
 // This file implements the balls B(r) = {v : d(s, v) <= r} used throughout
-// the paper: counting their nodes, enumerating them, testing membership and
-// mapping a uniform index to a node so that "go to a node chosen uniformly at
-// random among the nodes of B(r)" can be implemented with a single random
-// number.
+// the paper: counting their nodes, indexing their rings and mapping a
+// uniform index to a node so that "go to a node chosen uniformly at random
+// among the nodes of B(r)" can be implemented with a single random number.
 
 // BallSize returns |B(r)|, the number of grid nodes at L1 distance at most r
 // from a centre. For r >= 0 this is 2r² + 2r + 1; for negative r it is 0.
@@ -28,12 +27,6 @@ func RingSize(r int) int {
 	default:
 		return 4 * r
 	}
-}
-
-// InBall reports whether p lies in the L1 ball of the given radius centred at
-// the origin.
-func InBall(p Point, radius int) bool {
-	return p.L1() <= radius
 }
 
 // RingPoint returns the j-th node (0-indexed) of the L1 ring of radius r
@@ -105,16 +98,6 @@ func BallPoint(radius, i int) Point {
 	return RingPoint(r, offset)
 }
 
-// BallIndex is the inverse of BallPoint: it maps a node of B(radius) (for any
-// radius at least p.L1()) to its index in the enumeration.
-func BallIndex(p Point) int {
-	r := p.L1()
-	if r == 0 {
-		return 0
-	}
-	return BallSize(r-1) + RingIndex(p)
-}
-
 // ringOfBallIndex returns the L1 radius of the ring containing ball index
 // i >= 1. It solves 2r² + 2r + 1 > i for the smallest r using the quadratic
 // formula and then fixes up rounding with at most two adjustment steps.
@@ -132,23 +115,6 @@ func ringOfBallIndex(i int) int {
 		r++
 	}
 	return r
-}
-
-// ForEachInBall calls fn for every node of the ball of the given radius
-// centred at centre, in the canonical enumeration order (ring by ring). If fn
-// returns false the iteration stops early. It returns the number of nodes
-// visited.
-func ForEachInBall(centre Point, radius int, fn func(Point) bool) int {
-	visited := 0
-	for r := 0; r <= radius; r++ {
-		for j := 0; j < RingSize(r); j++ {
-			visited++
-			if !fn(centre.Add(RingPoint(r, j))) {
-				return visited
-			}
-		}
-	}
-	return visited
 }
 
 // sqrtFloat wraps math.Sqrt so that the grid package's only floating-point

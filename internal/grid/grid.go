@@ -62,11 +62,6 @@ func Dist(p, q Point) int {
 	return p.Sub(q).L1()
 }
 
-// ChebyshevDist returns the L∞ distance between p and q.
-func ChebyshevDist(p, q Point) int {
-	return p.Sub(q).Linf()
-}
-
 // Direction identifies one of the four axis-parallel unit moves an agent can
 // perform in one time unit.
 type Direction int
@@ -150,11 +145,6 @@ func (p Point) Neighbors() [NumDirections]Point {
 		p.Step(West),
 		p.Step(South),
 	}
-}
-
-// IsNeighbor reports whether q is exactly one hop away from p.
-func IsNeighbor(p, q Point) bool {
-	return Dist(p, q) == 1
 }
 
 func abs(v int) int {

@@ -6,6 +6,28 @@ import (
 	"testing/quick"
 )
 
+// Test references for Dist, Neighbors and BallPoint.
+
+// chebyshevDist returns the L∞ distance between p and q.
+func chebyshevDist(p, q Point) int {
+	return p.Sub(q).Linf()
+}
+
+// isNeighbor reports whether q is exactly one hop away from p.
+func isNeighbor(p, q Point) bool {
+	return Dist(p, q) == 1
+}
+
+// ballIndex is the inverse of BallPoint: it maps a node of B(radius) (for any
+// radius at least p.L1()) to its index in the enumeration.
+func ballIndex(p Point) int {
+	r := p.L1()
+	if r == 0 {
+		return 0
+	}
+	return BallSize(r-1) + RingIndex(p)
+}
+
 func TestPointArithmetic(t *testing.T) {
 	t.Parallel()
 
@@ -49,8 +71,8 @@ func TestDistances(t *testing.T) {
 			if got := Dist(tc.p, tc.q); got != tc.l1 {
 				t.Errorf("Dist(%v, %v) = %d, want %d", tc.p, tc.q, got, tc.l1)
 			}
-			if got := ChebyshevDist(tc.p, tc.q); got != tc.linf {
-				t.Errorf("ChebyshevDist(%v, %v) = %d, want %d", tc.p, tc.q, got, tc.linf)
+			if got := chebyshevDist(tc.p, tc.q); got != tc.linf {
+				t.Errorf("chebyshevDist(%v, %v) = %d, want %d", tc.p, tc.q, got, tc.linf)
 			}
 		})
 	}
@@ -66,7 +88,7 @@ func TestDistanceMetricProperties(t *testing.T) {
 	symmetry := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, q := gen(r), gen(r)
-		return Dist(p, q) == Dist(q, p) && ChebyshevDist(p, q) == ChebyshevDist(q, p)
+		return Dist(p, q) == Dist(q, p) && chebyshevDist(p, q) == chebyshevDist(q, p)
 	}
 	if err := quick.Check(symmetry, nil); err != nil {
 		t.Errorf("distance symmetry violated: %v", err)
@@ -84,7 +106,7 @@ func TestDistanceMetricProperties(t *testing.T) {
 	dominance := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, q := gen(r), gen(r)
-		return ChebyshevDist(p, q) <= Dist(p, q) && Dist(p, q) <= 2*ChebyshevDist(p, q)
+		return chebyshevDist(p, q) <= Dist(p, q) && Dist(p, q) <= 2*chebyshevDist(p, q)
 	}
 	if err := quick.Check(dominance, nil); err != nil {
 		t.Errorf("metric dominance violated: %v", err)
@@ -128,7 +150,7 @@ func TestNeighbors(t *testing.T) {
 	p := Point{X: 2, Y: -7}
 	seen := make(map[Point]bool)
 	for _, n := range p.Neighbors() {
-		if !IsNeighbor(p, n) {
+		if !isNeighbor(p, n) {
 			t.Errorf("%v reported as neighbour of %v but distance is %d", n, p, Dist(p, n))
 		}
 		seen[n] = true
@@ -136,7 +158,7 @@ func TestNeighbors(t *testing.T) {
 	if len(seen) != 4 {
 		t.Errorf("expected 4 distinct neighbours, got %d", len(seen))
 	}
-	if IsNeighbor(p, p) {
+	if isNeighbor(p, p) {
 		t.Error("a point must not be its own neighbour")
 	}
 }
@@ -237,8 +259,8 @@ func TestBallPointBijection(t *testing.T) {
 			t.Fatalf("BallPoint(%d, %d) = %v repeated", radius, i, p)
 		}
 		seen[p] = true
-		if got := BallIndex(p); got != i {
-			t.Fatalf("BallIndex(%v) = %d, want %d", p, got, i)
+		if got := ballIndex(p); got != i {
+			t.Fatalf("ballIndex(%v) = %d, want %d", p, got, i)
 		}
 	}
 	if len(seen) != BallSize(radius) {
@@ -258,36 +280,10 @@ func TestBallIndexRoundTripQuick(t *testing.T) {
 
 	f := func(xRaw, yRaw int16) bool {
 		p := Point{X: int(xRaw) % 500, Y: int(yRaw) % 500}
-		return BallPoint(p.L1(), BallIndex(p)) == p
+		return BallPoint(p.L1(), ballIndex(p)) == p
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Errorf("ball index round trip failed: %v", err)
-	}
-}
-
-func TestForEachInBall(t *testing.T) {
-	t.Parallel()
-
-	centre := Point{X: 7, Y: -2}
-	const radius = 6
-	var points []Point
-	n := ForEachInBall(centre, radius, func(p Point) bool {
-		points = append(points, p)
-		return true
-	})
-	if n != BallSize(radius) {
-		t.Fatalf("visited %d nodes, want %d", n, BallSize(radius))
-	}
-	for _, p := range points {
-		if Dist(p, centre) > radius {
-			t.Errorf("point %v outside ball of radius %d around %v", p, radius, centre)
-		}
-	}
-
-	// Early termination.
-	stopped := ForEachInBall(centre, radius, func(Point) bool { return false })
-	if stopped != 1 {
-		t.Errorf("early-stop visited %d nodes, want 1", stopped)
 	}
 }
 
@@ -398,24 +394,6 @@ func TestSpiralCoverage(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSpiralHitTime(t *testing.T) {
-	t.Parallel()
-
-	centre := Point{X: 10, Y: 10}
-	target := Point{X: 12, Y: 9}
-	want := SpiralIndex(target.Sub(centre))
-
-	if got, ok := SpiralHitTime(centre, target, want); !ok || got != want {
-		t.Errorf("SpiralHitTime = (%d, %v), want (%d, true)", got, ok, want)
-	}
-	if _, ok := SpiralHitTime(centre, target, want-1); ok {
-		t.Error("SpiralHitTime should miss when maxSteps is too small")
-	}
-	if got, ok := SpiralHitTime(centre, centre, 0); !ok || got != 0 {
-		t.Errorf("spiral should hit its own centre at time 0, got (%d, %v)", got, ok)
 	}
 }
 

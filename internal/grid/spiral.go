@@ -114,18 +114,6 @@ func SpiralCoveredRadius(steps int) int {
 	return d
 }
 
-// SpiralHitTime returns the number of steps after which a spiral search
-// centred at centre first visits target, together with true, provided that
-// happens within at most maxSteps steps; otherwise it returns 0, false.
-// Step 0 is the centre itself, so a spiral "hits" its own centre at time 0.
-func SpiralHitTime(centre, target Point, maxSteps int) (int, bool) {
-	idx := SpiralIndex(target.Sub(centre))
-	if idx > maxSteps {
-		return 0, false
-	}
-	return idx, true
-}
-
 // SpiralEndOffset returns the offset from the centre at which a spiral of the
 // given number of steps ends. Agents use it to compute the cost of returning
 // to the source after a truncated spiral search.

@@ -181,23 +181,46 @@ type Grid struct {
 	Seed uint64
 }
 
-// Cells expands the grid, scenario-major, then by D, then by k (the
-// traditional sweep-table row order).
-func (g Grid) Cells() ([]Cell, error) {
-	var cells []Cell
+// axes returns the k and D ranges the grid sweeps for scn: its own, or the
+// scenario's registered defaults where its own are empty.
+func (g Grid) axes(scn Scenario) (ks, ds []int) {
+	ks, ds = g.Ks, g.Ds
+	if len(ks) == 0 {
+		ks = scn.Ks
+	}
+	if len(ds) == 0 {
+		ds = scn.Ds
+	}
+	return ks, ds
+}
+
+// Size returns the number of cells Cells expands the grid into, applying the
+// same defaults but building no cell, so a caller can refuse an oversized
+// grid before paying for it. It fails only on an unknown scenario name.
+func (g Grid) Size() (int, error) {
+	n := 0
 	for _, name := range g.Scenarios {
 		scn, ok := Get(name)
 		if !ok {
-			return nil, fmt.Errorf("scenario: unknown scenario %q", name)
+			return 0, fmt.Errorf("scenario: unknown scenario %q", name)
 		}
-		ks := g.Ks
-		if len(ks) == 0 {
-			ks = scn.Ks
-		}
-		ds := g.Ds
-		if len(ds) == 0 {
-			ds = scn.Ds
-		}
+		ks, ds := g.axes(scn)
+		n += len(ks) * len(ds)
+	}
+	return n, nil
+}
+
+// Cells expands the grid, scenario-major, then by D, then by k (the
+// traditional sweep-table row order).
+func (g Grid) Cells() ([]Cell, error) {
+	size, err := g.Size()
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Cell, 0, size)
+	for _, name := range g.Scenarios {
+		scn, _ := Get(name)
+		ks, ds := g.axes(scn)
 		trials := g.Trials
 		if trials == 0 {
 			trials = scn.Trials

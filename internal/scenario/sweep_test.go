@@ -195,6 +195,34 @@ func TestGridDefaultsFromRegistry(t *testing.T) {
 	}
 }
 
+// TestGridSizeMatchesCells pins the counting pass a server uses to refuse an
+// oversized grid before building it: Size applies Cells' registry defaults
+// and counts exactly the cells Cells builds.
+func TestGridSizeMatchesCells(t *testing.T) {
+	t.Parallel()
+
+	for _, g := range []Grid{
+		{},
+		{Scenarios: []string{"known-k"}},
+		{Scenarios: []string{"known-k", "uniform"}, Ks: []int{1, 2, 3}},
+		{Scenarios: []string{"known-k", "harmonic-restart"}, Ds: []int{4, 8}},
+		{Scenarios: []string{"uniform", "known-k", "uniform"}, Ks: []int{1, 4}, Ds: []int{2, 3, 5}},
+	} {
+		g.Params = DefaultParams()
+		cells, err := g.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := g.Size()
+		if err != nil || size != len(cells) {
+			t.Errorf("%v: Size() = (%d, %v), want Cells' %d", g.Scenarios, size, err, len(cells))
+		}
+	}
+	if _, err := (Grid{Scenarios: []string{"nope"}}).Size(); err == nil {
+		t.Error("Size accepted an unknown scenario")
+	}
+}
+
 // TestRunnerMatchesMonteCarlo pins the engine's contract: a cell runs exactly
 // the sim.MonteCarlo trial semantics, so statistics are identical to calling
 // the simulator directly with the same configuration.

@@ -1,18 +1,19 @@
 // This file holds the checkpoint/resume and progress surface of the
 // Monte-Carlo engine. A giant cell folds its shards in strict order
-// (parallel.ReduceOrdered), so the running TrialAccumulator after shard j is
-// a pure function of trials [0, hi_j) — which makes it safe to persist: a
+// (parallel.ReduceOrderedFrom), so the running TrialAccumulator after shard j
+// is a pure function of trials [0, hi_j) — which makes it safe to persist: a
 // crashed run restored from that state and folded over the remaining shards
-// (parallel.ReduceOrderedFrom) finishes with aggregates bit-identical to an
-// uninterrupted run. The serialized state is the accumulator's complete
-// internal representation (stats/binary.go), floats as raw IEEE-754 bits,
-// never a lossy summary.
+// finishes with aggregates bit-identical to an uninterrupted run. The
+// serialized state is the accumulator's complete internal representation
+// (stats/binary.go plus the trial log), floats as raw IEEE-754 bits, never a
+// lossy summary.
 
 package sim
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"antsearch/internal/stats"
 )
@@ -77,19 +78,38 @@ const DefaultCheckpointEvery = 64
 
 // trialAccumulatorStateVersion guards the serialized TrialAccumulator wire
 // form; bump it whenever the accumulator gains, loses or reorders state.
-const trialAccumulatorStateVersion = 1
+const trialAccumulatorStateVersion = 2
+
+// Flag bits of one serialized trial-log entry.
+const (
+	logFound = 1 << iota
+	logCapped
+)
+
+// logEntrySize is the encoded size of one trial-log entry: the flag byte,
+// then Time, Finder, Survivors, Distance and LowerBound as 8-byte words.
+const logEntrySize = 1 + 5*8
+
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+}
+
+func takeInt(b []byte) (int, []byte) {
+	return int(int64(binary.LittleEndian.Uint64(b))), b[8:]
+}
 
 // MarshalBinary serializes the accumulator's complete internal state: counts,
-// the five Welford accumulators (replay logs included) and both quantile
-// sketches. The encoding is length-prefixed and versioned, floats travel as
-// raw IEEE-754 bits, and UnmarshalBinary restores a bit-identical
-// accumulator: folding further shards into the restored value produces
-// exactly the aggregates the original would have produced.
+// the five Welford accumulators, both quantile sketches and the trial log.
+// The encoding is length-prefixed and versioned, floats travel as raw
+// IEEE-754 bits, and UnmarshalBinary restores a bit-identical accumulator:
+// folding further shards into the restored value, or merging it into another
+// accumulator, produces exactly the aggregates the original would have
+// produced.
 func (a *TrialAccumulator) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 1024)
+	b := make([]byte, 0, 1024+len(a.log)*logEntrySize)
 	b = append(b, trialAccumulatorStateVersion)
 	for _, v := range []int{a.numAgents, a.distance, a.trials, a.found, a.capped} {
-		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+		b = appendInt(b, v)
 	}
 	b = a.time.AppendBinary(b)
 	b = a.allTime.AppendBinary(b)
@@ -98,12 +118,29 @@ func (a *TrialAccumulator) MarshalBinary() ([]byte, error) {
 	b = a.survivorRatio.AppendBinary(b)
 	b = a.times.AppendBinary(b)
 	b = a.foundTimes.AppendBinary(b)
+	b = appendInt(b, len(a.log))
+	for _, r := range a.log {
+		var flags byte
+		if r.Found {
+			flags |= logFound
+		}
+		if r.Capped {
+			flags |= logCapped
+		}
+		b = append(b, flags)
+		for _, v := range []int{r.Time, r.Finder, r.Survivors, r.Distance} {
+			b = appendInt(b, v)
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.LowerBound))
+	}
 	return b, nil
 }
 
 // UnmarshalBinary restores the state serialized by MarshalBinary. It rejects
-// unknown versions, truncated or trailing bytes, and internally inconsistent
-// states; on error the receiver is left unchanged.
+// unknown versions, truncated or trailing bytes, internally inconsistent
+// counts, a trial log whose length is not min(trials, stats.MergeReplayCap)
+// and log entries with unknown flag bits; on error the receiver is left
+// unchanged.
 func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 	if len(data) < 1 || data[0] != trialAccumulatorStateVersion {
 		return fmt.Errorf("sim: unknown trial-accumulator state version")
@@ -112,13 +149,15 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 	// Fresh sketches only to have non-nil pointers to decode into; DecodeBinary
 	// replaces their state wholesale.
 	dec := TrialAccumulator{times: stats.NewSketch(0), foundTimes: stats.NewSketch(0)}
-	ints := [5]*int{&dec.numAgents, &dec.distance, &dec.trials, &dec.found, &dec.capped}
-	for _, p := range ints {
-		if len(b) < 8 {
-			return fmt.Errorf("sim: truncated trial-accumulator state")
-		}
-		*p = int(int64(binary.LittleEndian.Uint64(b)))
-		b = b[8:]
+	if len(b) < 5*8 {
+		return fmt.Errorf("sim: truncated trial-accumulator state")
+	}
+	for _, p := range []*int{&dec.numAgents, &dec.distance, &dec.trials, &dec.found, &dec.capped} {
+		*p, b = takeInt(b)
+	}
+	if dec.trials < 0 || dec.found < 0 || dec.capped < 0 || dec.found > dec.trials || dec.capped > dec.trials {
+		return fmt.Errorf("sim: inconsistent trial-accumulator state (trials=%d, found=%d, capped=%d)",
+			dec.trials, dec.found, dec.capped)
 	}
 	var err error
 	for _, acc := range []interface {
@@ -128,12 +167,35 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("sim: decode trial-accumulator state: %w", err)
 		}
 	}
+	if len(b) < 8 {
+		return fmt.Errorf("sim: truncated trial-accumulator state")
+	}
+	var n int
+	n, b = takeInt(b)
+	if want := min(dec.trials, stats.MergeReplayCap); n != want {
+		return fmt.Errorf("sim: trial log holds %d results, want %d", n, want)
+	}
+	if n > len(b)/logEntrySize {
+		return fmt.Errorf("sim: truncated trial-accumulator state")
+	}
+	dec.log = make([]Result, n)
+	for i := range dec.log {
+		flags := b[0]
+		if flags&^(logFound|logCapped) != 0 {
+			return fmt.Errorf("sim: trial log entry %d has unknown flags %#x", i, flags)
+		}
+		r := Result{Found: flags&logFound != 0, Capped: flags&logCapped != 0}
+		b = b[1:]
+		r.Time, b = takeInt(b)
+		r.Finder, b = takeInt(b)
+		r.Survivors, b = takeInt(b)
+		r.Distance, b = takeInt(b)
+		r.LowerBound = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		dec.log[i] = r
+	}
 	if len(b) != 0 {
 		return fmt.Errorf("sim: %d trailing bytes after trial-accumulator state", len(b))
-	}
-	if dec.trials < 0 || dec.found < 0 || dec.capped < 0 || dec.found > dec.trials || dec.capped > dec.trials {
-		return fmt.Errorf("sim: inconsistent trial-accumulator state (trials=%d, found=%d, capped=%d)",
-			dec.trials, dec.found, dec.capped)
 	}
 	*a = dec
 	return nil
@@ -144,8 +206,8 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 // [0, trialsDone) are precisely shards [0, s) — or -1 when trialsDone is not
 // a boundary of this plan. A checkpoint written under a different plan (a
 // different worker count) resumes if and only if its prefix aligns with a
-// boundary of the current plan; the aggregate itself is partition-blind (all
-// planned shards fit the replay window), so an aligned resume stays
+// boundary of the current plan; the aggregate itself is partition-blind (a
+// merge replays its shard's trials in order), so an aligned resume stays
 // bit-identical even across plans.
 func alignShard(trials, shards, trialsDone int) int {
 	if trialsDone <= 0 || trialsDone > trials {

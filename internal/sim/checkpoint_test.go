@@ -87,33 +87,53 @@ func TestTrialAccumulatorBinaryRoundTrip(t *testing.T) {
 	t.Parallel()
 
 	rng := rand.New(rand.NewPCG(5, 23))
-	for _, trials := range []int{0, 1, 77, 1500} {
-		a := NewTrialAccumulator(4, 8)
-		for i := 0; i < trials; i++ {
-			found := rng.Float64() < 0.9
-			a.Add(Result{
-				Found: found, Capped: !found,
-				Time:      1 + rng.IntN(500),
-				Survivors: 4, Distance: 8, LowerBound: 24,
-			})
+	result := func(foundP float64, maxTime, survivors int) Result {
+		found := rng.Float64() < foundP
+		return Result{
+			Found: found, Capped: !found,
+			Time: 1 + rng.IntN(maxTime), Finder: rng.IntN(4),
+			Survivors: survivors, Distance: 8, LowerBound: 24,
 		}
+	}
+	marshal := func(a *TrialAccumulator) []byte {
 		data, err := a.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
+		return data
+	}
+	for _, trials := range []int{0, 1, 77, stats.MergeReplayCap, 1500} {
+		a := NewTrialAccumulator(4, 8)
+		for i := 0; i < trials; i++ {
+			a.Add(result(0.9, 500, 4))
+		}
+		data := marshal(a)
 		b := new(TrialAccumulator)
 		if err := b.UnmarshalBinary(data); err != nil {
 			t.Fatalf("trials=%d: %v", trials, err)
 		}
+		if !bytes.Equal(marshal(b), data) {
+			t.Fatalf("trials=%d: decoded accumulator re-encodes differently", trials)
+		}
+		// The trial log round-trips, so the decoded accumulator merges into
+		// another exactly as its original does.
+		if trials <= stats.MergeReplayCap {
+			intoA, intoB := NewTrialAccumulator(4, 8), NewTrialAccumulator(4, 8)
+			for i := 0; i < 5; i++ {
+				r := result(0.5, 500, 4)
+				intoA.Add(r)
+				intoB.Add(r)
+			}
+			intoA.Merge(a)
+			intoB.Merge(b)
+			if !bytes.Equal(marshal(intoB), marshal(intoA)) {
+				t.Fatalf("trials=%d: merging the decoded accumulator differs from merging the original", trials)
+			}
+		}
 		// The decoded accumulator must evolve identically: fold the same
 		// suffix into both and compare the full JSON-rendered aggregates.
 		for i := 0; i < 300; i++ {
-			found := rng.Float64() < 0.8
-			r := Result{
-				Found: found, Capped: !found,
-				Time:      1 + rng.IntN(900),
-				Survivors: 3, Distance: 8, LowerBound: 24,
-			}
+			r := result(0.8, 900, 3)
 			a.Add(r)
 			b.Add(r)
 		}
@@ -126,19 +146,28 @@ func TestTrialAccumulatorBinaryRoundTrip(t *testing.T) {
 func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 	t.Parallel()
 
+	const trials = 20
 	a := NewTrialAccumulator(2, 8)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < trials; i++ {
 		a.Add(Result{Found: true, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
 	}
 	good, err := a.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The trial log closes the state: its count, then one entry per trial.
+	logAt := len(good) - trials*logEntrySize
+	short := append([]byte(nil), good[:len(good)-logEntrySize]...)
+	short[logAt-8]-- // count trials-1, and the last entry gone
+	unknownFlag := append([]byte(nil), good...)
+	unknownFlag[logAt] |= 1 << 2
 	for name, data := range map[string][]byte{
-		"empty":       nil,
-		"bad version": append([]byte{trialAccumulatorStateVersion + 1}, good[1:]...),
-		"truncated":   good[:len(good)-5],
-		"trailing":    append(append([]byte(nil), good...), 0),
+		"empty":               nil,
+		"bad version":         append([]byte{trialAccumulatorStateVersion + 1}, good[1:]...),
+		"truncated":           good[:len(good)-5],
+		"trailing":            append(append([]byte(nil), good...), 0),
+		"log one entry short": short,
+		"unknown flag bit":    unknownFlag,
 	} {
 		b := new(TrialAccumulator)
 		if err := b.UnmarshalBinary(data); err == nil {

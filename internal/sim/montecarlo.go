@@ -173,11 +173,12 @@ func (s TrialStats) LowerBound() float64 {
 }
 
 // TrialAccumulator folds per-trial results into streaming statistics in
-// bounded memory. Accumulators merge deterministically (Merge), which is how
-// the sweep engine combines per-shard partial aggregates. The zero value is
-// not usable; construct with NewTrialAccumulator.
+// bounded memory. It also keeps its first stats.MergeReplayCap results, in
+// trial order, which is what Merge replays: that is how the sweep engine
+// combines per-shard partial aggregates. The zero value is not usable;
+// construct with NewTrialAccumulator.
 //
-//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes encode=MarshalBinary decode=UnmarshalBinary
+//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes,log encode=MarshalBinary decode=UnmarshalBinary
 type TrialAccumulator struct {
 	numAgents int
 	distance  int
@@ -193,6 +194,10 @@ type TrialAccumulator struct {
 
 	times      *stats.Sketch
 	foundTimes *stats.Sketch
+
+	// log holds the first stats.MergeReplayCap results in trial order, so
+	// len(log) == min(trials, stats.MergeReplayCap).
+	log []Result
 }
 
 // NewTrialAccumulator returns an empty accumulator for a configuration with
@@ -209,6 +214,9 @@ func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
 // Add incorporates one trial result.
 func (a *TrialAccumulator) Add(r Result) {
 	a.trials++
+	if len(a.log) < stats.MergeReplayCap {
+		a.log = append(a.log, r)
+	}
 	if r.Found {
 		a.found++
 		a.time.Add(float64(r.Time))
@@ -233,26 +241,20 @@ func (a *TrialAccumulator) Add(r Result) {
 	a.times.Add(float64(r.Time))
 }
 
-// Merge folds another accumulator into a. Merging shard accumulators in
-// shard order reproduces sequential accumulation exactly for counts, min and
-// max at any scale, and bit-identically for means, variances and quantile
-// state whenever every merged-in shard holds at most stats.MergeReplayCap
-// trials (the planner's guarantee): within that window the underlying
-// accumulators and sketches replay their observations in trial order, so the
+// Merge folds another accumulator into a by replaying b's trials through Add,
+// in trial order. Merging shard accumulators in shard order therefore gives
+// exactly the state of one accumulator fed every trial in sequence: the
 // result depends only on the trial sequence, never on where it was cut.
-// Oversized shards fall back to the summary-formula merge, which stays
-// deterministic but partition-dependent in the last bits.
+// Merge panics if b holds more than stats.MergeReplayCap trials, the most it
+// can replay; the shard planner never builds such a shard.
 func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
-	a.trials += b.trials
-	a.found += b.found
-	a.capped += b.capped
-	a.time.Merge(b.time)
-	a.allTime.Merge(b.allTime)
-	a.ratio.Merge(b.ratio)
-	a.survivors.Merge(b.survivors)
-	a.survivorRatio.Merge(b.survivorRatio)
-	a.times.Merge(b.times)
-	a.foundTimes.Merge(b.foundTimes)
+	if b.trials > len(b.log) {
+		panic(fmt.Sprintf("sim: merging an accumulator of %d trials, more than the %d it can replay",
+			b.trials, stats.MergeReplayCap))
+	}
+	for _, r := range b.log {
+		a.Add(r)
+	}
 }
 
 // Stats snapshots the accumulator into a TrialStats value.
@@ -292,18 +294,15 @@ func shardRange(trials, numShards, s int) (lo, hi int) {
 // trials/workers trials per shard with a minimum batch of minShardTrials.
 //
 // Every shard it plans — at every scale — holds at most stats.MergeReplayCap
-// trials. Within that bound the shard accumulators and sketches merge by
-// ordered replay (see stats.Accumulator), so the aggregate is a pure function
-// of the per-trial results in trial order and neither the partition nor the
-// worker count is observable — proven by TestTrialStatsPartitionInvariance
-// and TestStreamingShardInvariance. The shard count is therefore unbounded
+// trials, the most TrialAccumulator.Merge can replay. A merge replays the
+// shard's trials in order, so the aggregate is a pure function of the
+// per-trial results in trial order and neither the partition nor the worker
+// count is observable — proven by TestTrialStatsPartitionInvariance and
+// TestStreamingShardInvariance. The shard count is therefore unbounded
 // (about trials / stats.MergeReplayCap for huge runs); bounding memory is the
 // job of the ordered streaming reduce in MonteCarlo, which keeps only
 // O(workers) shard accumulators in flight no matter how many shards the plan
-// produces. (Historically the planner pinned a fixed 1024-shard partition
-// beyond 2^20 trials to keep a materialized []*TrialAccumulator bounded,
-// which pushed those shards past the replay window and degraded their merge
-// to the partition-dependent summary formulas.)
+// produces.
 func planShards(trials, workers int) int {
 	if trials <= minShardTrials {
 		return 1
@@ -328,32 +327,14 @@ func planShards(trials, workers int) int {
 	if shards < 1 {
 		shards = 1
 	}
-	// Flooring can push the largest shard past the replay window when batch
-	// already sits at the cap (5000 trials, 1 worker: 4 shards of up to
-	// 1250); the cap is a hard bound — it is what keeps the merge
-	// order-preserving — so split further until every shard fits.
+	// Flooring can push the largest shard past the replay cap when batch
+	// already sits at it (5000 trials, 1 worker: 4 shards of up to 1250);
+	// Merge cannot replay such a shard, so split further until every shard
+	// fits.
 	if (trials+shards-1)/shards > stats.MergeReplayCap {
 		shards = (trials + stats.MergeReplayCap - 1) / stats.MergeReplayCap
 	}
 	return shards
-}
-
-// runTrial executes one trial of the configuration. Per-trial randomness is
-// derived from the base seed and the trial index alone, so any sharding of
-// the trial range reproduces identical per-trial results.
-func runTrial(cfg TrialConfig, alg agent.Algorithm, trial int) (Result, error) {
-	placeRNG := xrand.NewStream(cfg.Seed, xrand.PathPlacement, uint64(trial))
-	treasure := cfg.Adversary.Place(trial, placeRNG)
-	inst := Instance{
-		Algorithm: alg,
-		NumAgents: cfg.NumAgents,
-		Treasure:  treasure,
-		Faults:    cfg.Faults,
-	}
-	return Run(inst, Options{
-		Seed:    xrand.DeriveSeed(cfg.Seed, xrand.PathTrial, uint64(trial)),
-		MaxTime: cfg.MaxTime,
-	})
 }
 
 // enginePool recycles engines — their agent slots, heap storage, segment
@@ -370,8 +351,8 @@ var enginePool = sync.Pool{New: func() any { return new(engine) }}
 // place between trials, so the engine-level allocation cost is O(1) per
 // shard, not per trial, and searchers reset in place bring even the searcher
 // allocations down to pool-miss-only. Every trial's
-// randomness still derives from (seed, trial) alone, exactly as in runTrial,
-// so the per-trial results are independent of the sharding.
+// randomness still derives from (seed, trial) alone, so the per-trial results
+// are independent of the sharding.
 func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) (*TrialAccumulator, error) {
 	acc := NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
 	e := enginePool.Get().(*engine)
@@ -400,12 +381,12 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 // contiguous shards by planShards, fanned out over goroutines, and folded by
 // an ordered streaming reduce: shard accumulators are merged into the total
 // in strict shard order the moment they become mergeable, with only
-// O(workers) of them in flight (parallel.ReduceOrdered), so memory is
+// O(workers) of them in flight (parallel.ReduceOrderedFrom), so memory is
 // independent of the trial count — no per-shard slice, let alone a per-trial
 // one, is ever materialized. The aggregation is deterministic and
 // partition-blind at every scale: per-trial randomness derives from
-// (seed, trial) alone, every planned shard fits the stats.MergeReplayCap
-// replay window, and the ordered replay merge makes the aggregate a pure
+// (seed, trial) alone, and each merge replays a shard of at most
+// stats.MergeReplayCap trials in order, which makes the aggregate a pure
 // function of the per-trial results in trial order — identical bit for bit
 // whatever the worker count or shard plan.
 func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
@@ -498,8 +479,8 @@ func (st *foldState) resume() {
 // merge folds one shard accumulator into the running total and drives the
 // progress and checkpoint hooks. Merges arrive serialized in shard order, so
 // the first shard of a fresh run is adopted outright: merging it into an
-// empty accumulator would replay its complete observation log — the exact
-// state it already holds — while re-growing every value slice.
+// empty accumulator would replay its trial log into the exact state it
+// already holds.
 func (st *foldState) merge(acc *TrialAccumulator) {
 	if st.total == nil {
 		st.total = acc
@@ -555,25 +536,4 @@ func (st *foldState) report() {
 		ResumedShards: st.resumed,
 		Stats:         st.total.Stats(),
 	})
-}
-
-// MonteCarloResults runs the trials like MonteCarlo but returns the raw
-// per-trial results (in trial order) instead of an aggregate. Analyses that
-// need joint statistics across configurations use it directly; unlike
-// MonteCarlo it necessarily materializes O(trials) results.
-func MonteCarloResults(ctx context.Context, cfg TrialConfig) ([]Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	alg := cfg.Factory(cfg.NumAgents)
-	if alg == nil {
-		return nil, errors.New("sim: factory returned a nil algorithm")
-	}
-	results, err := parallel.Map(ctx, cfg.Trials, cfg.Workers, func(trial int) (Result, error) {
-		return runTrial(cfg, alg, trial)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: monte carlo: %w", err)
-	}
-	return results, nil
 }

@@ -59,7 +59,7 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 				trials, st, want)
 		}
 
-		// Random contiguous partitions with shards inside the replay window.
+		// Random contiguous partitions into shards Merge can replay.
 		for round := 0; round < 25; round++ {
 			merged := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
 			for lo := 0; lo < trials; {
@@ -80,6 +80,24 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrialAccumulatorMergePanicsPastReplayCap pins Merge's refusal to
+// approximate: a source holding more trials than its log can replay is a
+// programming error, not a merge with a different answer.
+func TestTrialAccumulatorMergePanicsPastReplayCap(t *testing.T) {
+	t.Parallel()
+
+	big := NewTrialAccumulator(1, 4)
+	for i := 0; i <= stats.MergeReplayCap; i++ {
+		big.Add(Result{Found: true, Time: 1 + i%7, Survivors: 1, Distance: 4, LowerBound: 20})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge of a source with MergeReplayCap+1 trials did not panic")
+		}
+	}()
+	NewTrialAccumulator(1, 4).Merge(big)
 }
 
 // TestPlanShardsInvariants pins the planner's contract over a spread of
@@ -112,7 +130,7 @@ func TestPlanShardsInvariants(t *testing.T) {
 				}
 			}
 			if maxSize > stats.MergeReplayCap {
-				t.Errorf("trials=%d workers=%d: shard of %d trials exceeds the replay window %d",
+				t.Errorf("trials=%d workers=%d: shard of %d trials exceeds the replay cap %d",
 					trials, workers, maxSize, stats.MergeReplayCap)
 			}
 			wantMin := minShardTrials
@@ -126,7 +144,7 @@ func TestPlanShardsInvariants(t *testing.T) {
 		}
 	}
 	// Beyond the historical 1024-shard pin the planner must keep splitting:
-	// enough shards that every one fits the replay window, never a capped
+	// enough shards that every one fits the replay cap, never a capped
 	// count that would force shards past it.
 	beyond := 1024*stats.MergeReplayCap + 1
 	for _, workers := range workersList {

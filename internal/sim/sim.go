@@ -864,12 +864,3 @@ func exactSegFaulty(st *agentState, seg trajectory.Seg, treasure grid.Point, bud
 	st.pos = seg.End()
 	return stepOutcome{hit: -1}, nil
 }
-
-// Speedup returns the ratio T1/Tk given the two measured times, guarding
-// against division by zero.
-func Speedup(t1, tk float64) float64 {
-	if tk <= 0 {
-		return math.Inf(1)
-	}
-	return t1 / tk
-}

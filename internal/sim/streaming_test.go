@@ -184,10 +184,10 @@ func TestStreamingShardInvariance(t *testing.T) {
 
 // TestStreamingBeyondReplayPinWorkerInvariance crosses the 2^20-trial
 // boundary where the planner historically pinned a fixed 1024-shard partition
-// (forcing shards past the replay window and the merge onto the
-// partition-dependent summary formulas). With the ordered streaming reduce
-// the plan exceeds 1024 shards, every shard stays replay-exact, and the
-// aggregate must be bit-identical across worker counts even at this scale.
+// (forcing shards past the 1024 trials a merge can replay). With the ordered
+// streaming reduce the plan exceeds 1024 shards, every shard stays
+// replay-exact, and the aggregate must be bit-identical across worker counts
+// even at this scale.
 // The single-spiral baseline with one agent and a tiny cap keeps the >10^6
 // engine runs cheap: the deterministic searcher either hits the near treasure
 // on the first spiral arm or parks at the cap within a few segments.

@@ -18,7 +18,7 @@ import (
 
 // accumulatorStateVersion guards the Accumulator wire form; bump on any
 // change to the field set or ordering below.
-const accumulatorStateVersion = 1
+const accumulatorStateVersion = 2
 
 // sketchStateVersion guards the Sketch (and embedded P²) wire form.
 const sketchStateVersion = 1
@@ -79,28 +79,22 @@ func takeF64s(b []byte, maxLen int) ([]float64, []byte, error) {
 	return vs, b, nil
 }
 
-// AppendBinary appends the accumulator's complete internal state — counts,
-// Welford terms, extremes, the replay log and the DisableReplay flag — to b
-// and returns the extended slice. DecodeBinary reverses it exactly.
+// AppendBinary appends the accumulator's complete internal state — count,
+// Welford terms and extremes — to b and returns the extended slice.
+// DecodeBinary reverses it exactly.
 func (a *Accumulator) AppendBinary(b []byte) []byte {
 	b = append(b, accumulatorStateVersion)
 	b = appendI64(b, a.n)
 	b = appendF64(b, a.mean)
 	b = appendF64(b, a.m2)
 	b = appendF64(b, a.min)
-	b = appendF64(b, a.max)
-	flag := byte(0)
-	if a.noReplay {
-		flag = 1
-	}
-	b = append(b, flag)
-	return appendF64s(b, a.log)
+	return appendF64(b, a.max)
 }
 
 // DecodeBinary replaces a's state with the one serialized at the front of b
 // and returns the unconsumed remainder. The decoded accumulator is
-// bit-identical to the one AppendBinary saw: continuing to Add or Merge into
-// it produces exactly the states the original would have produced.
+// bit-identical to the one AppendBinary saw: continuing to Add into it
+// produces exactly the states the original would have produced.
 func (a *Accumulator) DecodeBinary(b []byte) ([]byte, error) {
 	if len(b) < 1 || b[0] != accumulatorStateVersion {
 		return nil, fmt.Errorf("stats: unknown accumulator state version")
@@ -111,28 +105,13 @@ func (a *Accumulator) DecodeBinary(b []byte) ([]byte, error) {
 	if dec.n, b, err = takeI64(b); err != nil {
 		return nil, err
 	}
-	if dec.mean, b, err = takeF64(b); err != nil {
-		return nil, err
+	for _, f := range []*float64{&dec.mean, &dec.m2, &dec.min, &dec.max} {
+		if *f, b, err = takeF64(b); err != nil {
+			return nil, err
+		}
 	}
-	if dec.m2, b, err = takeF64(b); err != nil {
-		return nil, err
-	}
-	if dec.min, b, err = takeF64(b); err != nil {
-		return nil, err
-	}
-	if dec.max, b, err = takeF64(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("stats: truncated binary state")
-	}
-	dec.noReplay = b[0] != 0
-	b = b[1:]
-	if dec.log, b, err = takeF64s(b, MergeReplayCap); err != nil {
-		return nil, err
-	}
-	if dec.n < 0 || len(dec.log) > dec.n {
-		return nil, fmt.Errorf("stats: inconsistent accumulator state (n=%d, log=%d)", dec.n, len(dec.log))
+	if dec.n < 0 {
+		return nil, fmt.Errorf("stats: inconsistent accumulator state (n=%d)", dec.n)
 	}
 	*a = dec
 	return b, nil
@@ -215,8 +194,8 @@ func (s *Sketch) AppendBinary(b []byte) []byte {
 }
 
 // DecodeBinary replaces s's state with the one serialized at the front of b
-// and returns the unconsumed remainder; the decoded sketch observes, merges
-// and summarises bit-identically to the original from here on.
+// and returns the unconsumed remainder; the decoded sketch observes and
+// summarises bit-identically to the original from here on.
 func (s *Sketch) DecodeBinary(b []byte) ([]byte, error) {
 	if len(b) < 1 || b[0] != sketchStateVersion {
 		return nil, fmt.Errorf("stats: unknown sketch state version")
@@ -241,6 +220,14 @@ func (s *Sketch) DecodeBinary(b []byte) ([]byte, error) {
 	if dec.tracked, b, err = takeF64s(b, 64); err != nil {
 		return nil, err
 	}
+	for i, q := range dec.tracked {
+		// Leaving exact mode builds one P² estimator per tracked quantile,
+		// which needs q in (0, 1), and Summary interpolates between them in
+		// order.
+		if !(q > 0 && q < 1) || (i > 0 && q <= dec.tracked[i-1]) {
+			return nil, fmt.Errorf("stats: invalid tracked quantiles %v", dec.tracked)
+		}
+	}
 	if len(b) < 1 {
 		return nil, fmt.Errorf("stats: truncated binary state")
 	}
@@ -248,23 +235,35 @@ func (s *Sketch) DecodeBinary(b []byte) ([]byte, error) {
 	b = b[1:]
 	switch mode {
 	case 0:
-		if dec.samples, b, err = takeF64s(b, dec.cap+1); err != nil {
+		// Exact mode buffers every observation, at most cap of them.
+		if dec.samples, b, err = takeF64s(b, dec.cap); err != nil {
 			return nil, err
 		}
+		if len(dec.samples) != dec.n {
+			return nil, fmt.Errorf("stats: inconsistent sketch state (n=%d, %d samples)", dec.n, len(dec.samples))
+		}
 	case 1:
+		// Estimation mode starts at cap+1 observations, and every estimator
+		// has seen all of them.
+		if dec.n <= dec.cap {
+			return nil, fmt.Errorf("stats: inconsistent sketch state (cap=%d, n=%d)", dec.cap, dec.n)
+		}
 		dec.est = make([]*P2, len(dec.tracked))
 		for i := range dec.est {
 			e := new(P2)
 			if b, err = e.decodeBinary(b); err != nil {
 				return nil, err
 			}
+			if e.q != dec.tracked[i] || e.count != dec.n {
+				return nil, fmt.Errorf("stats: P2 estimator %d does not match its sketch", i)
+			}
 			dec.est[i] = e
 		}
 	default:
 		return nil, fmt.Errorf("stats: unknown sketch mode %d", mode)
 	}
-	if dec.cap < 4 || dec.n < 0 || len(dec.samples) > dec.n {
-		return nil, fmt.Errorf("stats: inconsistent sketch state (cap=%d, n=%d)", dec.cap, dec.n)
+	if dec.cap < 4 {
+		return nil, fmt.Errorf("stats: inconsistent sketch state (cap=%d)", dec.cap)
 	}
 	*s = dec
 	return b, nil

@@ -134,11 +134,7 @@ func (p *P2) Value() float64 {
 // raw data, so small runs reproduce the pre-streaming aggregation
 // bit-for-bit); past the cap it switches to one P² estimator per tracked
 // quantile and stays at constant size no matter how many observations follow.
-//
-// Sketches merge deterministically: folding the same sketches in the same
-// order always produces the same state, and merging exact-mode sketches whose
-// total stays under the cap is equivalent to observing the concatenated
-// samples. The zero value is not usable; construct with NewSketch.
+// The zero value is not usable; construct with NewSketch.
 //
 //antlint:codec version=sketchStateVersion fields=cap,tracked,samples,est,n,min,max encode=AppendBinary decode=DecodeBinary
 type Sketch struct {
@@ -153,9 +149,8 @@ type Sketch struct {
 
 // NewSketch returns a sketch that is exact up to cap observations (0 means
 // DefaultSketchCap) and tracks a default spread of quantiles beyond it. The
-// cap is clamped to at least 4: switching to estimation replays cap+1
-// buffered samples, and every P² estimator needs five observations to leave
-// its warm-up — a precondition mergeWeighted relies on.
+// cap is clamped to at least 4, so switching to estimation replays at least
+// five buffered samples: every P² estimator leaves its warm-up at once.
 func NewSketch(cap int) *Sketch {
 	if cap <= 0 {
 		cap = DefaultSketchCap
@@ -210,92 +205,6 @@ func (s *Sketch) estimate() {
 		}
 	}
 	s.samples = nil
-}
-
-// Merge folds another sketch into s, deterministically. Exact-mode inputs
-// merge by concatenating samples (still exact while the total fits the cap);
-// once either side estimates, the exact side's samples are replayed into the
-// estimators and estimator pairs combine by count-weighted marker averaging,
-// an approximation that stays within P²'s usual accuracy in practice.
-//
-// While every merged-in sketch is itself still exact (its own stream fits the
-// cap), merging in stream order is bit-identical to observing the
-// concatenated stream with Add — even when the destination has long since
-// switched to estimation: the destination sees exactly the same ordered
-// sequence of sample insertions either way. The result then depends only on
-// observation order, never on how the stream was partitioned into sketches
-// (see TestSketchPartitionInvariance); this is the property that lets the
-// sweep engine batch trials into shards of up to DefaultSketchCap trials
-// without perturbing a single output bit.
-func (s *Sketch) Merge(b *Sketch) {
-	if b == nil || b.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.min, s.max = b.min, b.max
-	} else {
-		s.min = math.Min(s.min, b.min)
-		s.max = math.Max(s.max, b.max)
-	}
-	s.n += b.n
-
-	switch {
-	case s.est == nil && b.est == nil:
-		s.samples = append(s.samples, b.samples...)
-		if len(s.samples) > s.cap {
-			s.estimate()
-		}
-	case s.est != nil && b.est == nil:
-		for _, x := range b.samples {
-			for _, e := range s.est {
-				e.Add(x)
-			}
-		}
-	case s.est == nil && b.est != nil:
-		samples := s.samples
-		s.samples = nil
-		s.est = make([]*P2, len(b.est))
-		for i, e := range b.est {
-			clone := *e
-			s.est[i] = &clone
-		}
-		for _, x := range samples {
-			for _, e := range s.est {
-				e.Add(x)
-			}
-		}
-	default:
-		for i, e := range s.est {
-			e.mergeWeighted(b.est[i])
-		}
-	}
-}
-
-// mergeWeighted combines another P² estimator for the same quantile into p by
-// count-weighted averaging of the marker heights. Both estimators must have
-// left their five-observation warm-up (the sketch cap guarantees that).
-func (p *P2) mergeWeighted(b *P2) {
-	if b.count == 0 {
-		return
-	}
-	if p.count == 0 {
-		*p = *b
-		return
-	}
-	// The extreme markers track the true min/max; capture them before the
-	// averaging loop overwrites them.
-	lo := math.Min(p.heights[0], b.heights[0])
-	hi := math.Max(p.heights[4], b.heights[4])
-	wa := float64(p.count) / float64(p.count+b.count)
-	wb := 1 - wa
-	for i := range p.heights {
-		p.heights[i] = wa*p.heights[i] + wb*b.heights[i]
-		p.n[i] += b.n[i]
-		p.np[i] += b.np[i]
-	}
-	p.heights[0] = lo
-	p.heights[4] = hi
-	p.count += b.count
 }
 
 // Quantile returns the q-quantile. In exact mode it equals Quantile over the

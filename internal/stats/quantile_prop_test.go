@@ -14,8 +14,7 @@ import (
 //   - marker positions stay strictly increasing, with n[0] pinned to the
 //     first observation and n[4] to the last;
 //   - the estimate stays inside the observed [min, max];
-//   - sketch quantiles stay monotone in q, in exact mode, past the cap, and
-//     under the sharded merges the sweep engine performs.
+//   - sketch quantiles stay monotone in q, in exact mode and past the cap.
 
 // propStreams enumerates the adversarial input orderings, deterministically.
 func propStreams(n int) map[string][]float64 {
@@ -105,65 +104,26 @@ func TestSketchQuantileSanityUnderAdversarialStreams(t *testing.T) {
 	t.Parallel()
 
 	// 6000 observations push every stream well past the exact cap (1024), so
-	// this exercises the P²-estimation mode, and a 500-observation sharding
-	// exercises the engine's merge path (exact shards folded into an
-	// estimating total).
-	const shard = 500
+	// this exercises the P²-estimation mode.
 	for name, s := range propStreams(6000) {
-		direct := NewSketch(0)
+		sk := NewSketch(0)
 		for _, x := range s {
-			direct.Add(x)
+			sk.Add(x)
 		}
-		merged := NewSketch(0)
-		for lo := 0; lo < len(s); lo += shard {
-			part := NewSketch(0)
-			for _, x := range s[lo : lo+shard] {
-				part.Add(x)
+		if sk.Exact() {
+			t.Fatalf("%s: sketch unexpectedly still exact after %d observations", name, len(s))
+		}
+		sum := sk.Summary()
+		prev := sum.Min
+		for _, q := range []float64{0, 0.05, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1} {
+			v := sum.Quantile(q)
+			if v < sum.Min || v > sum.Max {
+				t.Errorf("%s q=%v: %v outside [%v, %v]", name, q, v, sum.Min, sum.Max)
 			}
-			merged.Merge(part)
-		}
-		for mode, sk := range map[string]*Sketch{"direct": direct, "merged": merged} {
-			if sk.Exact() {
-				t.Fatalf("%s/%s: sketch unexpectedly still exact after %d observations",
-					name, mode, len(s))
+			if v < prev-1e-9 {
+				t.Errorf("%s q=%v: quantiles non-monotone (%v after %v)", name, q, v, prev)
 			}
-			sum := sk.Summary()
-			prev := sum.Min
-			for _, q := range []float64{0, 0.05, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1} {
-				v := sum.Quantile(q)
-				if v < sum.Min || v > sum.Max {
-					t.Errorf("%s/%s q=%v: %v outside [%v, %v]", name, mode, q, v, sum.Min, sum.Max)
-				}
-				if v < prev-1e-9 {
-					t.Errorf("%s/%s q=%v: quantiles non-monotone (%v after %v)", name, mode, q, v, prev)
-				}
-				prev = v
-			}
-		}
-	}
-}
-
-// TestTinyCapSketchMergeStaysSane covers the clamped-cap guarantee: a cap
-// below the P² warm-up threshold is raised to 4, so merging two sketches
-// that both left exact mode never averages half-initialised marker state.
-func TestTinyCapSketchMergeStaysSane(t *testing.T) {
-	t.Parallel()
-
-	for _, cap := range []int{1, 2, 3, 4} {
-		a, b := NewSketch(cap), NewSketch(cap)
-		for i := 0; i < 50; i++ {
-			a.Add(float64(i))
-			b.Add(float64(100 + i))
-		}
-		a.Merge(b)
-		sum := a.Summary()
-		if sum.N != 100 || sum.Min != 0 || sum.Max != 149 {
-			t.Fatalf("cap %d: merged summary header = %+v", cap, sum)
-		}
-		for _, q := range []float64{0.05, 0.5, 0.95} {
-			if v := sum.Quantile(q); v < sum.Min || v > sum.Max {
-				t.Errorf("cap %d: Quantile(%v) = %v outside [%v, %v]", cap, q, v, sum.Min, sum.Max)
-			}
+			prev = v
 		}
 	}
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -117,144 +116,11 @@ func TestSketchEstimationModeAccuracy(t *testing.T) {
 	}
 }
 
-func TestSketchMergeExactIsConcatenation(t *testing.T) {
-	t.Parallel()
-
-	full := NewSketch(512)
-	a, b := NewSketch(512), NewSketch(512)
-	g := lcg(5)
-	for i := 0; i < 300; i++ {
-		x := g.next()
-		full.Add(x)
-		if i < 120 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.N() != full.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), full.N())
-	}
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		if got, want := a.Quantile(q), full.Quantile(q); got != want {
-			t.Errorf("merged Quantile(%v) = %v, want %v", q, got, want)
-		}
-	}
-}
-
-func TestSketchMergeMixedModes(t *testing.T) {
-	t.Parallel()
-
-	// Shard-style usage: many exact shards merged into an estimating total.
-	g := lcg(13)
-	const shards, perShard = 40, 500
-	total := NewSketch(1024)
-	var exactMedianData []float64
-	for s := 0; s < shards; s++ {
-		sh := NewSketch(1024)
-		for i := 0; i < perShard; i++ {
-			x := g.next()
-			sh.Add(x)
-			exactMedianData = append(exactMedianData, x)
-		}
-		total.Merge(sh)
-	}
-	if total.N() != shards*perShard {
-		t.Fatalf("N = %d, want %d", total.N(), shards*perShard)
-	}
-	want := Median(exactMedianData)
-	if got := total.Quantile(0.5); math.Abs(got-want) > 0.03 {
-		t.Errorf("merged median = %v, want within 0.03 of %v", got, want)
-	}
-}
-
-func TestSketchMergeDeterministic(t *testing.T) {
-	t.Parallel()
-
-	build := func() *Sketch {
-		g := lcg(17)
-		total := NewSketch(64)
-		for s := 0; s < 10; s++ {
-			sh := NewSketch(64)
-			for i := 0; i < 100; i++ {
-				sh.Add(g.next())
-			}
-			total.Merge(sh)
-		}
-		return total
-	}
-	a, b := build(), build()
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Errorf("merge is not deterministic at q=%v: %v vs %v", q, a.Quantile(q), b.Quantile(q))
-		}
-	}
-}
-
 func TestQuantileSummaryEmpty(t *testing.T) {
 	t.Parallel()
 
 	var sum QuantileSummary
 	if sum.Quantile(0.5) != 0 || sum.Median() != 0 {
 		t.Error("empty summary should answer 0")
-	}
-}
-
-func TestAccumulatorMergeMatchesSequential(t *testing.T) {
-	t.Parallel()
-
-	g := lcg(23)
-	var data []float64
-	for i := 0; i < 1000; i++ {
-		data = append(data, g.next()*100)
-	}
-
-	var seq Accumulator
-	for _, x := range data {
-		seq.Add(x)
-	}
-
-	// Singleton merges replay Add and must be bit-identical.
-	var single Accumulator
-	for _, x := range data {
-		var one Accumulator
-		one.Add(x)
-		single.Merge(one)
-	}
-	if !reflect.DeepEqual(single, seq) {
-		t.Errorf("singleton merge differs from sequential:\n%+v\n%+v", single, seq)
-	}
-
-	// Batched merges agree within floating-point merge error.
-	var batched Accumulator
-	for lo := 0; lo < len(data); lo += 64 {
-		hi := min(lo+64, len(data))
-		var part Accumulator
-		for _, x := range data[lo:hi] {
-			part.Add(x)
-		}
-		batched.Merge(part)
-	}
-	if batched.N() != seq.N() || batched.Min() != seq.Min() || batched.Max() != seq.Max() {
-		t.Errorf("batched merge counts/extremes differ: %+v vs %+v", batched, seq)
-	}
-	if math.Abs(batched.Mean()-seq.Mean()) > 1e-9*math.Abs(seq.Mean()) {
-		t.Errorf("batched mean %v differs from sequential %v", batched.Mean(), seq.Mean())
-	}
-	if math.Abs(batched.Variance()-seq.Variance()) > 1e-9*seq.Variance() {
-		t.Errorf("batched variance %v differs from sequential %v", batched.Variance(), seq.Variance())
-	}
-
-	// Merging into an empty accumulator copies.
-	var empty Accumulator
-	empty.Merge(seq)
-	if !reflect.DeepEqual(empty, seq) {
-		t.Error("merging into an empty accumulator should copy")
-	}
-	before := seq
-	seq.Merge(Accumulator{})
-	if !reflect.DeepEqual(seq, before) {
-		t.Error("merging an empty accumulator should be a no-op")
 	}
 }

@@ -44,9 +44,3 @@ func (s *Stream) HarmonicPoint(delta float64) grid.Point {
 	r := s.PowerLawRadius(delta)
 	return grid.RingPoint(r, s.IntN(grid.RingSize(r)))
 }
-
-// HarmonicNormalizer returns the constant c of the harmonic distribution for
-// the given delta: c = 1/Σ_{u≠s} d(u)^-(2+delta) = 1/(4·ζ(1+delta)).
-func HarmonicNormalizer(delta float64) float64 {
-	return 1 / (4 * Zeta(1+delta))
-}

@@ -242,22 +242,3 @@ func (s *Stream) GeometricTrials(p float64) int {
 	}
 	return 1 + int(math.Floor(math.Log(u)/math.Log(1-p)))
 }
-
-// Zeta returns the Riemann zeta function ζ(x) for x > 1, computed by direct
-// summation with an integral tail correction. The experiments use it to
-// compute the normalising constant of the harmonic distribution,
-// c = 1/(4·ζ(1+δ)).
-func Zeta(x float64) float64 {
-	if x <= 1 {
-		return math.Inf(1)
-	}
-	const terms = 1 << 14
-	sum := 0.0
-	for n := 1; n <= terms; n++ {
-		sum += math.Pow(float64(n), -x)
-	}
-	// Euler–Maclaurin tail: ∫_{terms}^∞ t^-x dt + ½·terms^-x.
-	t := float64(terms)
-	sum += math.Pow(t, 1-x)/(x-1) + 0.5*math.Pow(t, -x)
-	return sum
-}

@@ -205,7 +205,7 @@ func TestPowerLawRadiusDistribution(t *testing.T) {
 	}
 	// Compare the empirical mass of small radii against the exact values
 	// r^-(1+δ)/ζ(1+δ).
-	z := Zeta(1 + delta)
+	z := zeta(1 + delta)
 	for r := 1; r <= 4; r++ {
 		want := math.Pow(float64(r), -(1+delta)) / z
 		got := float64(counts[r]) / n
@@ -260,7 +260,7 @@ func TestHarmonicPointDistribution(t *testing.T) {
 	}
 	// Check the four distance-1 nodes: each should have probability
 	// c/1^(2+δ) = c where c = 1/(4ζ(1+δ)).
-	c := HarmonicNormalizer(delta)
+	c := harmonicNormalizer(delta)
 	for _, p := range []grid.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}} {
 		got := float64(counts[p]) / n
 		if math.Abs(got-c) > 0.02 {
@@ -279,6 +279,25 @@ func TestHarmonicPointDistribution(t *testing.T) {
 	}
 }
 
+// zeta returns the Riemann zeta function ζ(x) for x > 1, computed by direct
+// summation with an integral tail correction: the normalising constant of the
+// harmonic distribution, c = 1/(4·ζ(1+δ)), that the sampler tests compare
+// against.
+func zeta(x float64) float64 {
+	if x <= 1 {
+		return math.Inf(1)
+	}
+	const terms = 1 << 14
+	sum := 0.0
+	for n := 1; n <= terms; n++ {
+		sum += math.Pow(float64(n), -x)
+	}
+	// Euler–Maclaurin tail: ∫_{terms}^∞ t^-x dt + ½·terms^-x.
+	t := float64(terms)
+	sum += math.Pow(t, 1-x)/(x-1) + 0.5*math.Pow(t, -x)
+	return sum
+}
+
 func TestZeta(t *testing.T) {
 	t.Parallel()
 
@@ -292,16 +311,23 @@ func TestZeta(t *testing.T) {
 		{3, 1.202057},
 	}
 	for _, tc := range tests {
-		if got := Zeta(tc.x); math.Abs(got-tc.want) > 1e-3 {
-			t.Errorf("Zeta(%.2f) = %.6f, want %.6f", tc.x, got, tc.want)
+		if got := zeta(tc.x); math.Abs(got-tc.want) > 1e-3 {
+			t.Errorf("zeta(%.2f) = %.6f, want %.6f", tc.x, got, tc.want)
 		}
 	}
-	if !math.IsInf(Zeta(1), 1) {
-		t.Error("Zeta(1) should be +Inf")
+	if !math.IsInf(zeta(1), 1) {
+		t.Error("zeta(1) should be +Inf")
 	}
-	if !math.IsInf(Zeta(0.5), 1) {
-		t.Error("Zeta(0.5) should be +Inf")
+	if !math.IsInf(zeta(0.5), 1) {
+		t.Error("zeta(0.5) should be +Inf")
 	}
+}
+
+// harmonicNormalizer returns the constant c of the harmonic distribution for
+// the given delta: c = 1/Σ_{u≠s} d(u)^-(2+delta) = 1/(4·ζ(1+delta)). It is
+// the reference HarmonicPoint's sampled masses are checked against.
+func harmonicNormalizer(delta float64) float64 {
+	return 1 / (4 * zeta(1+delta))
 }
 
 func TestHarmonicNormalizer(t *testing.T) {
@@ -314,8 +340,8 @@ func TestHarmonicNormalizer(t *testing.T) {
 		sum += float64(grid.RingSize(r)) * math.Pow(float64(r), -(2+delta))
 	}
 	direct := 1 / sum
-	if got := HarmonicNormalizer(delta); math.Abs(got-direct)/direct > 0.02 {
-		t.Errorf("HarmonicNormalizer(%.1f) = %.5f, direct sum gives %.5f", delta, got, direct)
+	if got := harmonicNormalizer(delta); math.Abs(got-direct)/direct > 0.02 {
+		t.Errorf("harmonicNormalizer(%.1f) = %.5f, direct sum gives %.5f", delta, got, direct)
 	}
 }
 
