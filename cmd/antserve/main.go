@@ -45,7 +45,8 @@
 //
 // -max-cells caps a /sweep grid. The server counts a grid's cells before it
 // builds any, and it reads at most 64 KiB plus 64 bytes per allowed cell of
-// a request body; either limit exceeded answers 413.
+// a request body; either limit exceeded answers 413, and so does any
+// explicit k above 65,536.
 //
 // -max-inflight-sweeps is the admission-control valve: with a positive
 // value, at most that many /sweep requests compute concurrently and the
@@ -132,7 +133,7 @@ func run(args []string, logw io.Writer) error {
 		maxInflight  = fs.Int("max-inflight-sweeps", 0, "maximum /sweep requests computing concurrently; excess is shed with 503 (0 = unlimited)")
 		storeDir     = fs.String("store-dir", "", "directory for the durable result store (empty = memory-only cache)")
 		fsyncAppends = fs.Bool("fsync-appends", false, "fsync the store log after every appended cell, surviving OS crashes and power loss (needs -store-dir)")
-		snapInterval = fs.Duration("snapshot-interval", 5*time.Minute, "how often to compact the store (0 = only on shutdown; needs -store-dir)")
+		snapInterval = fs.Duration("snapshot-interval", 5*time.Minute, "how often to compact the result store and the checkpoint tier (0 = only on shutdown; needs -store-dir or -checkpoint-dir)")
 		ckptDir      = fs.String("checkpoint-dir", "", "directory for mid-cell checkpoints, making mega-cells crash-resumable (empty = disabled; may equal -store-dir)")
 		ckptEvery    = fs.Int("checkpoint-every", 0, "shards between persisted checkpoints (0 = engine default; needs -checkpoint-dir)")
 		debugAddr    = fs.String("debug-addr", "", "listen address for net/http/pprof (empty = disabled)")
@@ -146,8 +147,8 @@ func run(args []string, logw io.Writer) error {
 	if *snapInterval < 0 {
 		return fmt.Errorf("-snapshot-interval must be >= 0 (0 = only on shutdown), got %v", *snapInterval)
 	}
-	if *snapInterval > 0 && *storeDir == "" && snapIntervalSet(fs) {
-		return fmt.Errorf("-snapshot-interval needs -store-dir")
+	if *snapInterval > 0 && *storeDir == "" && *ckptDir == "" && snapIntervalSet(fs) {
+		return fmt.Errorf("-snapshot-interval needs -store-dir or -checkpoint-dir")
 	}
 	if *fsyncAppends && *storeDir == "" {
 		return fmt.Errorf("-fsync-appends needs -store-dir")
@@ -311,8 +312,8 @@ func (s *server) beat(logw io.Writer) {
 
 // snapIntervalSet reports whether -snapshot-interval was given explicitly on
 // the command line (as opposed to carrying its default), so a value without
-// -store-dir can be rejected as a misconfiguration while the default stays
-// harmless.
+// either store directory can be rejected as a misconfiguration while the
+// default stays harmless.
 func snapIntervalSet(fs *flag.FlagSet) bool {
 	set := false
 	fs.Visit(func(f *flag.Flag) {
@@ -592,6 +593,13 @@ func (sw *streamWriter) write(row any) bool {
 	return true
 }
 
+// maxSweepK is the largest explicit k a /sweep request may ask for. The
+// engine holds about 600 bytes of state per agent for every cell in flight,
+// so an unbounded k lets one small request demand any amount of memory (or
+// panic a worker goroutine outright). 65,536 agents is 64 times the largest
+// k any experiment sweeps, about 40 MB of engine state per cell in flight.
+const maxSweepK = 1 << 16
+
 // maxSweepBody bounds a /sweep body for a server that accepts grids of at
 // most maxCells cells. Such a grid lists at most maxCells scenarios, ks or
 // ds, so 64 bytes per cell (a number or a scenario name, with generous
@@ -628,6 +636,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			"grid expands to %d cells, the server accepts at most %d per request",
 			size, s.cfg.MaxCells)
 		return
+	}
+	for _, k := range grid.Ks {
+		if k > maxSweepK {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				"k=%d exceeds the largest k the server simulates, %d", k, maxSweepK)
+			return
+		}
 	}
 	cells, err := grid.Cells()
 	if err != nil {

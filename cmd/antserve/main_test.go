@@ -286,12 +286,7 @@ func TestSweepRejectsHugeGridBeforeExpanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.cache.Close() })
-	var vals []string
-	for v := 1; v <= 2000; v++ {
-		vals = append(vals, strconv.Itoa(v))
-	}
-	list := strings.Join(vals, ",")
-	body := `{"scenarios": ["known-k"], "ks": [` + list + `], "ds": [` + list + `], "trials": 1}`
+	body := hugeGridBody()
 	handler := srv.routes()
 
 	var before, after runtime.MemStats
@@ -584,6 +579,117 @@ func TestServeRestartServesFromStore(t *testing.T) {
 	}
 }
 
+// hugeGridBody is a 17.8 KB body naming 2000 ks and 2000 ds: a grid of
+// 4,000,000 cells.
+func hugeGridBody() string {
+	var vals []string
+	for v := 1; v <= 2000; v++ {
+		vals = append(vals, strconv.Itoa(v))
+	}
+	list := strings.Join(vals, ",")
+	return `{"scenarios": ["known-k"], "ks": [` + list + `], "ds": [` + list + `], "trials": 1}`
+}
+
+// hugeKBody asks for a k whose engine state could never be allocated: run
+// for real, it panics a worker goroutine with a makeslice error and takes the
+// process down. Only ever send it under a cancelled request context.
+const hugeKBody = `{"scenarios":["known-k"],"ks":[4611686018427387904],"ds":[1],"trials":1}`
+
+// TestSweepRejectsHugeK pins the k bound: an explicit k past maxSweepK is
+// answered 413 before any cell is built. The request context is cancelled
+// up front, so a handler that admitted the grid would answer 200 and abandon
+// the sweep without ever reaching the engine.
+func TestSweepRejectsHugeK(t *testing.T) {
+	t.Parallel()
+
+	srv, err := newServer(serverConfig{CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.cache.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{hugeKBody, http.StatusRequestEntityTooLarge},
+		{`{"scenarios":["known-k"],"ks":[4,65537],"ds":[1],"trials":1}`, http.StatusRequestEntityTooLarge},
+		{`{"scenarios":["known-k"],"ks":[65536],"ds":[1],"trials":1}`, http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(tc.body)).WithContext(ctx)
+		srv.routes().ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d: %s", tc.body, rec.Code, tc.status, rec.Body)
+		}
+	}
+}
+
+// FuzzSweepRequest sends arbitrary bytes as a /sweep body to one small
+// server. The request context is cancelled before the handler runs, so
+// decoding, the body cap, the cell count, the k bound and grid expansion run
+// in full while no cell computes. The handler must answer 200, 400 or 413 —
+// never panic, never 5xx — and may answer 200 only for a body that decodes
+// to at most MaxCells cells with every k within maxSweepK.
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range []string{
+		// The CI smoke bodies.
+		`{"scenarios": ["known-k", "uniform"], "ks": [1, 4], "ds": [8], "trials": 8, "seed": 1, "params": {"epsilon": 0.5}}`,
+		`{"scenarios": ["known-k"], "ks": [4], "ds": [8], "trials": 8, "seed": 1, "params": {"crash_prob": 0.5, "crash_by": 8}}`,
+		`{"scenarios": ["known-k"], "ks": [4], "ds": [64], "trials": 524288, "seed": 7}`,
+		`{"scenarios": ["known-k"], "ks": [1], "ds": [128], "trials": 50000000, "seed": 9}`,
+		// The TestSweepErrors bodies.
+		`{`,
+		`{"bogus": 1}`,
+		`{"scenarios": ["nope"], "ks": [1], "ds": [4], "trials": 1}`,
+		`{"scenarios": ["known-k"], "ks": [0], "ds": [4], "trials": 1}`,
+		`{"scenarios": ["known-k"], "ks": [1], "ds": [-4], "trials": 1}`,
+		`{"scenarios": ["known-d"], "ks": [1], "ds": [4, 8], "trials": 1, "params": {"d": 4}}`,
+		`{"scenarios": ["known-k"], "ks": [1, 2], "ds": [4, 8], "trials": 1}`,
+		// A grid of 4,000,000 cells, and a k no engine could hold.
+		hugeGridBody(),
+		hugeKBody,
+	} {
+		f.Add([]byte(body))
+	}
+	const maxCells = 64
+	srv, err := newServer(serverConfig{CacheSize: 16, MaxCells: maxCells})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.cache.Close() })
+	handler := srv.routes()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)).WithContext(ctx)
+		handler.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var sr sweepRequest
+		if err := dec.Decode(&sr); err != nil {
+			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
+		}
+		if size, err := sr.grid().Size(); err != nil || size > maxCells {
+			t.Fatalf("200 for a grid of %d cells (%v), more than %d: %q", size, err, maxCells, body)
+		}
+		for _, k := range sr.Ks {
+			if k > maxSweepK {
+				t.Fatalf("200 for k=%d past the bound %d: %q", k, maxSweepK, body)
+			}
+		}
+	})
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	t.Parallel()
 
@@ -601,6 +707,15 @@ func TestRunFlagValidation(t *testing.T) {
 		if err := run(args, &logw); err == nil {
 			t.Errorf("args %v: expected an error", args)
 		}
+	}
+
+	// An explicit interval with only -checkpoint-dir passes validation: the
+	// beat compacts the checkpoint tier too. The unusable address then
+	// fails the boot at listen time, after the flags were accepted.
+	var logw bytes.Buffer
+	err := run([]string{"-checkpoint-dir", t.TempDir(), "-snapshot-interval", "1m", "-addr", "127.0.0.1:-1"}, &logw)
+	if err == nil || strings.Contains(err.Error(), "-snapshot-interval") || !strings.Contains(err.Error(), "listen") {
+		t.Errorf("-checkpoint-dir with -snapshot-interval: got error %v, want the listen error", err)
 	}
 }
 

@@ -48,11 +48,11 @@ var keyPrefix = fmt.Sprintf("v%d:", KeySchemaVersion)
 // false.
 func (k Key) CurrentSchema() bool { return strings.HasPrefix(string(k), keyPrefix) }
 
-// Fingerprint hashes an ordered list of values into a Key. Every value is
+// fingerprint hashes an ordered list of values into a Key. Every value is
 // rendered with %v and length-prefixed before hashing, so distinct part
 // lists can never collide by concatenation — not even when a part contains
 // the rendering of another part or any would-be separator byte.
-func Fingerprint(parts ...any) Key {
+func fingerprint(parts ...any) Key {
 	h := sha256.New()
 	for _, p := range parts {
 		s := fmt.Sprintf("%v", p)
@@ -63,7 +63,7 @@ func Fingerprint(parts ...any) Key {
 
 // CellKey fingerprints a resolved cell together with the sweep parameters
 // that built its factory: scenario name, every Params knob, k, D, trial
-// budget, time cap, seed, the adversary identity and the resolved fault
+// budget, time cap, seed, the treasure placement and the resolved fault
 // plan. The fault part reads the cell's plan, not the raw Params knobs: grid
 // expansion may resolve the plan from the scenario's registered default (the
 // -faulty variants), and it is the resolved plan the engine executes. Two
@@ -71,19 +71,17 @@ func Fingerprint(parts ...any) Key {
 // identical TrialStats for them. The returned key carries the schema-version
 // prefix (see Key).
 func CellKey(c scenario.Cell, p scenario.Params) Key {
-	adv := "uniform-ring" // the runner's default placement at distance D
-	if c.Adversary != nil {
-		adv = c.Adversary.Name()
-	}
 	faults := "none" // fault.Plan.String() of an inactive plan
 	if c.Faults != nil {
 		faults = c.Faults.String()
 	}
-	return Key(keyPrefix) + Fingerprint(
+	return Key(keyPrefix) + fingerprint(
 		"scenario", c.Scenario,
 		"eps", p.Epsilon, "delta", p.Delta, "rho", p.Rho, "bias", p.Bias, "mu", p.Mu, "paramD", p.D,
 		"k", c.K, "d", c.D, "trials", c.Trials, "maxTime", c.MaxTime, "seed", c.Seed,
-		"adversary", adv,
+		// The runner always places the treasure on the uniform ring at D; the
+		// part stays so every key keeps its bytes.
+		"adversary", "uniform-ring",
 		"faults", faults,
 	)
 }

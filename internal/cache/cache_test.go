@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"antsearch/internal/adversary"
+	"antsearch/internal/fault"
 	"antsearch/internal/scenario"
 	"antsearch/internal/sim"
 )
@@ -265,26 +265,34 @@ func TestFingerprintSeparatorCollision(t *testing.T) {
 		{"rendered numbers vs strings stay equal-safe", []any{1, 2}, []any{12}},
 	}
 	for _, c := range collisions {
-		if Fingerprint(c.a...) == Fingerprint(c.b...) {
-			t.Errorf("%s: Fingerprint(%q) collides with Fingerprint(%q)", c.name, c.a, c.b)
+		if fingerprint(c.a...) == fingerprint(c.b...) {
+			t.Errorf("%s: fingerprint(%q) collides with fingerprint(%q)", c.name, c.a, c.b)
 		}
 	}
-	if Fingerprint("a", "b") != Fingerprint("a", "b") {
+	if fingerprint("a", "b") != fingerprint("a", "b") {
 		t.Error("identical part lists must agree")
 	}
 }
 
 // TestCellKeyCarriesSchemaVersion pins the visible key versioning the
 // durable store depends on: keys built today are recognisably
-// current-schema, unprefixed (v1-era) keys are not.
+// current-schema, unprefixed (v1-era) keys are not, and the bytes of a
+// current key do not drift without a KeySchemaVersion bump.
 func TestCellKeyCarriesSchemaVersion(t *testing.T) {
 	t.Parallel()
+
+	faulty := scenario.Cell{Scenario: "known-k", K: 4, D: 16, Trials: 32, MaxTime: 100, Seed: 7,
+		Faults: &fault.Plan{CrashProb: 0.25, CrashBy: 64}}
+	const want = Key("v3:ee2a06d2679f3863903f4463a06ba272ac3b6fb6c943ab444ae4c360be1005b4")
+	if got := CellKey(faulty, scenario.DefaultParams()); got != want {
+		t.Errorf("CellKey = %q, want the stored-key literal %q", got, want)
+	}
 
 	k := CellKey(scenario.Cell{Scenario: "known-k", K: 1, D: 4, Trials: 2, Seed: 1}, scenario.DefaultParams())
 	if !k.CurrentSchema() {
 		t.Errorf("CellKey %q does not carry the current schema prefix", k)
 	}
-	if Fingerprint("bare").CurrentSchema() {
+	if fingerprint("bare").CurrentSchema() {
 		t.Error("a bare fingerprint must not pass as a current-schema cell key")
 	}
 }
@@ -310,11 +318,6 @@ func TestCellKeyDiscriminates(t *testing.T) {
 		"rho":      func() Key { q := p; q.Rho = 3; return CellKey(base, q) },
 		"mu":       func() Key { q := p; q.Mu = 2.5; return CellKey(base, q) },
 		"paramD":   func() Key { q := p; q.D = 9; return CellKey(base, q) },
-		"adversary": func() Key {
-			c := base
-			c.Adversary = adversary.Axis{D: 16}
-			return CellKey(c, p)
-		},
 	}
 	ref := CellKey(base, p)
 	seen := map[Key]string{ref: "base"}

@@ -29,9 +29,9 @@ import (
 const CheckpointSchemaVersion = 2
 
 // maxCheckpointsPerCell bounds how many distinct prefixes the in-memory
-// index keeps per cell (the largest survive). One would suffice for
-// same-plan resumes; keeping a few gives a resume under a different worker
-// count — whose shard boundaries differ — a fallback prefix to align with.
+// index keeps per cell (the largest survive). The engine resumes from any
+// prefix, so the latest would suffice; the older ones only back it up when
+// its state fails to decode.
 const maxCheckpointsPerCell = 8
 
 // checkpointRecord is the NDJSON wire form of one persisted checkpoint. The
@@ -199,7 +199,8 @@ func (s *CheckpointStore) save(key Key, cp sim.CheckpointState) error {
 
 // load hands the resuming fold its best usable checkpoint: candidates for
 // key are tried in decreasing TrialsDone order against valid (which checks
-// plan alignment and decodes the state — see sim.MonteCarlo's resume).
+// the cell's trial total and decodes the state — see sim.MonteCarlo's
+// resume), so a damaged latest record falls back to the next one.
 func (s *CheckpointStore) load(key Key, valid func(sim.CheckpointState) bool) (sim.CheckpointState, bool) {
 	s.mu.Lock()
 	candidates := append([]sim.CheckpointState(nil), s.index[key]...)

@@ -19,7 +19,7 @@ import (
 // under other key schemas are dropped on warm start, so tests that expect
 // their entries back must key them like CellKey does.
 func testKeyV2(parts ...any) Key {
-	return Key(keyPrefix) + Fingerprint(parts...)
+	return Key(keyPrefix) + fingerprint(parts...)
 }
 
 func loadAll(t *testing.T, s Store) map[Key]sim.TrialStats {
@@ -217,7 +217,7 @@ func TestWarmStartDropsStaleKeySchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A v1-era key: the bare hex fingerprint, no version prefix.
-	staleKey := Fingerprint("scenario", "known-k", "k", 4)
+	staleKey := fingerprint("scenario", "known-k", "k", 4)
 	currentKey := testKeyV2("scenario", "known-k", "k", 4)
 	if err := s.Append(Entry{Key: staleKey, Stats: testStats(1)}); err != nil {
 		t.Fatal(err)

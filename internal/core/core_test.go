@@ -161,8 +161,8 @@ func TestRhoApprox(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRhoApprox: %v", err)
 	}
-	if a.AssumedK() != 4 {
-		t.Errorf("AssumedK = %d, want 4 (ka/rho)", a.AssumedK())
+	if a.inner.K() != 4 {
+		t.Errorf("assumed k = %d, want 4 (ka/rho)", a.inner.K())
 	}
 	if !strings.Contains(a.Name(), "rho-approx") {
 		t.Errorf("Name = %q", a.Name())
@@ -172,8 +172,8 @@ func TestRhoApprox(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRhoApprox(1, 8): %v", err)
 	}
-	if small.AssumedK() != 1 {
-		t.Errorf("AssumedK = %d, want 1", small.AssumedK())
+	if small.inner.K() != 1 {
+		t.Errorf("assumed k = %d, want 1", small.inner.K())
 	}
 
 	rng := xrand.NewStream(3, 0)
@@ -206,11 +206,11 @@ func TestRhoApproxFactoryValidation(t *testing.T) {
 		t.Fatalf("factory returned %T, want *RhoApprox", alg)
 	}
 	// ka = 64 * 0.5 = 32, assumed = ka / rho = 8.
-	if ra.AssumedK() != 8 {
-		t.Errorf("AssumedK = %d, want 8", ra.AssumedK())
+	if ra.inner.K() != 8 {
+		t.Errorf("assumed k = %d, want 8", ra.inner.K())
 	}
-	if clamped := f(1).(*RhoApprox); clamped.AssumedK() < 1 {
-		t.Errorf("AssumedK should never drop below 1, got %d", clamped.AssumedK())
+	if clamped := f(1).(*RhoApprox); clamped.inner.K() < 1 {
+		t.Errorf("assumed k should never drop below 1, got %d", clamped.inner.K())
 	}
 }
 

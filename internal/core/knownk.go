@@ -130,10 +130,6 @@ func (a *RhoApprox) Name() string {
 	return fmt.Sprintf("rho-approx(ka=%d,rho=%.2g)", a.ka, a.rho)
 }
 
-// AssumedK returns the value of k the underlying KnownK schedule uses
-// (ka/ρ, the conservative end of the approximation interval).
-func (a *RhoApprox) AssumedK() int { return a.inner.K() }
-
 // NewSearcher implements agent.Algorithm.
 func (a *RhoApprox) NewSearcher(prev agent.Searcher, rng *xrand.Stream, agentIndex int) agent.Searcher {
 	return a.inner.NewSearcher(prev, rng, agentIndex)

@@ -68,15 +68,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one concrete fault: a kind, the wall-clock time it fires, and (for
-// stalls) how long it lasts. Crash durations are zero — the effect is
-// permanent by definition.
-type Event struct {
-	Kind Kind
-	At   int
-	Dur  int
-}
-
 // Schedule is one agent's materialised faults for one trial: at most one
 // crash and at most one stall, with None marking an absent event. A crash
 // that precedes a stall simply makes the stall unreachable; the engines apply
@@ -92,25 +83,6 @@ type Schedule struct {
 
 // NoFaults is the schedule of a perfectly reliable agent.
 func NoFaults() Schedule { return Schedule{CrashAt: None, StallAt: None} }
-
-// Events returns the schedule as (kind, time, duration) events in wall-clock
-// order (ties: the crash first, since a stall starting at the crash instant
-// never happens).
-func (s Schedule) Events() []Event {
-	var evs []Event
-	if s.StallAt != None {
-		evs = append(evs, Event{Kind: FailStall, At: s.StallAt, Dur: s.StallDur})
-	}
-	if s.CrashAt != None {
-		ev := Event{Kind: FailStop, At: s.CrashAt}
-		if len(evs) == 1 && s.CrashAt <= s.StallAt {
-			evs = []Event{ev, evs[0]}
-		} else {
-			evs = append(evs, ev)
-		}
-	}
-	return evs
-}
 
 // Plan is a random fault model: each agent independently draws at most one
 // crash and at most one stall. The zero Plan is the fault-free model (both

@@ -126,38 +126,6 @@ func TestCertainPlan(t *testing.T) {
 	}
 }
 
-func TestEventsOrdering(t *testing.T) {
-	cases := []struct {
-		name  string
-		sched Schedule
-		want  []Event
-	}{
-		{"no faults", NoFaults(), nil},
-		{"crash only", Schedule{CrashAt: 5, StallAt: None},
-			[]Event{{Kind: FailStop, At: 5}}},
-		{"stall only", Schedule{CrashAt: None, StallAt: 3, StallDur: 2},
-			[]Event{{Kind: FailStall, At: 3, Dur: 2}}},
-		{"stall before crash", Schedule{CrashAt: 9, StallAt: 3, StallDur: 2},
-			[]Event{{Kind: FailStall, At: 3, Dur: 2}, {Kind: FailStop, At: 9}}},
-		{"crash before stall", Schedule{CrashAt: 1, StallAt: 3, StallDur: 2},
-			[]Event{{Kind: FailStop, At: 1}, {Kind: FailStall, At: 3, Dur: 2}}},
-		{"tie goes to crash", Schedule{CrashAt: 3, StallAt: 3, StallDur: 2},
-			[]Event{{Kind: FailStop, At: 3}, {Kind: FailStall, At: 3, Dur: 2}}},
-	}
-	for _, tc := range cases {
-		got := tc.sched.Events()
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: got %d events, want %d", tc.name, len(got), len(tc.want))
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("%s: event %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
-			}
-		}
-	}
-}
-
 func TestStringIdentity(t *testing.T) {
 	if got := (Plan{}).String(); got != "none" {
 		t.Fatalf("zero plan String() = %q, want \"none\"", got)

@@ -57,27 +57,6 @@ func RingPoint(r, j int) Point {
 	}
 }
 
-// RingIndex is the inverse of RingPoint: it returns the index j of p within
-// the enumeration of its own ring. The second return value is false only for
-// the origin with a nonzero requested radius mismatch; the function derives
-// the radius from p itself, so it always succeeds.
-func RingIndex(p Point) int {
-	r := p.L1()
-	if r == 0 {
-		return 0
-	}
-	switch {
-	case p.X > 0 && p.Y >= 0: // quadrant 0
-		return p.Y
-	case p.X <= 0 && p.Y > 0: // quadrant 1
-		return r + (-p.X)
-	case p.X < 0 && p.Y <= 0: // quadrant 2
-		return 2*r + (-p.Y)
-	default: // quadrant 3: p.X >= 0 && p.Y < 0
-		return 3*r + p.X
-	}
-}
-
 // BallPoint maps an index i in [0, BallSize(radius)) to a node of the ball
 // B(radius) centred at the origin. Distinct indices map to distinct nodes and
 // every node of the ball is covered, so sampling i uniformly yields a node of

@@ -36,11 +36,6 @@ func (p Point) Sub(q Point) Point {
 	return Point{X: p.X - q.X, Y: p.Y - q.Y}
 }
 
-// Neg returns the point reflected through the origin.
-func (p Point) Neg() Point {
-	return Point{X: -p.X, Y: -p.Y}
-}
-
 // Scale returns p multiplied component-wise by f.
 func (p Point) Scale(f int) Point {
 	return Point{X: p.X * f, Y: p.Y * f}
@@ -94,11 +89,6 @@ func (d Direction) String() string {
 	}
 }
 
-// Valid reports whether d is one of the four grid directions.
-func (d Direction) Valid() bool {
-	return d >= East && d <= South
-}
-
 // Unit returns the unit vector associated with the direction.
 func (d Direction) Unit() Point {
 	switch d {
@@ -115,36 +105,9 @@ func (d Direction) Unit() Point {
 	}
 }
 
-// Opposite returns the direction pointing the other way.
-func (d Direction) Opposite() Direction {
-	switch d {
-	case East:
-		return West
-	case North:
-		return South
-	case West:
-		return East
-	case South:
-		return North
-	default:
-		return d
-	}
-}
-
 // Step returns the neighbour of p in direction d.
 func (p Point) Step(d Direction) Point {
 	return p.Add(d.Unit())
-}
-
-// Neighbors returns the four grid neighbours of p in a deterministic order
-// (East, North, West, South).
-func (p Point) Neighbors() [NumDirections]Point {
-	return [NumDirections]Point{
-		p.Step(East),
-		p.Step(North),
-		p.Step(West),
-		p.Step(South),
-	}
 }
 
 func abs(v int) int {

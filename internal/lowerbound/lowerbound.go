@@ -201,26 +201,6 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 	return report, nil
 }
 
-// PerAgentChargeSum returns, for each scale, the total per-agent coverage
-// charge Σ_i (per-agent distinct nodes in annulus i) restricted to annuli the
-// proof would charge (those whose outer radius is at most maxRadius). The
-// proof of Theorem 4.1 rests on this sum being bounded by the horizon for
-// every algorithm, while a hypothetical O(log k)-competitive algorithm would
-// force it to diverge.
-func (r *Report) PerAgentChargeSum(scale int, maxRadius int) float64 {
-	if scale < 0 || scale >= len(r.Scales) {
-		return 0
-	}
-	sum := 0.0
-	for ai, outer := range r.Annuli {
-		if outer > maxRadius {
-			break
-		}
-		sum += r.Scales[scale].AnnulusPerAgent[ai]
-	}
-	return sum
-}
-
 // DivergenceSeries computes the textbook quantity from the Theorem 4.1 proof:
 // given measured competitive ratios φ(k_i) for the scales, it returns the
 // partial sums Σ_{i≤n} 1/φ(k_i). If the ratios were O(log k) the series would

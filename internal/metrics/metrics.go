@@ -74,22 +74,9 @@ func (c *Coverage) Visit(agentIdx, _ int, p grid.Point) {
 	c.totalSteps++
 }
 
-// TotalSteps returns the total number of node visits observed (time steps
-// across all agents).
-func (c *Coverage) TotalSteps() int { return c.totalSteps }
-
 // DistinctNodes returns the number of distinct nodes visited by at least one
 // agent.
 func (c *Coverage) DistinctNodes() int { return len(c.visits) }
-
-// DistinctNodesOfAgent returns the number of distinct nodes visited by the
-// given agent (0 for an out-of-range index).
-func (c *Coverage) DistinctNodesOfAgent(agentIdx int) int {
-	if agentIdx < 0 || agentIdx >= len(c.perAgent) {
-		return 0
-	}
-	return len(c.perAgent[agentIdx])
-}
 
 // MeanDistinctNodesPerAgent returns the average, over agents, of the number
 // of distinct nodes each visited. This is the quantity the lower-bound proofs
@@ -170,6 +157,3 @@ func (c *Coverage) FractionOfBallCovered(radius int) float64 {
 	}
 	return float64(count) / float64(size)
 }
-
-// VisitCount returns how many times the given node was visited in total.
-func (c *Coverage) VisitCount(p grid.Point) int { return c.visits[p] }

@@ -39,7 +39,7 @@ func TestCoverageBasics(t *testing.T) {
 	t.Parallel()
 
 	c := NewCoverage(2)
-	if c.TotalSteps() != 0 || c.DistinctNodes() != 0 || c.OverlapFraction() != 0 {
+	if c.totalSteps != 0 || c.DistinctNodes() != 0 || c.OverlapFraction() != 0 {
 		t.Error("fresh coverage should be empty")
 	}
 
@@ -50,20 +50,17 @@ func TestCoverageBasics(t *testing.T) {
 	c.Visit(1, 0, grid.Origin)
 	c.Visit(1, 1, grid.Point{X: 1})
 
-	if got := c.TotalSteps(); got != 5 {
-		t.Errorf("TotalSteps = %d, want 5", got)
+	if got := c.totalSteps; got != 5 {
+		t.Errorf("total steps = %d, want 5", got)
 	}
 	if got := c.DistinctNodes(); got != 3 {
 		t.Errorf("DistinctNodes = %d, want 3", got)
 	}
-	if got := c.DistinctNodesOfAgent(0); got != 3 {
+	if got := len(c.perAgent[0]); got != 3 {
 		t.Errorf("agent 0 distinct = %d, want 3", got)
 	}
-	if got := c.DistinctNodesOfAgent(1); got != 2 {
+	if got := len(c.perAgent[1]); got != 2 {
 		t.Errorf("agent 1 distinct = %d, want 2", got)
-	}
-	if got := c.DistinctNodesOfAgent(7); got != 0 {
-		t.Errorf("out-of-range agent distinct = %d, want 0", got)
 	}
 	if got := c.MeanDistinctNodesPerAgent(); got != 2.5 {
 		t.Errorf("MeanDistinctNodesPerAgent = %v, want 2.5", got)
@@ -71,8 +68,8 @@ func TestCoverageBasics(t *testing.T) {
 	if got := c.OverlapFraction(); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("OverlapFraction = %v, want 0.4", got)
 	}
-	if got := c.VisitCount(grid.Origin); got != 2 {
-		t.Errorf("VisitCount(origin) = %d, want 2", got)
+	if got := c.visits[grid.Origin]; got != 2 {
+		t.Errorf("visits of the origin = %d, want 2", got)
 	}
 
 	// Out-of-range visits are ignored rather than panicking.

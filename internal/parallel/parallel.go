@@ -104,32 +104,23 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 	return out, nil
 }
 
-// ReduceOrderedFrom runs fn(i) for every i in [start, n) with at most
-// workers goroutines and streams the results into merge in strict index
-// order: merge(v_start), merge(v_start+1), ... exactly as a sequential loop
-// would, with merge calls serialized (never concurrent with each other).
-// start >= n is a no-op. Unlike Map it never materializes all the results:
-// at most O(workers) completed-but-unmerged results are held at any moment,
-// because workers claim indices in order and a claim only proceeds while it
-// is within a bounded window of the merge frontier. The window cannot
-// deadlock: the lowest unmerged index is always already claimed, so its
-// completion is what advances the frontier and reopens the window.
-//
-// A nonzero start serves resumable folds: a caller that restored the
-// aggregate of indices [0, start) from a checkpoint continues the identical
-// fold from start, and because merges stay serialized in index order the
-// combined result is the one an uninterrupted [0, n) fold would have
-// produced.
+// ReduceOrdered runs fn(i) for every i in [0, n) with at most workers
+// goroutines and streams the results into merge in strict index order:
+// merge(v_0), merge(v_1), ... exactly as a sequential loop would, with merge
+// calls serialized (never concurrent with each other). Unlike Map it never
+// materializes all the results: at most O(workers) completed-but-unmerged
+// results are held at any moment, because workers claim indices in order
+// and a claim only proceeds while it is within a bounded window of the merge
+// frontier. The window cannot deadlock: the lowest unmerged index is always
+// already claimed, so its completion is what advances the frontier and
+// reopens the window.
 //
 // Error semantics match ForEach: the first error in index order among tasks
 // that ran is returned, and merge has then been called for a contiguous
 // prefix of indices strictly below the failing one — callers that discard the
 // accumulator on error observe no difference from Map.
-func ReduceOrderedFrom[T any](ctx context.Context, start, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
-	if start < 0 {
-		start = 0
-	}
-	if start >= n {
+func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
+	if n <= 0 {
 		return nil
 	}
 	if fn == nil || merge == nil {
@@ -138,12 +129,12 @@ func ReduceOrderedFrom[T any](ctx context.Context, start, n, workers int, fn fun
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n-start {
-		workers = n - start
+	if workers > n {
+		workers = n
 	}
 	if workers == 1 {
 		// Sequential fold: no goroutines, no parking, one result in flight.
-		for i := start; i < n; i++ {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -165,8 +156,8 @@ func ReduceOrderedFrom[T any](ctx context.Context, start, n, workers int, fn fun
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		cond     = sync.NewCond(&mu)
-		next     = start
-		frontier = start
+		next     int
+		frontier int
 		pending  = make(map[int]T, window)
 		firstErr error
 		firstIdx = n

@@ -136,7 +136,7 @@ func TestReduceOrderedMergesInIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		const n = 300
 		var got []int
-		err := ReduceOrderedFrom(context.Background(), 0, n, workers, func(i int) (int, error) {
+		err := ReduceOrdered(context.Background(), n, workers, func(i int) (int, error) {
 			// Skew the finish order: later indices tend to finish first.
 			if i%7 == 0 {
 				for j := 0; j < 1000; j++ {
@@ -169,7 +169,7 @@ func TestReduceOrderedBoundsInFlightResults(t *testing.T) {
 		workers = 4
 	)
 	var produced, merged, maxGap atomic.Int64
-	err := ReduceOrderedFrom(context.Background(), 0, n, workers, func(i int) (int, error) {
+	err := ReduceOrdered(context.Background(), n, workers, func(i int) (int, error) {
 		// Make index 0's chain slow so later results pile up against the
 		// window if the bound is broken.
 		if i%workers == 0 {
@@ -203,23 +203,26 @@ func TestReduceOrderedError(t *testing.T) {
 	t.Parallel()
 
 	sentinel := errors.New("shard failed")
-	var merged atomic.Int64
-	err := ReduceOrderedFrom(context.Background(), 0, 500, 4, func(i int) (int, error) {
+	var merged []int
+	err := ReduceOrdered(context.Background(), 500, 4, func(i int) (int, error) {
 		if i == 41 {
 			return 0, fmt.Errorf("task %d: %w", i, sentinel)
 		}
 		return i, nil
 	}, func(v int) {
-		if v >= 41 {
-			t.Errorf("merged index %d at or past the failing index", v)
-		}
-		merged.Add(1)
+		merged = append(merged, v) // merge is serialized by contract: no lock needed
 	})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want the sentinel", err)
 	}
-	if merged.Load() > 41 {
-		t.Errorf("merged %d results, want a prefix strictly below the failing index", merged.Load())
+	// Merges form a contiguous prefix strictly below the failing index.
+	if len(merged) > 41 {
+		t.Errorf("merged %d results, want a prefix strictly below the failing index", len(merged))
+	}
+	for j, v := range merged {
+		if v != j {
+			t.Fatalf("merge %d got index %d, want %d", j, v, j)
+		}
 	}
 }
 
@@ -228,124 +231,17 @@ func TestReduceOrderedContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ReduceOrderedFrom(ctx, 0, 50, 4, func(i int) (int, error) { return i, nil }, func(int) {})
+	err := ReduceOrdered(ctx, 50, 4, func(i int) (int, error) { return i, nil }, func(int) {})
 	if err == nil {
 		t.Error("expected an error from the cancelled context")
 	}
-	if err := ReduceOrderedFrom(context.Background(), 0, 0, 4, func(i int) (int, error) { return i, nil }, func(int) {}); err != nil {
-		t.Errorf("n=0: %v", err)
-	}
-}
-
-func TestReduceOrderedFromFoldsSuffixInOrder(t *testing.T) {
-	t.Parallel()
-
-	const n, start = 300, 117
-	for _, workers := range []int{1, 3, 8} {
-		var merged []int
-		err := ReduceOrderedFrom(context.Background(), start, n, workers, func(i int) (int, error) {
-			return i, nil
-		}, func(v int) {
-			merged = append(merged, v)
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(merged) != n-start {
-			t.Fatalf("workers=%d: merged %d values, want %d", workers, len(merged), n-start)
-		}
-		for j, v := range merged {
-			if v != start+j {
-				t.Fatalf("workers=%d: merge %d got index %d, want %d", workers, j, v, start+j)
-			}
-		}
-	}
-}
-
-func TestReduceOrderedFromEmptyAndClampedRanges(t *testing.T) {
-	t.Parallel()
-
-	ran := false
-	fn := func(i int) (int, error) { ran = true; return i, nil }
-	merge := func(int) { ran = true }
-	// start >= n is a no-op, whatever the values.
-	for _, c := range []struct{ start, n int }{{5, 5}, {9, 5}, {0, 0}, {0, -3}} {
-		if err := ReduceOrderedFrom(context.Background(), c.start, c.n, 4, fn, merge); err != nil {
-			t.Fatalf("start=%d n=%d: %v", c.start, c.n, err)
-		}
-		if ran {
-			t.Fatalf("start=%d n=%d: fn or merge ran on an empty range", c.start, c.n)
-		}
-	}
-	// A negative start clamps to 0: the fold still covers [0, n).
-	var merged []int
-	err := ReduceOrderedFrom(context.Background(), -4, 6, 2, func(i int) (int, error) { return i, nil },
-		func(v int) { merged = append(merged, v) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 6 || merged[0] != 0 || merged[5] != 5 {
-		t.Fatalf("negative start folded %v, want [0..5]", merged)
-	}
-}
-
-func TestReduceOrderedFromError(t *testing.T) {
-	t.Parallel()
-
-	boom := errors.New("boom")
-	var merged []int
-	err := ReduceOrderedFrom(context.Background(), 10, 40, 4, func(i int) (int, error) {
-		if i == 25 {
-			return 0, boom
-		}
-		return i, nil
-	}, func(v int) {
-		merged = append(merged, v)
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got error %v, want %v", err, boom)
-	}
-	// Merges form a contiguous prefix of [10, 25).
-	for j, v := range merged {
-		if v != 10+j {
-			t.Fatalf("merge %d got index %d, want %d", j, v, 10+j)
-		}
-	}
-	if len(merged) >= 40-10 {
-		t.Fatalf("error did not stop the fold: %d merges", len(merged))
-	}
-}
-
-func TestReduceOrderedFromMatchesSequentialSplit(t *testing.T) {
-	t.Parallel()
-
-	// Folding [0, split) sequentially and [split, n) through the offset
-	// reduce must reproduce the uninterrupted fold exactly — the property the
-	// sim checkpoint/resume path is built on.
-	const n = 97
-	sum := func(vs []int) int {
-		s := 0
-		for _, v := range vs {
-			s = s*31 + v
-		}
-		return s
-	}
-	var full []int
-	if err := ReduceOrderedFrom(context.Background(), 0, n, 5, func(i int) (int, error) { return i * i, nil },
-		func(v int) { full = append(full, v) }); err != nil {
-		t.Fatal(err)
-	}
-	for _, split := range []int{1, 13, 96} {
-		resumed := make([]int, 0, n)
-		for i := 0; i < split; i++ {
-			resumed = append(resumed, i*i)
-		}
-		if err := ReduceOrderedFrom(context.Background(), split, n, 5, func(i int) (int, error) { return i * i, nil },
-			func(v int) { resumed = append(resumed, v) }); err != nil {
-			t.Fatal(err)
-		}
-		if sum(resumed) != sum(full) || len(resumed) != len(full) {
-			t.Fatalf("split=%d: resumed fold differs from the uninterrupted fold", split)
+	// An empty range is a no-op: neither fn nor merge runs.
+	for _, n := range []int{0, -3} {
+		ran := false
+		err := ReduceOrdered(context.Background(), n, 4, func(i int) (int, error) { ran = true; return i, nil },
+			func(int) { ran = true })
+		if err != nil || ran {
+			t.Errorf("n=%d: err=%v, ran=%v", n, err, ran)
 		}
 	}
 }

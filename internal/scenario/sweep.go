@@ -20,7 +20,8 @@ type Cell struct {
 	Scenario string
 	// Factory is the advice-model factory executed by the trials.
 	Factory agent.Factory
-	// K is the number of agents; D the treasure distance.
+	// K is the number of agents; D the treasure distance: every trial places
+	// the treasure uniformly on the ring at distance D.
 	K, D int
 	// Trials is the number of Monte-Carlo trials.
 	Trials int
@@ -28,9 +29,6 @@ type Cell struct {
 	MaxTime int
 	// Seed is the base seed for this cell; per-trial streams derive from it.
 	Seed uint64
-	// Adversary places the treasure each trial. Nil selects the uniform ring
-	// at distance D, the default placement of all experiments.
-	Adversary adversary.Strategy
 	// Faults, when non-nil, applies the fault model to every trial of the
 	// cell (grid expansion resolves it from explicit Params knobs or the
 	// scenario's registered default).
@@ -110,19 +108,15 @@ func AutoSplit(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
 
 // RunOne executes a single cell and returns its aggregated statistics.
 func (r Runner) RunOne(ctx context.Context, cell Cell) (sim.TrialStats, error) {
-	adv := cell.Adversary
-	if adv == nil {
-		ring, err := adversary.NewUniformRing(cell.D)
-		if err != nil {
-			return sim.TrialStats{}, fmt.Errorf("scenario: cell %s k=%d D=%d: %w",
-				cell.Scenario, cell.K, cell.D, err)
-		}
-		adv = ring
+	ring, err := adversary.NewUniformRing(cell.D)
+	if err != nil {
+		return sim.TrialStats{}, fmt.Errorf("scenario: cell %s k=%d D=%d: %w",
+			cell.Scenario, cell.K, cell.D, err)
 	}
 	cfg := sim.TrialConfig{
 		Factory:   cell.Factory,
 		NumAgents: cell.K,
-		Adversary: adv,
+		Adversary: ring,
 		Trials:    cell.Trials,
 		Seed:      cell.Seed,
 		MaxTime:   cell.MaxTime,

@@ -297,17 +297,6 @@ func TestRunnerErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("D=0 should fail")
 	}
-	// An explicit adversary bypasses the default ring.
-	st, err := Runner{}.RunOne(context.Background(), Cell{
-		Scenario: "known-k", Factory: factory, K: 1, D: 6, Trials: 3,
-		Adversary: adversary.Axis{D: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Distance != 6 || st.Found != 3 {
-		t.Errorf("axis adversary run: %+v", st)
-	}
 }
 
 // TestAutoSplit pins the adaptive heuristic's two regimes: many small cells

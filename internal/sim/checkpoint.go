@@ -1,12 +1,13 @@
 // This file holds the checkpoint/resume and progress surface of the
-// Monte-Carlo engine. A giant cell folds its shards in strict order
-// (parallel.ReduceOrderedFrom), so the running TrialAccumulator after shard j
-// is a pure function of trials [0, hi_j) — which makes it safe to persist: a
-// crashed run restored from that state and folded over the remaining shards
-// finishes with aggregates bit-identical to an uninterrupted run. The
-// serialized state is the accumulator's complete internal representation
-// (stats/binary.go plus the trial log), floats as raw IEEE-754 bits, never a
-// lossy summary.
+// Monte-Carlo engine. A giant cell adds its trials' results to one running
+// TrialAccumulator in strict trial order (parallel.ReduceOrdered), so the
+// running state after any trial prefix [0, n) is a pure function of those n
+// trials — which makes it safe to persist: a crashed run restored from that
+// state and folded over trials [n, Trials) finishes with aggregates
+// bit-identical to an uninterrupted run, whatever the shard plan of either
+// run. The serialized state is the accumulator's complete internal
+// representation (stats/binary.go plus the trial log), floats as raw
+// IEEE-754 bits, never a lossy summary.
 
 package sim
 
@@ -19,16 +20,18 @@ import (
 )
 
 // Progress reports how far a MonteCarlo fold has advanced. It is delivered
-// through TrialConfig.Progress after a shard's aggregate has been merged into
-// the running total, always from the single goroutine that serializes merges
-// — callbacks never race each other for one run.
+// through TrialConfig.Progress after a shard's results have been added to
+// the running total, always from the single goroutine that serializes the
+// fold — callbacks never race each other for one run.
 type Progress struct {
-	// ShardsDone and TotalShards count planned shards; ShardsDone includes
-	// shards restored from a checkpoint.
+	// ShardsDone and TotalShards count shards; ShardsDone includes the
+	// shards a checkpoint restored. A resumed run numbers its own shards on
+	// from the checkpoint's ShardsDone, so its TotalShards may differ from a
+	// fresh run's; its results do not.
 	ShardsDone  int
 	TotalShards int
-	// TrialsDone and TotalTrials count trials; TrialsDone is always a shard
-	// boundary of the plan.
+	// TrialsDone and TotalTrials count trials; TrialsDone is always the end
+	// of a folded shard, or of the restored prefix.
 	TrialsDone  int
 	TotalTrials int
 	// ResumedShards is how many of ShardsDone were restored from a checkpoint
@@ -63,7 +66,7 @@ type Checkpointer interface {
 	// order. ok is false when no candidate passes.
 	Load(valid func(CheckpointState) bool) (cp CheckpointState, ok bool)
 	// Save persists one prefix aggregate. It blocks on I/O — the engine calls
-	// it from the merge goroutine, trading fold latency for durability.
+	// it from the fold goroutine, trading fold latency for durability.
 	//
 	//antlint:blocking
 	Save(cp CheckpointState) error
@@ -199,34 +202,6 @@ func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
 	}
 	*a = dec
 	return nil
-}
-
-// alignShard returns the shard index s (1 <= s <= shards) whose range starts
-// exactly at trialsDone under the (trials, shards) plan — i.e. trials
-// [0, trialsDone) are precisely shards [0, s) — or -1 when trialsDone is not
-// a boundary of this plan. A checkpoint written under a different plan (a
-// different worker count) resumes if and only if its prefix aligns with a
-// boundary of the current plan; the aggregate itself is partition-blind (a
-// merge replays its shard's trials in order), so an aligned resume stays
-// bit-identical even across plans.
-func alignShard(trials, shards, trialsDone int) int {
-	if trialsDone <= 0 || trialsDone > trials {
-		return -1
-	}
-	if trialsDone == trials {
-		return shards
-	}
-	// lo(s) = floor(s*trials/shards) is non-decreasing in s; the candidate
-	// floor(trialsDone*shards/trials) can undershoot by one.
-	s := int(int64(trialsDone) * int64(shards) / int64(trials))
-	for _, c := range []int{s, s + 1} {
-		if c >= 1 && c < shards {
-			if lo, _ := shardRange(trials, shards, c); lo == trialsDone {
-				return c
-			}
-		}
-	}
-	return -1
 }
 
 // progressStride resolves TrialConfig.ProgressEvery against a plan: positive

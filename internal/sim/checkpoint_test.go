@@ -220,35 +220,6 @@ func FuzzTrialAccumulatorUnmarshal(f *testing.F) {
 	})
 }
 
-func TestAlignShard(t *testing.T) {
-	t.Parallel()
-
-	// Every boundary of a plan must align to its own shard index; interior
-	// points must not align.
-	for _, c := range []struct{ trials, shards int }{{100, 7}, {4096, 4}, {5000, 5}, {1 << 20, 1024}} {
-		for s := 1; s <= c.shards; s++ {
-			lo, _ := shardRange(c.trials, c.shards, s)
-			if s < c.shards {
-				if got := alignShard(c.trials, c.shards, lo); got != s {
-					t.Fatalf("trials=%d shards=%d: boundary %d aligned to %d, want %d", c.trials, c.shards, lo, got, s)
-				}
-			}
-		}
-		if got := alignShard(c.trials, c.shards, c.trials); got != c.shards {
-			t.Fatalf("trials=%d shards=%d: full prefix aligned to %d", c.trials, c.shards, got)
-		}
-	}
-	if got := alignShard(100, 7, 15); got != -1 {
-		t.Fatalf("non-boundary aligned to %d", got)
-	}
-	if got := alignShard(100, 7, 0); got != -1 {
-		t.Fatalf("empty prefix aligned to %d", got)
-	}
-	if got := alignShard(100, 7, 101); got != -1 {
-		t.Fatalf("overlong prefix aligned to %d", got)
-	}
-}
-
 func TestMonteCarloProgressReports(t *testing.T) {
 	t.Parallel()
 
@@ -382,9 +353,9 @@ func TestMonteCarloCheckpointResumeProperty(t *testing.T) {
 }
 
 // TestMonteCarloCheckpointResumeAcrossWorkerCounts pins the cross-plan
-// resume: a checkpoint written under one worker count resumes under another
-// whenever its prefix lands on a boundary of the new plan, and the result is
-// still bit-identical (the aggregate is partition-blind).
+// resume: a checkpoint written under one worker count resumes under every
+// other, whether or not its prefix lands on a shard boundary of the new
+// plan, and the result is still bit-identical.
 func TestMonteCarloCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 
@@ -397,10 +368,9 @@ func TestMonteCarloCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 
 	// Write checkpoints under workers=16 (16 shards of 128), killing after the
 	// second save: persisted prefixes cover 256 and 512 trials. Resuming under
-	// workers=4 (shards of 512) or 8 (shards of 256) finds an aligned
-	// boundary; workers=1 or 2 (shards of 1024) finds none and recomputes
-	// from scratch. Either way the final aggregate must match the reference —
-	// the aggregate is partition-blind.
+	// workers=1 or 2 (shards of 1024) starts inside a shard of the new plan;
+	// workers=4 or 8 start on one of its boundaries. Every worker count must
+	// resume and match the reference.
 	ctx, cancel := context.WithCancel(context.Background())
 	ck := &memCheckpointer{failAfter: 2, kill: cancel}
 	cfg := checkpointTestConfig(t, trials, 16)
@@ -433,9 +403,63 @@ func TestMonteCarloCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 		if got := statsJSON(t, st); got != refJSON {
 			t.Fatalf("workers=%d: resumed aggregate differs from reference", workers)
 		}
-		wantResume := workers == 4 || workers == 8
-		if gotFirst && (first.ResumedShards > 0) != wantResume {
-			t.Fatalf("workers=%d: resumed %d shards, want resume=%v", workers, first.ResumedShards, wantResume)
+		if !gotFirst || first.ResumedShards == 0 {
+			t.Fatalf("workers=%d: resume restored no shards (first update at shard %d of %d)",
+				workers, first.ShardsDone, first.TotalShards)
+		}
+	}
+}
+
+// TestMonteCarloResumesFromAnyPrefix is the any-prefix property: a
+// checkpoint built by folding the reference per-trial results of a random
+// prefix — almost never a shard boundary of any plan — resumes under several
+// worker counts, restores shards, and finishes byte-identical to an
+// uninterrupted run.
+func TestMonteCarloResumesFromAnyPrefix(t *testing.T) {
+	t.Parallel()
+
+	const trials = 3000
+	results, err := MonteCarloResults(context.Background(), checkpointTestConfig(t, trials, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := MonteCarlo(context.Background(), checkpointTestConfig(t, trials, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON := statsJSON(t, ref)
+
+	rng := rand.New(rand.NewPCG(7, 19))
+	prefixes := []int{1, 1024, 1025, trials - 1}
+	for len(prefixes) < 10 {
+		prefixes = append(prefixes, 1+rng.IntN(trials-1))
+	}
+	for _, done := range prefixes {
+		acc := NewTrialAccumulator(4, 8)
+		for _, r := range results[:done] {
+			acc.Add(r)
+		}
+		state, err := acc.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := CheckpointState{ShardsDone: 3, TotalShards: 9, TrialsDone: done, TotalTrials: trials, State: state}
+		for _, workers := range []int{1, 3} {
+			cfg := checkpointTestConfig(t, trials, workers)
+			cfg.Checkpointer = &memCheckpointer{saved: []CheckpointState{cp}}
+			var last Progress
+			cfg.Progress = func(p Progress) { last = p }
+			st, err := MonteCarlo(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("prefix %d, workers=%d: %v", done, workers, err)
+			}
+			if got := statsJSON(t, st); got != refJSON {
+				t.Fatalf("prefix %d, workers=%d: resumed aggregate differs from the uninterrupted run", done, workers)
+			}
+			if last.ResumedShards != cp.ShardsDone || last.ShardsDone != last.TotalShards || last.ShardsDone <= cp.ShardsDone {
+				t.Fatalf("prefix %d, workers=%d: final progress (shard %d of %d, %d resumed) does not continue checkpoint shard %d",
+					done, workers, last.ShardsDone, last.TotalShards, last.ResumedShards, cp.ShardsDone)
+			}
 		}
 	}
 }
@@ -463,8 +487,9 @@ func TestMonteCarloCheckpointSaveErrorsIgnored(t *testing.T) {
 }
 
 // TestMonteCarloRejectsForeignCheckpoints pins that mismatched checkpoints —
-// wrong trial totals, unaligned prefixes, corrupt state — are ignored and
-// the run recomputes from scratch with the correct result.
+// wrong trial totals, corrupt state, state that does not cover the claimed
+// prefix — are ignored and the run recomputes from scratch with the correct
+// result.
 func TestMonteCarloRejectsForeignCheckpoints(t *testing.T) {
 	t.Parallel()
 
@@ -485,13 +510,24 @@ func TestMonteCarloRejectsForeignCheckpoints(t *testing.T) {
 		t.Fatal("donor run saved nothing")
 	}
 	bad := append([]CheckpointState(nil), donor.saved...)
-	// An aligned prefix (256 of 512 is a boundary of the 2-shard plan) whose
-	// state bytes are garbage: it survives alignment but must fail decoding.
+	// A prefix of the right budget whose state bytes are garbage: it must
+	// fail decoding.
 	bad = append(bad, CheckpointState{
 		ShardsDone: 1, TotalShards: 2, TrialsDone: 256, TotalTrials: 512,
 		State: []byte{0xde, 0xad},
 	})
+	// A genuine state whose trial count is not the prefix it claims.
+	bad = append(bad, CheckpointState{
+		ShardsDone: 1, TotalShards: 2, TrialsDone: 300, TotalTrials: 512,
+		State: donor.saved[0].State,
+	})
 	cfg := checkpointTestConfig(t, 512, 2)
+	var first Progress
+	cfg.Progress = func(p Progress) {
+		if first.ShardsDone == 0 {
+			first = p
+		}
+	}
 	cfg.Checkpointer = &memCheckpointer{saved: bad}
 	st, err := MonteCarlo(context.Background(), cfg)
 	if err != nil {
@@ -499,5 +535,8 @@ func TestMonteCarloRejectsForeignCheckpoints(t *testing.T) {
 	}
 	if statsJSON(t, st) != statsJSON(t, ref) {
 		t.Fatal("foreign checkpoints perturbed the aggregate")
+	}
+	if first.ResumedShards != 0 {
+		t.Fatalf("resumed %d shards from a foreign checkpoint", first.ResumedShards)
 	}
 }

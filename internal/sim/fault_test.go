@@ -163,9 +163,6 @@ func TestAllAgentsCrashed(t *testing.T) {
 		if res.Survivors != 0 {
 			t.Errorf("%s: dead colony reports %d survivors", engine, res.Survivors)
 		}
-		if lb := res.SurvivorLowerBound(); !math.IsInf(lb, 1) {
-			t.Errorf("%s: survivor lower bound with no survivors = %v, want +Inf", engine, lb)
-		}
 		if r := res.SurvivorCompetitiveRatio(); !math.IsNaN(r) {
 			t.Errorf("%s: survivor ratio with no survivors = %v, want NaN", engine, r)
 		}

@@ -38,24 +38,25 @@ type TrialConfig struct {
 	Workers int
 	// Faults, when non-nil and non-zero, applies the fault model to every
 	// trial (see fault.Plan). Schedules derive from (seed, trial, agent)
-	// alone, so faulty trials shard and merge as deterministically as
+	// alone, so faulty trials shard and fold as deterministically as
 	// fault-free ones.
 	Faults *fault.Plan
-	// Progress, when non-nil, is called after each merged shard (throttled by
+	// Progress, when non-nil, is called after each folded shard (throttled by
 	// ProgressEvery) with the running aggregate — from the goroutine that
-	// serializes merges, so callbacks for one run never race. A nil hook
+	// serializes the fold, so callbacks for one run never race. A nil hook
 	// costs the hot path nothing.
 	Progress func(Progress)
-	// ProgressEvery throttles Progress to every N merged shards (the final
+	// ProgressEvery throttles Progress to every N folded shards (the final
 	// shard always reports). Zero fires on every shard; negative selects an
 	// automatic ~1% stride for mega-cells.
 	ProgressEvery int
 	// Checkpointer, when non-nil, makes the run resumable: the running prefix
 	// aggregate is persisted every CheckpointEvery shards, and on start the
 	// longest valid persisted prefix seeds the fold so only the remaining
-	// shards are computed. Resumed runs finish with aggregates bit-identical
-	// to uninterrupted ones (the ordered replay merge makes the prefix state
-	// a pure function of the trial prefix). Save failures never fail the run.
+	// trials are computed. Resumed runs finish with aggregates bit-identical
+	// to uninterrupted ones (the fold adds trials in order, so the prefix
+	// state is a pure function of the trial prefix). Save failures never
+	// fail the run.
 	Checkpointer Checkpointer
 	// CheckpointEvery is the shard interval between persisted checkpoints
 	// (0 = DefaultCheckpointEvery; meaningful only with a Checkpointer).
@@ -173,10 +174,11 @@ func (s TrialStats) LowerBound() float64 {
 }
 
 // TrialAccumulator folds per-trial results into streaming statistics in
-// bounded memory. It also keeps its first stats.MergeReplayCap results, in
-// trial order, which is what Merge replays: that is how the sweep engine
-// combines per-shard partial aggregates. The zero value is not usable;
-// construct with NewTrialAccumulator.
+// bounded memory. MonteCarlo adds every trial to one accumulator in trial
+// order. The accumulator also keeps its first stats.MergeReplayCap results,
+// in trial order, which is what Merge replays; the engine never merges, but
+// callers that fold shards of their own (antbench's replay probe) do. The
+// zero value is not usable; construct with NewTrialAccumulator.
 //
 //antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes,log encode=MarshalBinary decode=UnmarshalBinary
 type TrialAccumulator struct {
@@ -246,7 +248,8 @@ func (a *TrialAccumulator) Add(r Result) {
 // exactly the state of one accumulator fed every trial in sequence: the
 // result depends only on the trial sequence, never on where it was cut.
 // Merge panics if b holds more than stats.MergeReplayCap trials, the most it
-// can replay; the shard planner never builds such a shard.
+// can replay. MonteCarlo does not merge; Merge serves callers that build
+// their own per-shard accumulators of at most that many trials.
 func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
 	if b.trials > len(b.log) {
 		panic(fmt.Sprintf("sim: merging an accumulator of %d trials, more than the %d it can replay",
@@ -276,9 +279,8 @@ func (a *TrialAccumulator) Stats() TrialStats {
 }
 
 // minShardTrials is the smallest batch of trials worth scheduling as an
-// independent shard: below it the per-shard fixed costs (accumulator
-// construction, engine pool round-trip, task claim) dominate the trials
-// themselves.
+// independent shard: below it the per-shard fixed costs (result slice,
+// engine pool round-trip, task claim) dominate the trials themselves.
 const minShardTrials = 8
 
 // shardRange returns the half-open trial range [lo, hi) of shard s when
@@ -293,16 +295,15 @@ func shardRange(trials, numShards, s int) (lo, hi int) {
 // near-equal shards a trial range is split into, batching roughly
 // trials/workers trials per shard with a minimum batch of minShardTrials.
 //
-// Every shard it plans — at every scale — holds at most stats.MergeReplayCap
-// trials, the most TrialAccumulator.Merge can replay. A merge replays the
-// shard's trials in order, so the aggregate is a pure function of the
-// per-trial results in trial order and neither the partition nor the worker
-// count is observable — proven by TestTrialStatsPartitionInvariance and
-// TestStreamingShardInvariance. The shard count is therefore unbounded
-// (about trials / stats.MergeReplayCap for huge runs); bounding memory is the
-// job of the ordered streaming reduce in MonteCarlo, which keeps only
-// O(workers) shard accumulators in flight no matter how many shards the plan
-// produces.
+// Shards are scheduling only. The fold adds every trial's Result to one
+// accumulator in trial order, so neither the partition nor the worker count
+// is observable in the aggregate — proven by
+// TestTrialStatsPartitionInvariance and TestStreamingShardInvariance. The
+// cap of stats.MergeReplayCap trials per shard fixes the plan (cold-path
+// cells of 1025 trials fold as two shards) and bounds the results in flight:
+// the ordered streaming reduce in MonteCarlo holds O(workers) shards'
+// []Result at a time, so memory stays bounded however many shards a huge run
+// plans (about trials / stats.MergeReplayCap).
 func planShards(trials, workers int) int {
 	if trials <= minShardTrials {
 		return 1
@@ -327,10 +328,9 @@ func planShards(trials, workers int) int {
 	if shards < 1 {
 		shards = 1
 	}
-	// Flooring can push the largest shard past the replay cap when batch
-	// already sits at it (5000 trials, 1 worker: 4 shards of up to 1250);
-	// Merge cannot replay such a shard, so split further until every shard
-	// fits.
+	// Flooring can push the largest shard past the cap when batch already
+	// sits at it (5000 trials, 1 worker: 4 shards of up to 1250); split
+	// further until every shard fits.
 	if (trials+shards-1)/shards > stats.MergeReplayCap {
 		shards = (trials + stats.MergeReplayCap - 1) / stats.MergeReplayCap
 	}
@@ -346,15 +346,15 @@ func planShards(trials, workers int) int {
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
 // runShard executes the contiguous trial range [lo, hi) with one pooled
-// engine and folds the results into a fresh accumulator. All per-trial state
-// — agent slots, heap storage, per-agent and placement streams — is reset in
-// place between trials, so the engine-level allocation cost is O(1) per
-// shard, not per trial, and searchers reset in place bring even the searcher
-// allocations down to pool-miss-only. Every trial's
-// randomness still derives from (seed, trial) alone, so the per-trial results
-// are independent of the sharding.
-func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) (*TrialAccumulator, error) {
-	acc := NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
+// engine and returns the results in trial order. All per-trial state — agent
+// slots, heap storage, per-agent and placement streams — is reset in place
+// between trials, so the engine-level allocation cost is O(1) per shard, not
+// per trial, and searchers reset in place bring even the searcher
+// allocations down to pool-miss-only. Every trial's randomness still derives
+// from (seed, trial) alone, so the per-trial results are independent of the
+// sharding.
+func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi int) ([]Result, error) {
+	results := make([]Result, 0, hi-lo)
 	e := enginePool.Get().(*engine)
 	defer enginePool.Put(e)
 	inst := Instance{Algorithm: alg, NumAgents: cfg.NumAgents, Faults: cfg.Faults}
@@ -372,23 +372,21 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 		if err != nil {
 			return nil, err
 		}
-		acc.Add(r)
+		results = append(results, r)
 	}
-	return acc, nil
+	return results, nil
 }
 
 // MonteCarlo runs the configured number of independent trials, batched into
 // contiguous shards by planShards, fanned out over goroutines, and folded by
-// an ordered streaming reduce: shard accumulators are merged into the total
-// in strict shard order the moment they become mergeable, with only
-// O(workers) of them in flight (parallel.ReduceOrderedFrom), so memory is
-// independent of the trial count — no per-shard slice, let alone a per-trial
-// one, is ever materialized. The aggregation is deterministic and
-// partition-blind at every scale: per-trial randomness derives from
-// (seed, trial) alone, and each merge replays a shard of at most
-// stats.MergeReplayCap trials in order, which makes the aggregate a pure
-// function of the per-trial results in trial order — identical bit for bit
-// whatever the worker count or shard plan.
+// an ordered streaming reduce: each shard's results are added to one running
+// accumulator in strict trial order the moment they become foldable, with
+// only O(workers) shards in flight (parallel.ReduceOrdered), so memory is
+// independent of the trial count. The aggregate is the sequential fold of
+// the per-trial results in trial order, and per-trial randomness derives
+// from (seed, trial) alone, so it is identical bit for bit whatever the
+// worker count or shard plan — and whatever prefix a checkpoint resumed
+// from.
 func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return TrialStats{}, err
@@ -398,94 +396,77 @@ func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 		return TrialStats{}, errors.New("sim: factory returned a nil algorithm")
 	}
 
-	shards := planShards(cfg.Trials, cfg.Workers)
 	// The fold state lives in one struct captured by the closures below, so
 	// the no-hook path allocates exactly what the pre-progress engine did:
 	// one escaped variable, whatever the number of fields.
-	st := foldState{cfg: &cfg, shards: shards}
+	st := foldState{cfg: &cfg}
 	st.resume()
+	// Plan the trials still to run, [done, Trials). A fresh run plans every
+	// trial; a resumed one continues the shard numbering of its checkpoint.
+	done := st.total.trials
+	rest := cfg.Trials - done
+	shards := planShards(rest, cfg.Workers)
+	st.shards = st.shardsDone + shards
 	if cfg.Progress != nil && st.resumed > 0 {
 		// Report the restored prefix before any new shard computes, so a
 		// consumer learns immediately that (and how far) the run resumed.
 		st.report()
 	}
-	err := parallel.ReduceOrderedFrom(ctx, st.shardsDone, shards, cfg.Workers, func(s int) (*TrialAccumulator, error) {
-		lo, hi := shardRange(cfg.Trials, shards, s)
-		return runShard(ctx, cfg, alg, lo, hi)
+	err := parallel.ReduceOrdered(ctx, shards, cfg.Workers, func(s int) ([]Result, error) {
+		lo, hi := shardRange(rest, shards, s)
+		return runShard(ctx, cfg, alg, done+lo, done+hi)
 	}, st.merge)
 	if err != nil {
 		return TrialStats{}, fmt.Errorf("sim: monte carlo: %w", err)
-	}
-	if st.total == nil {
-		st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
 	}
 	return st.total.Stats(), nil
 }
 
 // foldState carries the running total and progress/checkpoint bookkeeping of
-// one MonteCarlo fold. merge is the ReduceOrderedFrom sink: calls arrive
+// one MonteCarlo fold. merge is the ReduceOrdered sink: calls arrive
 // serialized in shard order, so no field needs locking.
 type foldState struct {
 	cfg        *TrialConfig
-	shards     int
+	shards     int // shardsDone at the start plus the shards planned after it
 	total      *TrialAccumulator
 	shardsDone int
 	resumed    int // shards restored from a checkpoint, <= shardsDone
 }
 
 // resume seeds the fold from the longest valid persisted prefix, if the
-// configuration carries a Checkpointer and the store holds one. Validity is
-// strict: the checkpoint's totals must match this run, its trial prefix must
-// end exactly on a shard boundary of the current plan (checkpoints written
-// under a different worker count resume when their boundary aligns — the
-// aggregate is partition-blind, so the result stays bit-identical), and its
-// state must decode into a consistent accumulator covering that prefix.
+// configuration carries a Checkpointer and the store holds one, and
+// otherwise starts it from an empty accumulator. Any prefix resumes, shard
+// boundary of the current plan or not, because the fold continues with the
+// very next trial. Validity is strict: the checkpoint's totals must match
+// this run, its prefix must be non-empty and unfinished, and its state must
+// decode into an accumulator of exactly that prefix for this configuration.
 // Anything else is ignored and the run starts fresh; a checkpoint can only
 // ever save work, never corrupt a result.
 func (st *foldState) resume() {
-	if st.cfg.Checkpointer == nil {
+	cfg := st.cfg
+	st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
+	if cfg.Checkpointer == nil {
 		return
 	}
-	cfg := st.cfg
-	var restored *TrialAccumulator
-	resumeShard := 0
-	_, ok := cfg.Checkpointer.Load(func(cp CheckpointState) bool {
-		if cp.TotalTrials != cfg.Trials {
-			return false
-		}
-		s := alignShard(cfg.Trials, st.shards, cp.TrialsDone)
-		if s < 1 {
+	cfg.Checkpointer.Load(func(cp CheckpointState) bool {
+		if cp.TotalTrials != cfg.Trials || cp.TrialsDone <= 0 || cp.TrialsDone >= cfg.Trials {
 			return false
 		}
 		acc := new(TrialAccumulator)
-		if err := acc.UnmarshalBinary(cp.State); err != nil {
+		if acc.UnmarshalBinary(cp.State) != nil || acc.trials != cp.TrialsDone ||
+			acc.numAgents != cfg.NumAgents || acc.distance != cfg.Adversary.Distance() {
 			return false
 		}
-		if acc.trials != cp.TrialsDone || acc.numAgents != cfg.NumAgents ||
-			acc.distance != cfg.Adversary.Distance() {
-			return false
-		}
-		restored, resumeShard = acc, s
+		st.total, st.shardsDone, st.resumed = acc, cp.ShardsDone, cp.ShardsDone
 		return true
 	})
-	if !ok {
-		return
-	}
-	st.total = restored
-	st.shardsDone = resumeShard
-	st.resumed = resumeShard
 }
 
-// merge folds one shard accumulator into the running total and drives the
-// progress and checkpoint hooks. Merges arrive serialized in shard order, so
-// the first shard of a fresh run is adopted outright: merging it into an
-// empty accumulator would replay its trial log into the exact state it
-// already holds.
-func (st *foldState) merge(acc *TrialAccumulator) {
-	if st.total == nil {
-		st.total = acc
-	} else {
-		st.total.Merge(acc)
+// merge adds one shard's results to the running total, in trial order, and
+// drives the progress and checkpoint hooks.
+func (st *foldState) merge(results []Result) {
+	for _, r := range results {
+		st.total.Add(r)
 	}
 	st.shardsDone++
 	cfg := st.cfg
@@ -507,7 +488,7 @@ func (st *foldState) merge(acc *TrialAccumulator) {
 				_ = cfg.Checkpointer.Save(CheckpointState{
 					ShardsDone:  st.shardsDone,
 					TotalShards: st.shards,
-					TrialsDone:  st.trialsDone(),
+					TrialsDone:  st.total.trials,
 					TotalTrials: cfg.Trials,
 					State:       state,
 				})
@@ -516,22 +497,12 @@ func (st *foldState) merge(acc *TrialAccumulator) {
 	}
 }
 
-// trialsDone is the number of trials covered by the first shardsDone shards:
-// the lo boundary of the next shard, by the shardRange construction.
-func (st *foldState) trialsDone() int {
-	if st.shardsDone >= st.shards {
-		return st.cfg.Trials
-	}
-	lo, _ := shardRange(st.cfg.Trials, st.shards, st.shardsDone)
-	return lo
-}
-
 // report fires the progress hook with a snapshot of the running aggregate.
 func (st *foldState) report() {
 	st.cfg.Progress(Progress{
 		ShardsDone:    st.shardsDone,
 		TotalShards:   st.shards,
-		TrialsDone:    st.trialsDone(),
+		TrialsDone:    st.total.trials,
 		TotalTrials:   st.cfg.Trials,
 		ResumedShards: st.resumed,
 		Stats:         st.total.Stats(),

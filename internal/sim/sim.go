@@ -149,18 +149,6 @@ func (r Result) CompetitiveRatio() float64 {
 	return float64(r.Time) / r.LowerBound
 }
 
-// SurvivorLowerBound returns D + D²/k′ — the trivial bound re-based against
-// the k′ agents that survived the run, the reference the paper's
-// graceful-degradation claim compares against. It is +Inf when no agent
-// survived: zero agents cannot find anything, so every finite time is
-// "infinitely good" relative to the bound.
-func (r Result) SurvivorLowerBound() float64 {
-	if r.Survivors < 1 {
-		return math.Inf(1)
-	}
-	return lowerBound(r.Distance, r.Survivors)
-}
-
 // SurvivorCompetitiveRatio returns Time / (D + D²/k′). Like CompetitiveRatio
 // it is NaN on the degenerate D=0 instance; it is additionally NaN when no
 // agent survived (the bound is +Inf and the ratio carries no information), so
@@ -723,81 +711,30 @@ func (st *agentState) hitAt(t, budget int) stepOutcome {
 }
 
 // exactSeg folds one segment into the agent's state the exact engine's way,
-// enumerating every cell it reaches before the budget and reporting each to
-// the visitor.
+// enumerating every cell it reaches before the budget, reporting each to the
+// visitor, under the agent's fault schedule. Its wall-clock semantics are
+// applyFaults': each cell arrival is shifted by the stalls that precede it
+// (an arrival exactly at a stall start is delayed), and arrivals at or after
+// the crash time never happen. With no fault pending in the segment's window
+// every per-cell fault check falls through, the shift stays zero, and the
+// step is the plain fault-free enumeration. The two engines may differ in
+// *when* an agent's elapsed absorbs a pending stall (a zero-duration segment
+// emits no arrivals here but consumes a due stall analytically), which can
+// reorder heap scheduling between independent agents, but never in any
+// agent's visit times or hit time — which is all Result is made of.
 func (st *agentState) exactSeg(seg trajectory.Seg, treasure grid.Point, budget int,
 	visit func(agentIdx, t int, p grid.Point)) (stepOutcome, error) {
 	if seg.Start() != st.pos {
 		return stepOutcome{}, discontinuityError(seg, seg.Start(), st.pos)
 	}
-	if st.nextFaultAt-st.elapsed <= seg.Duration() {
-		return exactSegFaulty(st, seg, treasure, budget, visit)
-	}
-	hit := -1
-	truncated := false
-	seg.ForEach(func(t int, p grid.Point) bool {
-		if t == 0 {
-			// The segment's start coincides in time with the previous
-			// segment's end and was already visited/reported.
-			return true
-		}
-		globalT := st.elapsed + t
-		if globalT >= budget {
-			// The budget is exclusive, exactly as in the analytic engine:
-			// only times strictly below it are simulated.
-			truncated = true
-			return false
-		}
-		visit(st.idx, globalT, p)
-		if p == treasure {
-			hit = globalT
-			return false
-		}
-		return true
-	})
-	if hit >= 0 {
-		st.zeroStreak = 0
-		return stepOutcome{hit: hit}, nil
-	}
-	if truncated || seg.Duration() > budget-st.elapsed {
-		st.zeroStreak = 0
-		st.elapsed = budget
-		return stepOutcome{hit: -1}, nil
-	}
-	// The zero-streak guard mirrors scanSeg: only a zero-duration segment
-	// leaves elapsed unchanged and can extend a streak.
-	if seg.Duration() == 0 {
-		st.zeroStreak++
-		if st.zeroStreak > maxZeroStreak {
-			return stepOutcome{}, ErrNoProgress
-		}
-	} else {
-		st.zeroStreak = 0
-	}
-	st.elapsed += seg.Duration()
-	st.pos = seg.End()
-	return stepOutcome{hit: -1}, nil
-}
-
-// exactSegFaulty enumerates one segment under the agent's fault schedule,
-// the exact-engine counterpart of applyFaults with identical wall-clock
-// semantics: each cell arrival is shifted by the stalls that precede it
-// (an arrival exactly at a stall start is delayed), and arrivals at or after
-// the crash time never happen. The two engines may differ in *when* an
-// agent's elapsed absorbs a pending stall (a zero-duration segment emits no
-// arrivals here but consumes a due stall analytically), which can reorder
-// heap scheduling between independent agents, but never in any agent's
-// visit times or hit time — which is all Result is made of.
-func exactSegFaulty(st *agentState, seg trajectory.Seg, treasure grid.Point, budget int,
-	visit func(agentIdx, t int, p grid.Point)) (stepOutcome, error) {
 	shift := 0
 	hit := -1
 	truncated := false
 	crashed := false
 	seg.ForEach(func(t int, p grid.Point) bool {
 		if t == 0 {
-			// As in the fault-free path: the segment's start was already
-			// visited as the previous segment's end.
+			// The segment's start coincides in time with the previous
+			// segment's end and was already visited/reported.
 			return true
 		}
 		wall := st.elapsed + t + shift
@@ -822,6 +759,8 @@ func exactSegFaulty(st *agentState, seg trajectory.Seg, treasure grid.Point, bud
 			break
 		}
 		if wall >= budget {
+			// The budget is exclusive, exactly as in the analytic engine:
+			// only times strictly below it are simulated.
 			truncated = true
 			return false
 		}
@@ -851,8 +790,9 @@ func exactSegFaulty(st *agentState, seg trajectory.Seg, treasure grid.Point, bud
 		return stepOutcome{hit: -1}, nil
 	}
 	if seg.Duration() == 0 && shift == 0 {
-		// No arrivals, no stall absorbed: the same no-progress guard as the
-		// fault-free path.
+		// No arrivals and no stall absorbed: the zero-streak guard mirrors
+		// scanSeg, where only a zero-duration segment leaves elapsed
+		// unchanged.
 		st.zeroStreak++
 		if st.zeroStreak > maxZeroStreak {
 			return stepOutcome{}, ErrNoProgress

@@ -10,13 +10,14 @@ import (
 	"sort"
 )
 
-// MergeReplayCap is the largest number of observations a merge may replay.
-// The sweep engine folds per-shard aggregates by replaying each shard's
-// observations, in order, into the running total (sim.TrialAccumulator), so
-// it plans no shard larger than this: the merged state is then bit-identical
-// to sequential accumulation, whatever the partition. The cap matches
-// DefaultSketchCap, so a shard's quantile sketch is still exact when it is
-// replayed.
+// MergeReplayCap is the largest number of observations a merge may replay:
+// sim.TrialAccumulator logs its first MergeReplayCap trials, and Merge
+// replays that log, in order, into the running total, so a merged state is
+// bit-identical to sequential accumulation whatever the partition. The sweep
+// engine itself adds each trial to one accumulator in order, and plans no
+// shard larger than this cap; the cap fixes its shard plan and bounds the
+// per-trial results in flight. It matches DefaultSketchCap, so a merged
+// shard's quantile sketch is still exact when it is replayed.
 const MergeReplayCap = DefaultSketchCap
 
 // Accumulator computes running mean and variance using Welford's method. The

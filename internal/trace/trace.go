@@ -15,7 +15,6 @@ import (
 // Recorder collects visits; attach its Visit method to sim.RunExact.
 type Recorder struct {
 	visits map[grid.Point]int
-	last   map[int]grid.Point
 	bounds bounds
 }
 
@@ -46,31 +45,18 @@ func (b *bounds) extend(p grid.Point) {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		visits: make(map[grid.Point]int),
-		last:   make(map[int]grid.Point),
-	}
+	return &Recorder{visits: make(map[grid.Point]int)}
 }
 
 // Visit records one observation; it matches the visitor signature of
 // sim.RunExact.
-func (r *Recorder) Visit(agentIdx, _ int, p grid.Point) {
+func (r *Recorder) Visit(_, _ int, p grid.Point) {
 	r.visits[p]++
-	r.last[agentIdx] = p
 	r.bounds.extend(p)
 }
 
-// Visits returns the number of times the node was stood upon.
-func (r *Recorder) Visits(p grid.Point) int { return r.visits[p] }
-
 // DistinctNodes returns the number of distinct nodes visited.
 func (r *Recorder) DistinctNodes() int { return len(r.visits) }
-
-// LastPosition returns the final recorded position of the agent, if any.
-func (r *Recorder) LastPosition(agentIdx int) (grid.Point, bool) {
-	p, ok := r.last[agentIdx]
-	return p, ok
-}
 
 // heatRunes maps visit intensity to characters, from lightest to heaviest.
 var heatRunes = []rune{'.', ':', '-', '=', '+', '*', '#', '%', '@'}

@@ -20,17 +20,11 @@ func TestRecorderCounts(t *testing.T) {
 	r.Visit(0, 1, grid.Point{X: 1})
 	r.Visit(1, 0, grid.Origin)
 
-	if got := r.Visits(grid.Origin); got != 2 {
-		t.Errorf("Visits(origin) = %d, want 2", got)
+	if got := r.visits[grid.Origin]; got != 2 {
+		t.Errorf("visits of the origin = %d, want 2", got)
 	}
 	if got := r.DistinctNodes(); got != 2 {
 		t.Errorf("DistinctNodes = %d, want 2", got)
-	}
-	if p, ok := r.LastPosition(0); !ok || p != (grid.Point{X: 1}) {
-		t.Errorf("LastPosition(0) = %v, %v", p, ok)
-	}
-	if _, ok := r.LastPosition(9); ok {
-		t.Error("LastPosition of an unseen agent should report false")
 	}
 }
 
@@ -85,7 +79,7 @@ func TestRecorderWithExactEngine(t *testing.T) {
 	if r.DistinctNodes() == 0 {
 		t.Error("no visits recorded")
 	}
-	if r.Visits(grid.Origin) == 0 {
+	if r.visits[grid.Origin] == 0 {
 		t.Error("source never recorded")
 	}
 	out := r.Render(6, inst.Treasure)

@@ -35,7 +35,7 @@ func TestStreamMatchesStdlib(t *testing.T) {
 		s := NewStream(c.base, c.path...)
 		ref := stdlibFor(c.base, c.path...)
 		for i := 0; i < 2000; i++ {
-			switch i % 6 {
+			switch i % 5 {
 			case 0:
 				if got, want := s.Uint64(), ref.Uint64(); got != want {
 					t.Fatalf("base %d step %d: Uint64 = %#x, stdlib %#x", c.base, i, got, want)
@@ -51,14 +51,10 @@ func TestStreamMatchesStdlib(t *testing.T) {
 					t.Fatalf("base %d step %d: IntN(17) = %d, stdlib %d", c.base, i, got, want)
 				}
 			case 3:
-				if got, want := s.Int64N(1000003), ref.Int64N(1000003); got != want {
-					t.Fatalf("base %d step %d: Int64N = %d, stdlib %d", c.base, i, got, want)
-				}
-			case 4:
 				if got, want := s.Float64(), ref.Float64(); got != want {
 					t.Fatalf("base %d step %d: Float64 = %v, stdlib %v", c.base, i, got, want)
 				}
-			case 5:
+			case 4:
 				gotPerm, wantPerm := s.Perm(13), ref.Perm(13)
 				for j := range wantPerm {
 					if gotPerm[j] != wantPerm[j] {
@@ -70,8 +66,8 @@ func TestStreamMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesStdlibZiggurat pins the cold-path ziggurat samplers, which
-// delegate to the stdlib over this stream's generator.
+// TestStreamMatchesStdlibZiggurat pins the cold-path ziggurat sampler, which
+// delegates to the stdlib over this stream's generator.
 func TestStreamMatchesStdlibZiggurat(t *testing.T) {
 	t.Parallel()
 
@@ -80,9 +76,6 @@ func TestStreamMatchesStdlibZiggurat(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		if got, want := s.ExpFloat64(), ref.ExpFloat64(); got != want {
 			t.Fatalf("step %d: ExpFloat64 = %v, stdlib %v", i, got, want)
-		}
-		if got, want := s.NormFloat64(), ref.NormFloat64(); got != want {
-			t.Fatalf("step %d: NormFloat64 = %v, stdlib %v", i, got, want)
 		}
 	}
 }
@@ -171,7 +164,6 @@ func TestHotPathAllocFree(t *testing.T) {
 		s.Reset(7, 3, 1)
 		_ = s.Uint64()
 		_ = s.IntN(1000)
-		_ = s.Int64N(1 << 40)
 		_ = s.Float64()
 		_ = s.Bernoulli(0.5)
 		s.PermInto(buf)

@@ -114,16 +114,6 @@ func (s *Stream) IntN(n int) int {
 	return int(s.uint64n(uint64(n)))
 }
 
-// Int64N returns a uniform int64 in [0, n).
-//
-//antlint:hotpath
-func (s *Stream) Int64N(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: invalid argument to Int64N")
-	}
-	return int64(s.uint64n(uint64(n)))
-}
-
 // Float64 returns a uniform value in [0, 1).
 //
 //antlint:hotpath
@@ -170,7 +160,7 @@ func (s *Stream) Perm(n int) []int {
 }
 
 // source adapts a Stream to math/rand/v2's Source interface for the cold-path
-// samplers below that delegate to the standard library's ziggurat tables.
+// sampler below that delegates to the standard library's ziggurat tables.
 type source struct{ s *Stream }
 
 // Uint64 implements rand.Source.
@@ -182,10 +172,6 @@ func (src source) Uint64() uint64 { return src.s.pcg.Uint64() }
 // per-call allocation makes it unsuitable for the trial hot path, which does
 // not use it.
 func (s *Stream) ExpFloat64() float64 { return rand.New(source{s}).ExpFloat64() }
-
-// NormFloat64 returns a standard normal value. Like ExpFloat64 it delegates
-// to the standard library's ziggurat sampler and is not a hot-path method.
-func (s *Stream) NormFloat64() float64 { return rand.New(source{s}).NormFloat64() }
 
 // PowerLawRadius samples an integer radius r >= 1 with probability
 // proportional to r^-(1+delta), for delta > 0. The support is unbounded; the
