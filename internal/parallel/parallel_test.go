@@ -226,6 +226,37 @@ func TestReduceOrderedError(t *testing.T) {
 	}
 }
 
+// A fold over the suffix [10, 40) — the shape a resumed run uses, offsetting
+// the task index by the checkpointed prefix — stops at a failure inside the
+// suffix with a contiguous prefix of [10, 25) merged.
+func TestReduceOrderedFromError(t *testing.T) {
+	t.Parallel()
+
+	const start, end = 10, 40
+	boom := errors.New("boom")
+	var merged []int
+	err := ReduceOrdered(context.Background(), end-start, 4, func(i int) (int, error) {
+		if start+i == 25 {
+			return 0, boom
+		}
+		return start + i, nil
+	}, func(v int) {
+		merged = append(merged, v)
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("got error %v, want %v", err, boom)
+	}
+	// Merges form a contiguous prefix of [10, 25).
+	for j, v := range merged {
+		if v != start+j {
+			t.Fatalf("merge %d got index %d, want %d", j, v, start+j)
+		}
+	}
+	if len(merged) > 25-start {
+		t.Fatalf("error did not stop the fold: %d merges", len(merged))
+	}
+}
+
 func TestReduceOrderedContextCancellation(t *testing.T) {
 	t.Parallel()
 
