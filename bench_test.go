@@ -38,16 +38,14 @@ func benchExperiment(b *testing.B, id string) {
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		if !out.Pass() {
-			for _, c := range out.Checks {
-				if !c.Pass {
-					b.Logf("%s check %s failed: %s", id, c.Name, c.Detail)
-				}
+		// A failed shape check on a single seed is reported but does not
+		// abort the benchmark: quick-scale sweeps are intentionally noisy
+		// and the authoritative pass/fail gate is cmd/antexperiments at
+		// standard scale (see EXPERIMENTS.md).
+		for _, c := range out.Checks {
+			if !c.Pass {
+				b.Logf("%s check %s failed: %s", id, c.Name, c.Detail)
 			}
-			// A failed shape check on a single seed is reported but does not
-			// abort the benchmark: quick-scale sweeps are intentionally noisy
-			// and the authoritative pass/fail gate is cmd/antexperiments at
-			// standard scale (see EXPERIMENTS.md).
 		}
 	}
 }

@@ -68,7 +68,7 @@
 //	                 200: the replica is alive, just half-broken)
 //	GET  /stats      cache, in-flight, shed and store counters (JSON)
 //
-// A /sweep body mirrors scenario.Grid:
+// A /sweep body is scenario.Grid's JSON form:
 //
 //	{"scenarios": ["known-k", "uniform"], "ks": [1, 4, 16], "ds": [32],
 //	 "trials": 64, "seed": 1, "params": {"epsilon": 0.5}}
@@ -123,7 +123,7 @@ func main() {
 	}
 }
 
-func run(args []string, logw io.Writer) error {
+func run(args []string, logw io.Writer) (err error) {
 	fs := flag.NewFlagSet("antserve", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8077", "listen address")
@@ -169,6 +169,34 @@ func run(args []string, logw io.Writer) error {
 		return fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
 	}
 
+	// Every return from here on releases what run opened: the -debug-addr
+	// listener, the result store and the checkpoint tier. A graceful
+	// shutdown closes both stores itself, after its final compaction and
+	// prune, and a second Close of either store is a no-op.
+	var debugLn net.Listener
+	var diskStore *cache.DiskStore
+	cfg := serverConfig{
+		Workers:           *workers,
+		CacheSize:         *cacheSize,
+		MaxCells:          *maxCells,
+		MaxInflightSweeps: *maxInflight,
+	}
+	defer func() {
+		if debugLn != nil {
+			debugLn.Close() // ends the pprof server's Serve loop
+		}
+		if diskStore != nil {
+			if cerr := diskStore.Close(); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
+		}
+		if cfg.Checkpoints != nil {
+			if cerr := cfg.Checkpoints.Close(); cerr != nil {
+				err = errors.Join(err, cerr)
+			}
+		}
+	}()
+
 	if *debugAddr != "" {
 		// The profiling endpoints live on their own listener so they can stay
 		// unexposed (bound to localhost) while -addr serves traffic. Listen
@@ -177,6 +205,7 @@ func run(args []string, logw io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-debug-addr: %w", err)
 		}
+		debugLn = ln
 		fmt.Fprintf(logw, "antserve: pprof on http://%s/debug/pprof/\n", ln.Addr())
 		go func() {
 			// DefaultServeMux carries the net/http/pprof handlers.
@@ -184,13 +213,6 @@ func run(args []string, logw io.Writer) error {
 		}()
 	}
 
-	cfg := serverConfig{
-		Workers:           *workers,
-		CacheSize:         *cacheSize,
-		MaxCells:          *maxCells,
-		MaxInflightSweeps: *maxInflight,
-	}
-	var diskStore *cache.DiskStore
 	if *storeDir != "" {
 		store, err := cache.OpenDiskStoreWith(*storeDir, cache.DiskStoreOptions{FsyncAppends: *fsyncAppends})
 		if err != nil {
@@ -454,31 +476,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sweepParams mirrors scenario.Params with stable lowercase JSON names.
-type sweepParams struct {
-	Epsilon   float64 `json:"epsilon"`
-	Delta     float64 `json:"delta"`
-	Rho       float64 `json:"rho"`
-	Bias      float64 `json:"bias"`
-	Mu        float64 `json:"mu"`
-	D         int     `json:"d"`
-	CrashProb float64 `json:"crash_prob"`
-	CrashBy   int     `json:"crash_by"`
-	StallProb float64 `json:"stall_prob"`
-	StallBy   int     `json:"stall_by"`
-	StallDur  int     `json:"stall_dur"`
-}
-
-// sweepRequest mirrors scenario.Grid with stable lowercase JSON names, plus
-// the opt-in progress streaming knobs.
+// sweepRequest is a /sweep body: the grid, whose fields scenario.Grid's JSON
+// tags name, plus the opt-in progress streaming knobs.
 type sweepRequest struct {
-	Scenarios []string    `json:"scenarios"`
-	Params    sweepParams `json:"params"`
-	Ks        []int       `json:"ks"`
-	Ds        []int       `json:"ds"`
-	Trials    int         `json:"trials"`
-	MaxTime   int         `json:"max_time"`
-	Seed      uint64      `json:"seed"`
+	scenario.Grid
 	// Progress interleaves {"type":"progress",...} heartbeat rows into the
 	// NDJSON stream as each cell's fold advances, flushed immediately — they
 	// double as keep-alives for proxies that time out idle mega-cell
@@ -488,30 +489,6 @@ type sweepRequest struct {
 	// ProgressEvery is the shard stride between progress rows (0 = an
 	// automatic ~1% stride; sim counts shards of at most 1024 trials).
 	ProgressEvery int `json:"progress_every"`
-}
-
-func (r sweepRequest) grid() scenario.Grid {
-	return scenario.Grid{
-		Scenarios: r.Scenarios,
-		Params: scenario.Params{
-			Epsilon:   r.Params.Epsilon,
-			Delta:     r.Params.Delta,
-			Rho:       r.Params.Rho,
-			Bias:      r.Params.Bias,
-			Mu:        r.Params.Mu,
-			D:         r.Params.D,
-			CrashProb: r.Params.CrashProb,
-			CrashBy:   r.Params.CrashBy,
-			StallProb: r.Params.StallProb,
-			StallBy:   r.Params.StallBy,
-			StallDur:  r.Params.StallDur,
-		},
-		Ks:      r.Ks,
-		Ds:      r.Ds,
-		Trials:  r.Trials,
-		MaxTime: r.MaxTime,
-		Seed:    r.Seed,
-	}
 }
 
 // sweepRow is one NDJSON response line: the cell coordinates, whether the
@@ -623,7 +600,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "invalid sweep request: %v", err)
 		return
 	}
-	grid := req.grid()
+	grid := req.Grid
 	// Count before expanding: a small body can name millions of cells, and
 	// building them only to refuse them would cost gigabytes.
 	size, err := grid.Size()

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -679,7 +680,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if err := dec.Decode(&sr); err != nil {
 			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
 		}
-		if size, err := sr.grid().Size(); err != nil || size > maxCells {
+		if size, err := sr.Size(); err != nil || size > maxCells {
 			t.Fatalf("200 for a grid of %d cells (%v), more than %d: %q", size, err, maxCells, body)
 		}
 		for _, k := range sr.Ks {
@@ -711,11 +712,38 @@ func TestRunFlagValidation(t *testing.T) {
 
 	// An explicit interval with only -checkpoint-dir passes validation: the
 	// beat compacts the checkpoint tier too. The unusable address then
-	// fails the boot at listen time, after the flags were accepted.
+	// fails the boot at listen time, after the flags were accepted. That
+	// return must release everything the boot opened: both store
+	// directories reopen, and the -debug-addr port binds again.
+	storeDir, ckptDir := t.TempDir(), t.TempDir()
 	var logw bytes.Buffer
-	err := run([]string{"-checkpoint-dir", t.TempDir(), "-snapshot-interval", "1m", "-addr", "127.0.0.1:-1"}, &logw)
+	err := run([]string{"-store-dir", storeDir, "-checkpoint-dir", ckptDir, "-snapshot-interval", "1m",
+		"-debug-addr", "127.0.0.1:0", "-addr", "127.0.0.1:-1"}, &logw)
 	if err == nil || strings.Contains(err.Error(), "-snapshot-interval") || !strings.Contains(err.Error(), "listen") {
-		t.Errorf("-checkpoint-dir with -snapshot-interval: got error %v, want the listen error", err)
+		t.Fatalf("-checkpoint-dir with -snapshot-interval: got error %v, want the listen error", err)
+	}
+	store, err := cache.OpenDiskStore(storeDir)
+	if err != nil {
+		t.Errorf("reopening -store-dir after the listen error: %v", err)
+	} else if err := store.Close(); err != nil {
+		t.Error(err)
+	}
+	ckpts, err := cache.OpenCheckpointStore(ckptDir)
+	if err != nil {
+		t.Errorf("reopening -checkpoint-dir after the listen error: %v", err)
+	} else if err := ckpts.Close(); err != nil {
+		t.Error(err)
+	}
+	_, rest, ok := strings.Cut(logw.String(), "pprof on http://")
+	debugAddr, _, _ := strings.Cut(rest, "/")
+	if !ok || debugAddr == "" {
+		t.Fatalf("boot log names no pprof address:\n%s", logw.String())
+	}
+	ln, err := net.Listen("tcp", debugAddr)
+	if err != nil {
+		t.Errorf("rebinding -debug-addr %s after the listen error: %v", debugAddr, err)
+	} else {
+		ln.Close()
 	}
 }
 

@@ -7,24 +7,6 @@ import (
 	"antsearch/internal/xrand"
 )
 
-func TestFixedPoint(t *testing.T) {
-	t.Parallel()
-
-	target := grid.Point{X: 3, Y: -4}
-	s := FixedPoint{Target: target}
-	if s.Distance() != 7 {
-		t.Errorf("Distance = %d, want 7", s.Distance())
-	}
-	if s.Name() == "" {
-		t.Error("empty name")
-	}
-	for trial := 0; trial < 5; trial++ {
-		if got := s.Place(trial, xrand.NewStream(1, uint64(trial))); got != target {
-			t.Errorf("Place(%d) = %v, want %v", trial, got, target)
-		}
-	}
-}
-
 func TestUniformRing(t *testing.T) {
 	t.Parallel()
 
@@ -37,9 +19,6 @@ func TestUniformRing(t *testing.T) {
 	}
 	if s.Distance() != 15 {
 		t.Errorf("Distance = %d", s.Distance())
-	}
-	if s.Name() == "" {
-		t.Error("empty name")
 	}
 	seen := make(map[grid.Point]bool)
 	for trial := 0; trial < 300; trial++ {
@@ -58,20 +37,5 @@ func TestUniformRing(t *testing.T) {
 	b := s.Place(4, xrand.NewStream(7, 4))
 	if a != b {
 		t.Error("placement is not reproducible")
-	}
-}
-
-func TestAxis(t *testing.T) {
-	t.Parallel()
-
-	s := Axis{D: 12}
-	if s.Distance() != 12 {
-		t.Errorf("Distance = %d", s.Distance())
-	}
-	if s.Name() == "" {
-		t.Error("empty name")
-	}
-	if got := s.Place(3, nil); got != (grid.Point{X: 12}) {
-		t.Errorf("Place = %v, want (12,0)", got)
 	}
 }

@@ -204,9 +204,6 @@ func NewLevyFlight(mu float64) (*LevyFlight, error) {
 
 var _ agent.Algorithm = (*LevyFlight)(nil)
 
-// Mu returns the tail exponent.
-func (a *LevyFlight) Mu() float64 { return a.mu }
-
 // Name implements agent.Algorithm.
 func (a *LevyFlight) Name() string { return fmt.Sprintf("levy-flight(mu=%.2g)", a.mu) }
 

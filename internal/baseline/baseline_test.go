@@ -154,8 +154,8 @@ func TestLevyFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alg.Mu() != 2 {
-		t.Errorf("Mu = %v", alg.Mu())
+	if alg.mu != 2 {
+		t.Errorf("mu = %v", alg.mu)
 	}
 	segs := collect(t, alg.NewSearcher(nil, xrand.NewStream(7), 0), 300)
 	if len(segs) != 300 {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 	"antsearch/internal/sim"
 )
@@ -308,14 +307,10 @@ func TestCellCheckpointerDisablesAfterPersistentFailures(t *testing.T) {
 // finishing.
 func crashCellConfig(t *testing.T) (sim.TrialConfig, Key) {
 	t.Helper()
-	ring, err := adversary.NewUniformRing(32)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := sim.TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 4,
-		Adversary: ring,
+		Distance:  32,
 		Trials:    1 << 15,
 		Seed:      1234,
 		Workers:   2,

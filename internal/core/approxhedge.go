@@ -82,9 +82,6 @@ func hedgeCandidates(kTilde int, epsilon float64) []int {
 // KTilde returns the estimate the agents received.
 func (a *ApproxHedge) KTilde() int { return a.kTilde }
 
-// Epsilon returns the approximation exponent.
-func (a *ApproxHedge) Epsilon() float64 { return a.epsilon }
-
 // Candidates returns the hedged candidate values of k (decreasing). The
 // returned slice is a copy.
 func (a *ApproxHedge) Candidates() []int {

@@ -62,20 +62,19 @@ func TestKnownKConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewKnownK(16): %v", err)
 	}
-	if a.K() != 16 {
-		t.Errorf("K() = %d, want 16", a.K())
+	if a.k != 16 {
+		t.Errorf("k = %d, want 16", a.k)
 	}
 	if !strings.Contains(a.Name(), "known-k") {
 		t.Errorf("Name() = %q", a.Name())
 	}
-	assertPanics(t, "MustKnownK(0)", func() { MustKnownK(0) })
 }
 
 func TestKnownKScheduleShape(t *testing.T) {
 	t.Parallel()
 
 	const k = 4
-	a := MustKnownK(k)
+	a := &KnownK{k: k}
 	rng := xrand.NewStream(1, 0)
 	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 200)
 	if len(segs) != 200 {
@@ -115,7 +114,7 @@ func TestKnownKTargetsWithinPhaseRadius(t *testing.T) {
 	// With k = 1 the spiral budget for phase i is 2^(2i+2), so the ball
 	// radius 2^i equals sqrt(budget)/2; every sortie target must lie within
 	// that radius.
-	a := MustKnownK(1)
+	a := &KnownK{k: 1}
 	rng := xrand.NewStream(7, 0)
 	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 120)
 	for _, seg := range segs {
@@ -123,7 +122,7 @@ func TestKnownKTargetsWithinPhaseRadius(t *testing.T) {
 			continue
 		}
 		// A fresh spiral search starts at its centre, the sortie target.
-		radius := grid.SpiralCoveredRadius(seg.Duration()) // ≈ sqrt(budget)/2
+		radius := spiralCoveredRadius(seg.Duration()) // ≈ sqrt(budget)/2
 		if seg.Start().L1() > radius+1 {
 			t.Errorf("sortie target %v outside phase ball (budget %d, radius %d)",
 				seg.Start(), seg.Duration(), radius)
@@ -140,11 +139,11 @@ func TestKnownKFactoryUsesTrueK(t *testing.T) {
 	if !ok {
 		t.Fatalf("factory returned %T, want *KnownK", alg)
 	}
-	if kk.K() != 32 {
-		t.Errorf("factory algorithm has k = %d, want 32", kk.K())
+	if kk.k != 32 {
+		t.Errorf("factory algorithm has k = %d, want 32", kk.k)
 	}
-	if bad := f(0).(*KnownK); bad.K() != 1 {
-		t.Errorf("factory should clamp k to 1, got %d", bad.K())
+	if bad := f(0).(*KnownK); bad.k != 1 {
+		t.Errorf("factory should clamp k to 1, got %d", bad.k)
 	}
 }
 
@@ -161,8 +160,8 @@ func TestRhoApprox(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRhoApprox: %v", err)
 	}
-	if a.inner.K() != 4 {
-		t.Errorf("assumed k = %d, want 4 (ka/rho)", a.inner.K())
+	if a.inner.k != 4 {
+		t.Errorf("assumed k = %d, want 4 (ka/rho)", a.inner.k)
 	}
 	if !strings.Contains(a.Name(), "rho-approx") {
 		t.Errorf("Name = %q", a.Name())
@@ -172,8 +171,8 @@ func TestRhoApprox(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRhoApprox(1, 8): %v", err)
 	}
-	if small.inner.K() != 1 {
-		t.Errorf("assumed k = %d, want 1", small.inner.K())
+	if small.inner.k != 1 {
+		t.Errorf("assumed k = %d, want 1", small.inner.k)
 	}
 
 	rng := xrand.NewStream(3, 0)
@@ -206,11 +205,11 @@ func TestRhoApproxFactoryValidation(t *testing.T) {
 		t.Fatalf("factory returned %T, want *RhoApprox", alg)
 	}
 	// ka = 64 * 0.5 = 32, assumed = ka / rho = 8.
-	if ra.inner.K() != 8 {
-		t.Errorf("assumed k = %d, want 8", ra.inner.K())
+	if ra.inner.k != 8 {
+		t.Errorf("assumed k = %d, want 8", ra.inner.k)
 	}
-	if clamped := f(1).(*RhoApprox); clamped.inner.K() < 1 {
-		t.Errorf("assumed k should never drop below 1, got %d", clamped.inner.K())
+	if clamped := f(1).(*RhoApprox); clamped.inner.k < 1 {
+		t.Errorf("assumed k should never drop below 1, got %d", clamped.inner.k)
 	}
 }
 
@@ -227,10 +226,9 @@ func TestUniformConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUniform: %v", err)
 	}
-	if a.Epsilon() != 0.5 {
-		t.Errorf("Epsilon = %v, want 0.5", a.Epsilon())
+	if a.epsilon != 0.5 {
+		t.Errorf("epsilon = %v, want 0.5", a.epsilon)
 	}
-	assertPanics(t, "MustUniform(0)", func() { MustUniform(0) })
 }
 
 func TestUniformIsKOblivious(t *testing.T) {
@@ -263,7 +261,7 @@ func TestUniformIsKOblivious(t *testing.T) {
 func TestUniformScheduleGrows(t *testing.T) {
 	t.Parallel()
 
-	a := MustUniform(0.5)
+	a := &Uniform{epsilon: 0.5}
 	rng := xrand.NewStream(11, 0)
 	segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 600)
 	if len(segs) != 600 {
@@ -307,24 +305,23 @@ func TestHarmonicConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHarmonic: %v", err)
 	}
-	if a.Delta() != 0.5 {
-		t.Errorf("Delta = %v", a.Delta())
+	if a.delta != 0.5 {
+		t.Errorf("delta = %v", a.delta)
 	}
-	assertPanics(t, "MustHarmonic(0)", func() { MustHarmonic(0) })
 
 	r, err := NewHarmonicRestart(0.3)
 	if err != nil {
 		t.Fatalf("NewHarmonicRestart: %v", err)
 	}
-	if r.Delta() != 0.3 {
-		t.Errorf("restart Delta = %v", r.Delta())
+	if r.delta != 0.3 {
+		t.Errorf("restart delta = %v", r.delta)
 	}
 }
 
 func TestHarmonicIsOneShot(t *testing.T) {
 	t.Parallel()
 
-	a := MustHarmonic(0.5)
+	a := &Harmonic{delta: 0.5}
 	rng := xrand.NewStream(13, 0)
 	s := a.NewSearcher(nil, rng, 0)
 	segs := collectSegments(t, s, 100)
@@ -343,7 +340,7 @@ func TestHarmonicSpiralBudgetMatchesDistance(t *testing.T) {
 	t.Parallel()
 
 	const delta = 0.6
-	a := MustHarmonic(delta)
+	a := &Harmonic{delta: delta}
 	for seedIdx := 0; seedIdx < 50; seedIdx++ {
 		rng := xrand.NewStream(100, uint64(seedIdx))
 		segs := collectSegments(t, a.NewSearcher(nil, rng, 0), 4)
@@ -485,12 +482,15 @@ func TestExpandSortie(t *testing.T) {
 	}
 }
 
-func assertPanics(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
-		}
-	}()
-	fn()
+// spiralCoveredRadius returns the largest L1 radius around the centre that a
+// spiral of the given number of steps is guaranteed to have fully visited:
+// the largest d with (2d+1)² - 1 <= steps, since L1 distance dominates
+// Chebyshev distance and the spiral completes Chebyshev ring d at step
+// (2d+1)² - 1.
+func spiralCoveredRadius(steps int) int {
+	d := 0
+	for (2*d+3)*(2*d+3)-1 <= steps {
+		d++
+	}
+	return d
 }

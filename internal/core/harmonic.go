@@ -40,19 +40,6 @@ func NewHarmonic(delta float64) (*Harmonic, error) {
 	return &Harmonic{delta: delta}, nil
 }
 
-// MustHarmonic is NewHarmonic for statically correct arguments; it panics on
-// error.
-func MustHarmonic(delta float64) *Harmonic {
-	a, err := NewHarmonic(delta)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Delta returns the algorithm's tail parameter.
-func (a *Harmonic) Delta() float64 { return a.delta }
-
 // Name implements agent.Algorithm.
 func (a *Harmonic) Name() string { return fmt.Sprintf("harmonic(delta=%.2g)", a.delta) }
 
@@ -120,9 +107,6 @@ func NewHarmonicRestart(delta float64) (*HarmonicRestart, error) {
 	}
 	return &HarmonicRestart{delta: delta}, nil
 }
-
-// Delta returns the algorithm's tail parameter.
-func (a *HarmonicRestart) Delta() float64 { return a.delta }
 
 // Name implements agent.Algorithm.
 func (a *HarmonicRestart) Name() string {

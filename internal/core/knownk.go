@@ -36,19 +36,6 @@ func NewKnownK(k int) (*KnownK, error) {
 	return &KnownK{k: k}, nil
 }
 
-// MustKnownK is NewKnownK for statically correct arguments; it panics on
-// error and exists for tests and examples.
-func MustKnownK(k int) *KnownK {
-	a, err := NewKnownK(k)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// K returns the number of agents the algorithm was told.
-func (a *KnownK) K() int { return a.k }
-
 // Name implements agent.Algorithm.
 func (a *KnownK) Name() string { return fmt.Sprintf("known-k(k=%d)", a.k) }
 

@@ -44,19 +44,6 @@ func NewUniform(epsilon float64) (*Uniform, error) {
 	return &Uniform{epsilon: epsilon}, nil
 }
 
-// MustUniform is NewUniform for statically correct arguments; it panics on
-// error.
-func MustUniform(epsilon float64) *Uniform {
-	a, err := NewUniform(epsilon)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Epsilon returns the algorithm's hedging parameter.
-func (a *Uniform) Epsilon() float64 { return a.epsilon }
-
 // Name implements agent.Algorithm.
 func (a *Uniform) Name() string { return fmt.Sprintf("uniform(eps=%.2g)", a.epsilon) }
 

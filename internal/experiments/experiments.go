@@ -95,16 +95,6 @@ type Outcome struct {
 	Checks   []Check
 }
 
-// Pass reports whether every check passed.
-func (o *Outcome) Pass() bool {
-	for _, c := range o.Checks {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // addCheck appends a check.
 func (o *Outcome) addCheck(name string, pass bool, format string, args ...any) {
 	o.Checks = append(o.Checks, Check{Name: name, Pass: pass, Detail: fmt.Sprintf(format, args...)})
@@ -176,8 +166,8 @@ type sweepCell struct {
 }
 
 // runSweep executes the cells through the scenario sweep engine (streaming,
-// sharded Monte Carlo with a uniform-ring adversary), returning statistics
-// index for index.
+// sharded Monte Carlo, the treasure uniform on the ring at D), returning
+// statistics index for index.
 func runSweep(ctx context.Context, cfg Config, cells []sweepCell) ([]sim.TrialStats, error) {
 	resolved := make([]scenario.Cell, len(cells))
 	for i, c := range cells {
@@ -199,8 +189,9 @@ func runSweep(ctx context.Context, cfg Config, cells []sweepCell) ([]sim.TrialSt
 	return stats, nil
 }
 
-// measure runs a Monte-Carlo estimation for one (factory, k, D) cell with a
-// uniform-ring adversary. It is the shared workhorse of the experiments.
+// measure runs a Monte-Carlo estimation for one (factory, k, D) cell, the
+// treasure placed uniformly on the ring at D. It is the shared workhorse of
+// the experiments.
 func measure(ctx context.Context, cfg Config, factory agent.Factory, k, d, trials, maxTime int, label string) (sim.TrialStats, error) {
 	stats, err := runSweep(ctx, cfg, []sweepCell{{
 		label: label, factory: factory, k: k, d: d, trials: trials, maxTime: maxTime,

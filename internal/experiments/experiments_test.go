@@ -102,17 +102,14 @@ func TestOutcomeChecks(t *testing.T) {
 	t.Parallel()
 
 	var o Outcome
-	if !o.Pass() {
-		t.Error("an outcome with no checks passes vacuously")
-	}
 	o.addCheck("good", true, "fine")
 	o.addFinding("found %d things", 3)
-	if !o.Pass() {
-		t.Error("outcome with only passing checks should pass")
-	}
 	o.addCheck("bad", false, "broken %s", "badly")
-	if o.Pass() {
-		t.Error("outcome with a failing check should not pass")
+	if len(o.Checks) != 2 || o.Checks[0] != (Check{Name: "good", Pass: true, Detail: "fine"}) {
+		t.Errorf("checks = %+v", o.Checks)
+	}
+	if o.Checks[1].Pass {
+		t.Error("the failing check was recorded as passing")
 	}
 	if len(o.Findings) != 1 || o.Findings[0] != "found 3 things" {
 		t.Errorf("findings = %v", o.Findings)
@@ -152,11 +149,9 @@ func TestQuickExperimentsE1E2(t *testing.T) {
 		if len(out.Checks) == 0 {
 			t.Errorf("%s produced no checks", id)
 		}
-		if !out.Pass() {
-			for _, c := range out.Checks {
-				if !c.Pass {
-					t.Errorf("%s check %s failed: %s", id, c.Name, c.Detail)
-				}
+		for _, c := range out.Checks {
+			if !c.Pass {
+				t.Errorf("%s check %s failed: %s", id, c.Name, c.Detail)
 			}
 		}
 	}
@@ -184,11 +179,9 @@ func TestQuickExperimentE11(t *testing.T) {
 			t.Errorf("E11 table %q is empty", tbl.Title())
 		}
 	}
-	if !out.Pass() {
-		for _, c := range out.Checks {
-			if !c.Pass {
-				t.Errorf("E11 check %s failed: %s", c.Name, c.Detail)
-			}
+	for _, c := range out.Checks {
+		if !c.Pass {
+			t.Errorf("E11 check %s failed: %s", c.Name, c.Detail)
 		}
 	}
 }
@@ -209,11 +202,9 @@ func TestQuickExperimentsCoverageHarness(t *testing.T) {
 	if len(out.Tables) == 0 || out.Tables[0].NumRows() == 0 {
 		t.Fatal("E9 produced no data")
 	}
-	if !out.Pass() {
-		for _, c := range out.Checks {
-			if !c.Pass {
-				t.Errorf("E9 check %s failed: %s", c.Name, c.Detail)
-			}
+	for _, c := range out.Checks {
+		if !c.Pass {
+			t.Errorf("E9 check %s failed: %s", c.Name, c.Detail)
 		}
 	}
 }

@@ -4,7 +4,8 @@
 // gracefully toward the Ω(D + D²/k′) lower bound instead of collapsing. This
 // package turns that claim into something the engine can execute: a Plan
 // describes a random fault model, and Draw materialises it, per trial and per
-// agent, into a concrete Schedule of (kind, time, duration) events.
+// agent, into a concrete Schedule: a crash time, a stall time and a stall
+// duration.
 //
 // Two failure kinds are modelled, both standard in the distributed-computing
 // literature the paper sits in:
@@ -42,31 +43,6 @@ const None = math.MaxInt
 // only so wall-clock arithmetic in the engines cannot overflow int64 however
 // hostile the request.
 const maxDuration = 1 << 48
-
-// Kind distinguishes the failure modes.
-type Kind uint8
-
-// The failure kinds.
-const (
-	// FailStop is a crash: the agent performs no action at or after the
-	// event time.
-	FailStop Kind = iota
-	// FailStall is a pause: the agent freezes in place at the event time for
-	// the event's duration, then resumes.
-	FailStall
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case FailStop:
-		return "fail-stop"
-	case FailStall:
-		return "fail-stall"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
 
 // Schedule is one agent's materialised faults for one trial: at most one
 // crash and at most one stall, with None marking an absent event. A crash

@@ -146,12 +146,3 @@ func TestStringIdentity(t *testing.T) {
 		}
 	}
 }
-
-func TestKindString(t *testing.T) {
-	if FailStop.String() != "fail-stop" || FailStall.String() != "fail-stall" {
-		t.Fatalf("kind strings: %q, %q", FailStop, FailStall)
-	}
-	if got := Kind(9).String(); got != "kind(9)" {
-		t.Fatalf("unknown kind string %q", got)
-	}
-}

@@ -36,11 +36,6 @@ func (p Point) Sub(q Point) Point {
 	return Point{X: p.X - q.X, Y: p.Y - q.Y}
 }
 
-// Scale returns p multiplied component-wise by f.
-func (p Point) Scale(f int) Point {
-	return Point{X: p.X * f, Y: p.Y * f}
-}
-
 // L1 returns the hop distance of p from the origin, |x| + |y|.
 func (p Point) L1() int {
 	return abs(p.X) + abs(p.Y)

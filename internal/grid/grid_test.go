@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,9 +54,6 @@ func TestPointArithmetic(t *testing.T) {
 	}
 	if got, want := p.Sub(q), (Point{X: 4, Y: -6}); got != want {
 		t.Errorf("Sub = %v, want %v", got, want)
-	}
-	if got, want := p.Scale(2), (Point{X: 6, Y: -8}); got != want {
-		t.Errorf("Scale = %v, want %v", got, want)
 	}
 	if got, want := p.String(), "(3,-4)"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
@@ -343,51 +341,83 @@ func TestSpiralOffsetPanicsOnNegative(t *testing.T) {
 	assertPanics(t, "negative spiral index", func() { SpiralOffset(-1) })
 }
 
+// TestSpiralCoverage checks the paper's property of a spiral search: a spiral
+// of length x visits every node within L1 distance Θ(√x). Concretely the
+// spiral visits each node on its own Chebyshev ring r, at an index in
+// [(2r-1)², (2r+1)²), so (2d+1)² - 1 steps cover the L1 ball of radius d (L1
+// distance dominates Chebyshev distance).
 func TestSpiralCoverage(t *testing.T) {
 	t.Parallel()
 
-	for d := 0; d <= 40; d++ {
-		steps := SpiralStepsToCover(d)
-		if got := SpiralCoveredRadius(steps); got != d {
-			t.Errorf("SpiralCoveredRadius(SpiralStepsToCover(%d)) = %d", d, got)
-		}
-		if d > 0 {
-			if got := SpiralCoveredRadius(steps - 1); got >= d {
-				t.Errorf("SpiralCoveredRadius(%d) = %d, want < %d", steps-1, got, d)
-			}
-		}
-	}
-
-	// The paper's property: a spiral of length x visits all nodes within L1
-	// distance Θ(√x). Verify the concrete guarantee SpiralCoveredRadius gives.
-	for _, steps := range []int{0, 1, 8, 9, 24, 100, 1000, 9999} {
-		r := SpiralCoveredRadius(steps)
-		for x := -r; x <= r; x++ {
-			for y := -r; y <= r; y++ {
-				p := Point{X: x, Y: y}
-				if p.L1() > r {
-					continue
-				}
-				if idx := SpiralIndex(p); idx > steps {
-					t.Errorf("steps=%d covered radius %d but %v first visited at %d",
-						steps, r, p, idx)
-				}
+	for x := -40; x <= 40; x++ {
+		for y := -40; y <= 40; y++ {
+			if err := checkSpiralRing(Point{X: x, Y: y}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
-func TestSpiralEndOffset(t *testing.T) {
-	t.Parallel()
+// checkSpiralRing reports whether the spiral visits p within p's Chebyshev
+// ring r = L∞(p): at an index in [(2r-1)², (2r+1)²), or at 0 for the centre.
+func checkSpiralRing(p Point) error {
+	r, idx := p.Linf(), SpiralIndex(p)
+	lo := 0
+	if r > 0 {
+		lo = (2*r - 1) * (2*r - 1)
+	}
+	if idx < lo || idx >= (2*r+1)*(2*r+1) {
+		return fmt.Errorf("SpiralIndex(%v) = %d, outside Chebyshev ring %d's steps [%d, %d)",
+			p, idx, r, lo, (2*r+1)*(2*r+1))
+	}
+	return nil
+}
 
-	if got := SpiralEndOffset(-5); got != Origin {
-		t.Errorf("SpiralEndOffset(-5) = %v, want origin", got)
-	}
-	for _, steps := range []int{0, 1, 7, 100, 1234} {
-		if got, want := SpiralEndOffset(steps), SpiralOffset(steps); got != want {
-			t.Errorf("SpiralEndOffset(%d) = %v, want %v", steps, got, want)
+// FuzzGridInverses checks the closed-form grid maps against each other on
+// arbitrary inputs:
+//   - SpiralIndex inverts SpiralOffset, and consecutive offsets are adjacent;
+//   - SpiralIndex(p) < (2·L∞(p)+1)², the covering property (checkSpiralRing);
+//   - BallPoint(r, i) lies on the L1 ring that BallSize assigns to i, the
+//     ring q with BallSize(q-1) <= i < BallSize(q).
+//
+// Inputs are folded into ranges whose squares stay far from int overflow:
+// spiral indices below 2^50, coordinates below 2^24 in absolute value.
+func FuzzGridInverses(f *testing.F) {
+	f.Add(uint64(0), int32(0), int32(0), uint16(0), uint64(0))
+	f.Add(uint64(1), int32(1), int32(-1), uint16(1), uint64(4))
+	f.Add(uint64(8), int32(-3), int32(3), uint16(2), uint64(5))
+	f.Add(uint64(9), int32(5), int32(-5), uint16(10), uint64(220))
+	f.Add(uint64(24), int32(0), int32(-7), uint16(1000), uint64(1<<40))
+	f.Add(uint64(1)<<50-1, int32(1)<<24-1, int32(-(1<<24 - 1)), uint16(65535), uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, iRaw uint64, x, y int32, r uint16, jRaw uint64) {
+		i := int(iRaw % (1 << 50))
+		p := SpiralOffset(i)
+		if got := SpiralIndex(p); got != i {
+			t.Fatalf("SpiralIndex(SpiralOffset(%d) = %v) = %d", i, p, got)
 		}
-	}
+		if next := SpiralOffset(i + 1); Dist(p, next) != 1 {
+			t.Fatalf("spiral steps %d -> %d jump from %v to %v", i, i+1, p, next)
+		}
+		if err := checkSpiralRing(p); err != nil {
+			t.Fatal(err)
+		}
+
+		q := Point{X: int(x % (1 << 24)), Y: int(y % (1 << 24))}
+		if got := SpiralOffset(SpiralIndex(q)); got != q {
+			t.Fatalf("SpiralOffset(SpiralIndex(%v)) = %v", q, got)
+		}
+		if err := checkSpiralRing(q); err != nil {
+			t.Fatal(err)
+		}
+
+		radius := int(r)
+		j := int(jRaw % uint64(BallSize(radius)))
+		b := BallPoint(radius, j)
+		if ring := b.L1(); ring > radius || BallSize(ring-1) > j || j >= BallSize(ring) {
+			t.Fatalf("BallPoint(%d, %d) = %v on ring %d, whose indices are [%d, %d)",
+				radius, j, b, ring, BallSize(ring-1), BallSize(ring))
+		}
+	})
 }
 
 func TestPathBasics(t *testing.T) {

@@ -81,45 +81,3 @@ func spiralRingOf(i int) int {
 	}
 	return r
 }
-
-// SpiralStepsToCover returns the number of spiral steps needed so that every
-// node within L1 distance d of the centre has been visited. Because L1
-// distance dominates Chebyshev distance, covering Chebyshev ring d suffices.
-func SpiralStepsToCover(d int) int {
-	if d <= 0 {
-		return 0
-	}
-	return (2*d+1)*(2*d+1) - 1
-}
-
-// SpiralCoveredRadius returns the largest L1 radius around the centre that is
-// guaranteed to be fully visited by a spiral of the given number of steps.
-// It is the inverse of SpiralStepsToCover: SpiralCoveredRadius(
-// SpiralStepsToCover(d)) == d for every d >= 0.
-func SpiralCoveredRadius(steps int) int {
-	if steps <= 0 {
-		return 0
-	}
-	// Largest d with (2d+1)² - 1 <= steps.
-	d := int((math.Sqrt(float64(steps+1)) - 1) / 2)
-	if d < 0 {
-		d = 0
-	}
-	for SpiralStepsToCover(d+1) <= steps {
-		d++
-	}
-	for d > 0 && SpiralStepsToCover(d) > steps {
-		d--
-	}
-	return d
-}
-
-// SpiralEndOffset returns the offset from the centre at which a spiral of the
-// given number of steps ends. Agents use it to compute the cost of returning
-// to the source after a truncated spiral search.
-func SpiralEndOffset(steps int) Point {
-	if steps < 0 {
-		steps = 0
-	}
-	return SpiralOffset(steps)
-}

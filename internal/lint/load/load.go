@@ -85,9 +85,6 @@ func New(moduleDir string, srcRoots ...string) *Loader {
 	return l
 }
 
-// Fset returns the loader's file set (shared by every package it loads).
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
 	ImportPath string

@@ -1,5 +1,5 @@
 // Package metrics computes the derived quantities the experiments report on
-// top of raw hit times: competitive ratios, speed-up curves, and the
+// top of raw hit times: the D + D²/k lower bound, speed-up curves, and the
 // coverage/overlap statistics obtained by attaching a tracker to the exact
 // simulation engine.
 package metrics
@@ -9,16 +9,6 @@ import (
 
 	"antsearch/internal/grid"
 )
-
-// CompetitiveRatio returns time / (D + D²/k), the paper's competitiveness
-// measure for a single measurement.
-func CompetitiveRatio(time float64, d, k int) float64 {
-	lb := LowerBound(d, k)
-	if lb == 0 {
-		return 0
-	}
-	return time / lb
-}
 
 // LowerBound returns the trivial lower bound D + D²/k on the expected running
 // time (Section 2).
@@ -44,9 +34,8 @@ func Speedup(t1, tk float64) float64 {
 type Coverage struct {
 	// perAgent[i] is the set of distinct nodes agent i visited.
 	perAgent []map[grid.Point]struct{}
-	// visits counts, for every node, how many times any agent stood on it
-	// (including repeat visits by the same agent).
-	visits map[grid.Point]int
+	// visits is the set of distinct nodes any agent visited.
+	visits map[grid.Point]struct{}
 	// totalSteps is the total number of (agent, time) pairs observed.
 	totalSteps int
 }
@@ -59,7 +48,7 @@ func NewCoverage(numAgents int) *Coverage {
 	}
 	return &Coverage{
 		perAgent: perAgent,
-		visits:   make(map[grid.Point]int),
+		visits:   make(map[grid.Point]struct{}),
 	}
 }
 
@@ -70,7 +59,7 @@ func (c *Coverage) Visit(agentIdx, _ int, p grid.Point) {
 		return
 	}
 	c.perAgent[agentIdx][p] = struct{}{}
-	c.visits[p]++
+	c.visits[p] = struct{}{}
 	c.totalSteps++
 }
 

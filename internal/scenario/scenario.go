@@ -25,26 +25,29 @@ import (
 // Params carries the tunable knobs a scenario constructor may consume. Each
 // scenario reads only the fields it needs and validates them itself, so an
 // invalid value for the selected scenario surfaces as an error (Params{} is
-// NOT generally valid — use DefaultParams for a working baseline).
+// NOT generally valid — use DefaultParams for a working baseline). Its JSON
+// form is the "params" object of antserve's /sweep request.
+//
+//antlint:wire
 type Params struct {
 	// Epsilon is the hedging exponent of the uniform algorithm (Theorem 3.3,
 	// must be > 0) and the advice quality of approx-hedge (Theorem 4.2, in
 	// [0, 1] — zero is meaningful there: exact knowledge).
-	Epsilon float64
+	Epsilon float64 `json:"epsilon"`
 	// Delta is the tail parameter of the harmonic algorithms (Theorem 5.1).
-	Delta float64
+	Delta float64 `json:"delta"`
 	// Rho is the approximation factor of rho-approx (Corollary 3.2), >= 1.
-	Rho float64
+	Rho float64 `json:"rho"`
 	// Bias is the ratio k_a/k of the advice handed to rho-approx agents; it
 	// must lie in [1/Rho, Rho]. Zero selects 1/Rho, the conservative end of
 	// the interval (a bias of exactly zero is never a legal value).
-	Bias float64
+	Bias float64 `json:"bias"`
 	// Mu is the tail exponent of the Lévy-flight baseline, in (1, 3].
-	Mu float64
+	Mu float64 `json:"mu"`
 	// D is the treasure distance revealed to the known-d baseline. Sweeps
 	// fill it in per cell when left zero; resolving known-d without it is an
 	// error.
-	D int
+	D int `json:"d"`
 
 	// CrashProb/CrashBy/StallProb/StallBy/StallDur parameterise the fault
 	// model (fault.Plan, DESIGN.md §10): each agent independently fail-stops
@@ -53,11 +56,11 @@ type Params struct {
 	// [0, StallBy) for a duration uniform in [1, StallDur]. All-zero (the
 	// default) leaves the agents perfectly reliable; FaultPlan assembles the
 	// fields into the plan the sweep engine applies.
-	CrashProb float64
-	CrashBy   int
-	StallProb float64
-	StallBy   int
-	StallDur  int
+	CrashProb float64 `json:"crash_prob"`
+	CrashBy   int     `json:"crash_by"`
+	StallProb float64 `json:"stall_prob"`
+	StallBy   int     `json:"stall_by"`
+	StallDur  int     `json:"stall_dur"`
 }
 
 // FaultPlan assembles the fault knobs into a plan, or nil when they are all

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/agent"
 	"antsearch/internal/fault"
 	"antsearch/internal/parallel"
@@ -37,9 +36,8 @@ type Cell struct {
 
 // Runner executes sweep cells through the streaming Monte-Carlo engine:
 // every cell's trials are partitioned into deterministic shards, fanned out
-// over workers, aggregated per shard with streaming accumulators and merged
-// in shard order. Memory per cell is bounded by the sketch cap, never by the
-// trial budget.
+// over workers and folded into one streaming accumulator in trial order.
+// Memory per cell is bounded by the sketch cap, never by the trial budget.
 type Runner struct {
 	// Workers is the core budget (0 = GOMAXPROCS). Run splits it between
 	// concurrent cells and each cell's trial fan-out with AutoSplit; RunOne
@@ -108,15 +106,10 @@ func AutoSplit(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
 
 // RunOne executes a single cell and returns its aggregated statistics.
 func (r Runner) RunOne(ctx context.Context, cell Cell) (sim.TrialStats, error) {
-	ring, err := adversary.NewUniformRing(cell.D)
-	if err != nil {
-		return sim.TrialStats{}, fmt.Errorf("scenario: cell %s k=%d D=%d: %w",
-			cell.Scenario, cell.K, cell.D, err)
-	}
 	cfg := sim.TrialConfig{
 		Factory:   cell.Factory,
 		NumAgents: cell.K,
-		Adversary: ring,
+		Distance:  cell.D,
 		Trials:    cell.Trials,
 		Seed:      cell.Seed,
 		MaxTime:   cell.MaxTime,
@@ -155,24 +148,28 @@ func (r Runner) Run(ctx context.Context, cells []Cell) ([]sim.TrialStats, error)
 
 // Grid describes a (scenario × D × k) sweep in terms of registry names and
 // ranges; Cells expands it into the runner's cell list, resolving every
-// factory through the registry.
+// factory through the registry. Its JSON form is the body of antserve's
+// /sweep request.
+//
+//antlint:wire
 type Grid struct {
 	// Scenarios are registry names, swept in the given order.
-	Scenarios []string
+	Scenarios []string `json:"scenarios"`
 	// Params parameterises the scenarios. A zero Params.D is filled in per
 	// cell with the cell's D (how known-d learns its distance).
-	Params Params
+	Params Params `json:"params"`
 	// Ks and Ds are the agent counts and treasure distances. Empty ranges
 	// fall back to each scenario's registered defaults.
-	Ks, Ds []int
+	Ks []int `json:"ks"`
+	Ds []int `json:"ds"`
 	// Trials is the per-cell trial budget (0 = the scenario's default).
-	Trials int
+	Trials int `json:"trials"`
 	// MaxTime caps each trial (0 = engine default).
-	MaxTime int
+	MaxTime int `json:"max_time"`
 	// Seed seeds every cell. All cells share it — per-trial streams already
 	// derive from (seed, trial), and a shared seed keeps a sweep's cells
 	// comparable under common random numbers.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 }
 
 // axes returns the k and D ranges the grid sweeps for scn: its own, or the

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/sim"
 )
 
@@ -239,14 +238,10 @@ func TestRunnerMatchesMonteCarlo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ring, err := adversary.NewUniformRing(10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := sim.MonteCarlo(context.Background(), sim.TrialConfig{
 		Factory:   factory,
 		NumAgents: 3,
-		Adversary: ring,
+		Distance:  10,
 		Trials:    25,
 		Seed:      99,
 	})
@@ -291,7 +286,7 @@ func TestRunnerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// D < 1 cannot build the default ring adversary.
+	// D < 1 has no ring to place the treasure on.
 	if _, err := (Runner{}).RunOne(context.Background(), Cell{
 		Scenario: "known-k", Factory: factory, K: 1, D: 0, Trials: 1,
 	}); err == nil {

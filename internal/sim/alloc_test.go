@@ -13,7 +13,6 @@ import (
 	"context"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 )
 
@@ -39,14 +38,10 @@ func allocsPerTrial(t *testing.T, cfg TrialConfig, trials int) float64 {
 }
 
 func TestAllocsPerTrialKnownK(t *testing.T) {
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 4,
-		Adversary: ring,
+		Distance:  8,
 		Trials:    64,
 		Seed:      3,
 	}
@@ -63,14 +58,10 @@ func TestAllocsPerTrialHarmonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := adversary.NewUniformRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := TrialConfig{
 		Factory:   factory,
 		NumAgents: 8,
-		Adversary: ring,
+		Distance:  4,
 		Trials:    64,
 		Seed:      3,
 		MaxTime:   1 << 20,

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 	"antsearch/internal/stats"
 )
@@ -60,14 +59,10 @@ func (m *memCheckpointer) Save(cp CheckpointState) error {
 
 func checkpointTestConfig(t *testing.T, trials, workers int) TrialConfig {
 	t.Helper()
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 4,
-		Adversary: ring,
+		Distance:  8,
 		Trials:    trials,
 		Seed:      11,
 		Workers:   workers,

@@ -16,7 +16,7 @@ func TestDelayedStartIntegration(t *testing.T) {
 	t.Parallel()
 
 	const maxDelay = 200
-	inner := core.MustKnownK(4)
+	inner := must(core.NewKnownK(4))
 	delayed, err := agent.NewDelayed(inner, maxDelay)
 	if err != nil {
 		t.Fatal(err)

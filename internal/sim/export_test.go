@@ -35,16 +35,24 @@ func MonteCarloResults(ctx context.Context, cfg TrialConfig) ([]Result, error) {
 // derived from the base seed and the trial index alone, so any sharding of
 // the trial range reproduces identical per-trial results.
 func runTrial(cfg TrialConfig, alg agent.Algorithm, trial int) (Result, error) {
-	placeRNG := xrand.NewStream(cfg.Seed, xrand.PathPlacement, uint64(trial))
-	treasure := cfg.Adversary.Place(trial, placeRNG)
 	inst := Instance{
 		Algorithm: alg,
 		NumAgents: cfg.NumAgents,
-		Treasure:  treasure,
+		Treasure:  xrand.NewStream(cfg.Seed, xrand.PathPlacement, uint64(trial)).UniformRingPoint(cfg.Distance),
 		Faults:    cfg.Faults,
 	}
 	return Run(inst, Options{
 		Seed:    xrand.DeriveSeed(cfg.Seed, xrand.PathTrial, uint64(trial)),
 		MaxTime: cfg.MaxTime,
 	})
+}
+
+// must returns v, panicking on err: the tests build algorithms from
+// constructor arguments they state literally, so an error is a bug in the
+// test itself.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

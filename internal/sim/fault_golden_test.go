@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 	"antsearch/internal/fault"
 )
@@ -67,14 +66,6 @@ func goldenFaultConfigs(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring8, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring4, err := adversary.NewUniformRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	crashOnly := &fault.Plan{CrashProb: 0.5, CrashBy: 64}
 	stallOnly := &fault.Plan{StallProb: 0.5, StallBy: 64, StallDur: 32}
 	mixed := &fault.Plan{CrashProb: 0.25, CrashBy: 64, StallProb: 0.25, StallBy: 64, StallDur: 64}
@@ -83,19 +74,19 @@ func goldenFaultConfigs(t *testing.T) []struct {
 		cfg  TrialConfig
 	}{
 		{"knownk-crash", TrialConfig{
-			Factory: core.Factory(), NumAgents: 4, Adversary: ring8,
+			Factory: core.Factory(), NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7, MaxTime: 1 << 16, Faults: crashOnly,
 		}},
 		{"knownk-stall", TrialConfig{
-			Factory: core.Factory(), NumAgents: 4, Adversary: ring8,
+			Factory: core.Factory(), NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7, MaxTime: 1 << 16, Faults: stallOnly,
 		}},
 		{"uniform-mixed", TrialConfig{
-			Factory: uniformFactory, NumAgents: 4, Adversary: ring8,
+			Factory: uniformFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7, MaxTime: 1 << 16, Faults: mixed,
 		}},
 		{"harmonic-restart-mixed", TrialConfig{
-			Factory: restartFactory, NumAgents: 8, Adversary: ring4,
+			Factory: restartFactory, NumAgents: 8, Distance: 4,
 			Trials: 64, Seed: 7, MaxTime: 1 << 20, Faults: mixed,
 		}},
 	}

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/agent"
 	"antsearch/internal/fault"
 	"antsearch/internal/grid"
@@ -83,10 +82,6 @@ func TestFaultRunMatchesRunExact(t *testing.T) {
 // invariance tests.
 func faultyTrialConfig(t *testing.T, trials int, plan *fault.Plan) sim.TrialConfig {
 	t.Helper()
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	alg, err := scenario.Algorithm("known-k", scenario.DefaultParams(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +89,7 @@ func faultyTrialConfig(t *testing.T, trials int, plan *fault.Plan) sim.TrialConf
 	return sim.TrialConfig{
 		Factory:   func(int) agent.Algorithm { return alg },
 		NumAgents: 4,
-		Adversary: ring,
+		Distance:  8,
 		Trials:    trials,
 		Seed:      7,
 		MaxTime:   1 << 16,

@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/agent"
 	"antsearch/internal/baseline"
 	"antsearch/internal/core"
@@ -93,73 +92,61 @@ func goldenConfigs(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring8, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring4, err := adversary.NewUniformRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring6, err := adversary.NewUniformRing(6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return []struct {
 		name string
 		cfg  TrialConfig
 	}{
 		{"knownk", TrialConfig{
-			Factory: core.Factory(), NumAgents: 4, Adversary: ring8,
+			Factory: core.Factory(), NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		{"uniform", TrialConfig{
-			Factory: uniformFactory, NumAgents: 4, Adversary: ring8,
+			Factory: uniformFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		{"harmonic", TrialConfig{
-			Factory: harmonicFactory, NumAgents: 8, Adversary: ring4,
+			Factory: harmonicFactory, NumAgents: 8, Distance: 4,
 			Trials: 64, Seed: 7, MaxTime: 1 << 20,
 		}},
 		{"single-spiral", TrialConfig{
-			Factory: baseline.SingleSpiralFactory(), NumAgents: 2, Adversary: ring6,
+			Factory: baseline.SingleSpiralFactory(), NumAgents: 2, Distance: 6,
 			Trials: 32, Seed: 11,
 		}},
 		{"delayed-knownk", TrialConfig{
-			Factory: delayedFactory, NumAgents: 4, Adversary: ring8,
+			Factory: delayedFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		{"rho-approx", TrialConfig{
-			Factory: rhoFactory, NumAgents: 4, Adversary: ring8,
+			Factory: rhoFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		{"harmonic-restart", TrialConfig{
-			Factory: restartFactory, NumAgents: 8, Adversary: ring4,
+			Factory: restartFactory, NumAgents: 8, Distance: 4,
 			Trials: 64, Seed: 7, MaxTime: 1 << 20,
 		}},
 		{"approx-hedge", TrialConfig{
-			Factory: hedgeFactory, NumAgents: 4, Adversary: ring8,
+			Factory: hedgeFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		// The random walk emits one unit step per segment, so its cap bounds
 		// the golden run's work; 2^12 steps keeps the case fast while leaving
 		// room for a mix of found and capped trials at distance 4.
 		{"random-walk", TrialConfig{
-			Factory: baseline.RandomWalkFactory(), NumAgents: 4, Adversary: ring4,
+			Factory: baseline.RandomWalkFactory(), NumAgents: 4, Distance: 4,
 			Trials: 32, Seed: 7, MaxTime: 1 << 12,
 		}},
 		{"levy", TrialConfig{
-			Factory: levyFactory, NumAgents: 4, Adversary: ring8,
+			Factory: levyFactory, NumAgents: 4, Distance: 8,
 			Trials: 32, Seed: 7, MaxTime: 1 << 16,
 		}},
 		{"sector-sweep", TrialConfig{
-			Factory: baseline.SectorSweepFactory(), NumAgents: 4, Adversary: ring8,
+			Factory: baseline.SectorSweepFactory(), NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 		// known-d only finds treasures at its advised distance, so it is
-		// paired with the matching ring.
+		// paired with the matching Distance.
 		{"known-d", TrialConfig{
-			Factory: knownDFactory, NumAgents: 4, Adversary: ring8,
+			Factory: knownDFactory, NumAgents: 4, Distance: 8,
 			Trials: 64, Seed: 7,
 		}},
 	}

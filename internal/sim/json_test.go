@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 	"antsearch/internal/stats"
 )
@@ -44,16 +43,12 @@ func TestQuantileSummaryEmptyWindowRoundTrip(t *testing.T) {
 func TestTrialStatsJSONRoundTrip(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Enough trials to leave the exact-sample regime in the quantile
 	// sketches would need > DefaultSketchCap; both regimes matter, so run a
 	// small cell (exact) and lean on the sketch property tests for the P²
 	// regime — the wire form is identical either way.
 	st, err := MonteCarlo(context.Background(), TrialConfig{
-		Factory: core.Factory(), NumAgents: 4, Adversary: ring,
+		Factory: core.Factory(), NumAgents: 4, Distance: 8,
 		Trials: 64, Seed: 7,
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/agent"
 	"antsearch/internal/fault"
 	"antsearch/internal/parallel"
@@ -18,7 +17,7 @@ import (
 
 // TrialConfig describes a Monte-Carlo estimation of the expected running time
 // of an algorithm on instances with a fixed number of agents and a fixed
-// treasure-placement strategy.
+// treasure distance.
 type TrialConfig struct {
 	// Factory supplies the algorithm; it receives the true number of agents
 	// and decides (by construction) how much of that information reaches the
@@ -26,8 +25,12 @@ type TrialConfig struct {
 	Factory agent.Factory
 	// NumAgents is the true number of agents k.
 	NumAgents int
-	// Adversary places the treasure for every trial.
-	Adversary adversary.Strategy
+	// Distance is the treasure distance D: every trial places the treasure
+	// uniformly at random on the L1 ring of radius D around the source,
+	// drawn from the trial's placement stream (seed, PathPlacement, trial).
+	// The paper's algorithms are direction-symmetric, so this averages over
+	// every placement at distance D.
+	Distance int
 	// Trials is the number of independent simulations.
 	Trials int
 	// Seed is the base seed; each trial derives its own streams from it.
@@ -71,13 +74,9 @@ func (c TrialConfig) Validate() error {
 	if c.NumAgents < 1 {
 		return fmt.Errorf("sim: trial config needs at least one agent, got %d", c.NumAgents)
 	}
-	if c.Adversary == nil {
-		return errors.New("sim: trial config has no adversary")
-	}
-	if d := c.Adversary.Distance(); d < 1 {
-		return fmt.Errorf("sim: adversary %q places the treasure at distance %d, "+
-			"on the source; the competitive ratio is undefined for D=0 (need D >= 1)",
-			c.Adversary.Name(), d)
+	if c.Distance < 1 {
+		return fmt.Errorf("sim: trial config places the treasure at distance %d; "+
+			"the competitive ratio is undefined on the source (need D >= 1)", c.Distance)
 	}
 	if c.Trials < 1 {
 		return fmt.Errorf("sim: trial config needs at least one trial, got %d", c.Trials)
@@ -366,7 +365,7 @@ func runShard(ctx context.Context, cfg TrialConfig, alg agent.Algorithm, lo, hi 
 			return nil, err
 		}
 		e.placeRNG.Reset(cfg.Seed, xrand.PathPlacement, uint64(trial))
-		inst.Treasure = cfg.Adversary.Place(trial, &e.placeRNG)
+		inst.Treasure = e.placeRNG.UniformRingPoint(cfg.Distance)
 		opts.Seed = xrand.DeriveSeed(cfg.Seed, xrand.PathTrial, uint64(trial))
 		r, err := e.runLoop(inst, opts, nil)
 		if err != nil {
@@ -444,7 +443,7 @@ type foldState struct {
 // ever save work, never corrupt a result.
 func (st *foldState) resume() {
 	cfg := st.cfg
-	st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Adversary.Distance())
+	st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Distance)
 	if cfg.Checkpointer == nil {
 		return
 	}
@@ -454,7 +453,7 @@ func (st *foldState) resume() {
 		}
 		acc := new(TrialAccumulator)
 		if acc.UnmarshalBinary(cp.State) != nil || acc.trials != cp.TrialsDone ||
-			acc.numAgents != cfg.NumAgents || acc.distance != cfg.Adversary.Distance() {
+			acc.numAgents != cfg.NumAgents || acc.distance != cfg.Distance {
 			return false
 		}
 		st.total, st.shardsDone, st.resumed = acc, cp.ShardsDone, cp.ShardsDone

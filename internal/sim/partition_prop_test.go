@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/core"
 	"antsearch/internal/stats"
 )
@@ -23,16 +22,12 @@ import (
 func TestTrialStatsPartitionInvariance(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(4242))
 	for _, trials := range []int{1, 2, 9, 64, 257, 1500} {
 		cfg := TrialConfig{
 			Factory:   core.Factory(),
 			NumAgents: 3,
-			Adversary: ring,
+			Distance:  8,
 			Trials:    trials,
 			Seed:      uint64(77 + trials),
 			MaxTime:   4000,
@@ -42,7 +37,7 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		seq := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
+		seq := NewTrialAccumulator(cfg.NumAgents, cfg.Distance)
 		for _, r := range results {
 			seq.Add(r)
 		}
@@ -61,13 +56,13 @@ func TestTrialStatsPartitionInvariance(t *testing.T) {
 
 		// Random contiguous partitions into shards Merge can replay.
 		for round := 0; round < 25; round++ {
-			merged := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
+			merged := NewTrialAccumulator(cfg.NumAgents, cfg.Distance)
 			for lo := 0; lo < trials; {
 				hi := lo + 1 + rng.Intn(stats.MergeReplayCap)
 				if hi > trials {
 					hi = trials
 				}
-				shard := NewTrialAccumulator(cfg.NumAgents, ring.Distance())
+				shard := NewTrialAccumulator(cfg.NumAgents, cfg.Distance)
 				for _, r := range results[lo:hi] {
 					shard.Add(r)
 				}

@@ -102,8 +102,8 @@ func TestFirstHitLowerBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	algorithms := []agent.Algorithm{
-		core.MustKnownK(3),
-		core.MustUniform(0.5),
+		must(core.NewKnownK(3)),
+		must(core.NewUniform(0.5)),
 		harmonicRestart,
 	}
 	prop := func(seed uint64, txRaw, tyRaw uint8) bool {

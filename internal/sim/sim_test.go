@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/agent"
 	"antsearch/internal/baseline"
 	"antsearch/internal/core"
@@ -20,7 +19,7 @@ import (
 func TestInstanceValidate(t *testing.T) {
 	t.Parallel()
 
-	valid := Instance{Algorithm: core.MustKnownK(1), NumAgents: 1, Treasure: grid.Point{X: 3}}
+	valid := Instance{Algorithm: must(core.NewKnownK(1)), NumAgents: 1, Treasure: grid.Point{X: 3}}
 	if err := valid.Validate(); err != nil {
 		t.Errorf("valid instance rejected: %v", err)
 	}
@@ -30,8 +29,8 @@ func TestInstanceValidate(t *testing.T) {
 		inst Instance
 	}{
 		{"nil algorithm", Instance{NumAgents: 1, Treasure: grid.Point{X: 3}}},
-		{"zero agents", Instance{Algorithm: core.MustKnownK(1), Treasure: grid.Point{X: 3}}},
-		{"treasure on source", Instance{Algorithm: core.MustKnownK(1), NumAgents: 1}},
+		{"zero agents", Instance{Algorithm: must(core.NewKnownK(1)), Treasure: grid.Point{X: 3}}},
+		{"treasure on source", Instance{Algorithm: must(core.NewKnownK(1)), NumAgents: 1}},
 	}
 	for _, tc := range cases {
 		if err := tc.inst.Validate(); err == nil {
@@ -55,7 +54,7 @@ func TestRunExactRejectsBeforeVisiting(t *testing.T) {
 
 	cases := map[string]Instance{
 		"nil algorithm":      {NumAgents: 3, Treasure: grid.Point{X: 3}},
-		"treasure on source": {Algorithm: core.MustKnownK(3), NumAgents: 3},
+		"treasure on source": {Algorithm: must(core.NewKnownK(3)), NumAgents: 3},
 	}
 	for name, inst := range cases {
 		visits := 0
@@ -73,8 +72,8 @@ func TestRunFindsTreasure(t *testing.T) {
 	t.Parallel()
 
 	algorithms := []agent.Algorithm{
-		core.MustKnownK(4),
-		core.MustUniform(0.5),
+		must(core.NewKnownK(4)),
+		must(core.NewUniform(0.5)),
 		baseline.SingleSpiral{},
 	}
 	for _, alg := range algorithms {
@@ -108,7 +107,7 @@ func TestRunFindsTreasure(t *testing.T) {
 func TestRunDeterministicInSeed(t *testing.T) {
 	t.Parallel()
 
-	inst := Instance{Algorithm: core.MustUniform(0.4), NumAgents: 3, Treasure: grid.Point{X: 9, Y: 2}}
+	inst := Instance{Algorithm: must(core.NewUniform(0.4)), NumAgents: 3, Treasure: grid.Point{X: 9, Y: 2}}
 	a, err := Run(inst, Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +151,10 @@ func TestRunExactMatchesAnalytic(t *testing.T) {
 	t.Parallel()
 
 	algorithms := []agent.Algorithm{
-		core.MustKnownK(3),
-		core.MustKnownK(1),
-		core.MustUniform(0.6),
-		core.MustHarmonic(0.5),
+		must(core.NewKnownK(3)),
+		must(core.NewKnownK(1)),
+		must(core.NewUniform(0.6)),
+		must(core.NewHarmonic(0.5)),
 		baseline.SingleSpiral{},
 		baseline.RandomWalk{},
 	}
@@ -185,7 +184,7 @@ func TestRunExactMatchesAnalytic(t *testing.T) {
 func TestRunExactVisitor(t *testing.T) {
 	t.Parallel()
 
-	inst := Instance{Algorithm: core.MustKnownK(2), NumAgents: 2, Treasure: grid.Point{X: 5, Y: 1}}
+	inst := Instance{Algorithm: must(core.NewKnownK(2)), NumAgents: 2, Treasure: grid.Point{X: 5, Y: 1}}
 	type visitKey struct {
 		agent int
 		t     int
@@ -279,7 +278,7 @@ func TestFinishedSearchersStopCleanly(t *testing.T) {
 	// The one-shot harmonic algorithm frequently misses the treasure with a
 	// single agent; the engine must report a clean "not found" without
 	// hitting the cap.
-	inst := Instance{Algorithm: core.MustHarmonic(0.8), NumAgents: 1, Treasure: grid.Point{X: 40, Y: 40}}
+	inst := Instance{Algorithm: must(core.NewHarmonic(0.8)), NumAgents: 1, Treasure: grid.Point{X: 40, Y: 40}}
 	missed := false
 	for seed := uint64(0); seed < 20; seed++ {
 		res, err := Run(inst, Options{Seed: seed, MaxTime: 1 << 40})
@@ -314,7 +313,7 @@ func TestCompetitiveRatio(t *testing.T) {
 }
 
 // TestMonteCarloRejectsOriginPlacement is the regression test for the D=0
-// degenerate instance: an adversary that places the treasure on the source
+// degenerate instance: a configuration that places the treasure on the source
 // must be rejected up front with an actionable error, before any trial runs,
 // instead of feeding zero lower bounds into the ratio aggregation.
 func TestMonteCarloRejectsOriginPlacement(t *testing.T) {
@@ -323,7 +322,7 @@ func TestMonteCarloRejectsOriginPlacement(t *testing.T) {
 	_, err := MonteCarlo(context.Background(), TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 2,
-		Adversary: adversary.FixedPoint{Target: grid.Origin},
+		Distance:  0,
 		Trials:    4,
 		Seed:      1,
 	})
@@ -338,14 +337,10 @@ func TestMonteCarloRejectsOriginPlacement(t *testing.T) {
 func TestMonteCarloValidation(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	good := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 2,
-		Adversary: ring,
+		Distance:  8,
 		Trials:    3,
 		Seed:      1,
 	}
@@ -354,10 +349,11 @@ func TestMonteCarloValidation(t *testing.T) {
 	}
 
 	bad := []TrialConfig{
-		{NumAgents: 2, Adversary: ring, Trials: 3},
-		{Factory: core.Factory(), Adversary: ring, Trials: 3},
+		{NumAgents: 2, Distance: 8, Trials: 3},
+		{Factory: core.Factory(), Distance: 8, Trials: 3},
 		{Factory: core.Factory(), NumAgents: 2, Trials: 3},
-		{Factory: core.Factory(), NumAgents: 2, Adversary: ring},
+		{Factory: core.Factory(), NumAgents: 2, Distance: -3, Trials: 3},
+		{Factory: core.Factory(), NumAgents: 2, Distance: 8},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -378,14 +374,10 @@ func TestMonteCarloValidation(t *testing.T) {
 func TestMonteCarloStats(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 4,
-		Adversary: ring,
+		Distance:  10,
 		Trials:    40,
 		Seed:      7,
 	}
@@ -402,8 +394,8 @@ func TestMonteCarloStats(t *testing.T) {
 	if st.SuccessRate() != 1 {
 		t.Errorf("SuccessRate = %v, want 1", st.SuccessRate())
 	}
-	if st.MeanTime() < float64(ring.D) {
-		t.Errorf("mean time %v below distance %d", st.MeanTime(), ring.D)
+	if st.MeanTime() < float64(cfg.Distance) {
+		t.Errorf("mean time %v below distance %d", st.MeanTime(), cfg.Distance)
 	}
 	if st.MedianTime() <= 0 {
 		t.Errorf("median time %v", st.MedianTime())
@@ -430,14 +422,10 @@ func TestMonteCarloStats(t *testing.T) {
 func TestMonteCarloDeterministicAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 3,
-		Adversary: ring,
+		Distance:  12,
 		Trials:    24,
 		Seed:      99,
 	}
@@ -469,7 +457,7 @@ func TestMonteCarloResultsRaw(t *testing.T) {
 	cfg := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 2,
-		Adversary: adversary.Axis{D: 6},
+		Distance:  6,
 		Trials:    10,
 		Seed:      5,
 	}
@@ -501,7 +489,7 @@ func TestMonteCarloContextCancellation(t *testing.T) {
 	cfg := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 2,
-		Adversary: adversary.Axis{D: 64},
+		Distance:  64,
 		Trials:    1000,
 		Seed:      5,
 	}

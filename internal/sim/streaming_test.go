@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"antsearch/internal/adversary"
 	"antsearch/internal/baseline"
 	"antsearch/internal/core"
 	"antsearch/internal/stats"
@@ -47,15 +46,11 @@ func referenceOf(results []Result) referenceAggregate {
 func TestStreamingMatchesReferenceAggregate(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, trials := range []int{1, 7, 40, 333} {
 		cfg := TrialConfig{
 			Factory:   core.Factory(),
 			NumAgents: 3,
-			Adversary: ring,
+			Distance:  12,
 			Trials:    trials,
 			Seed:      41,
 			MaxTime:   4000,
@@ -83,10 +78,10 @@ func TestStreamingMatchesReferenceAggregate(t *testing.T) {
 		if st.Ratio != ref.rat.Summarize() {
 			t.Errorf("trials=%d: Ratio differs:\n got %+v\nwant %+v", trials, st.Ratio, ref.rat.Summarize())
 		}
-		if got, want := st.MedianTime(), stats.Median(ref.times); got != want {
+		if got, want := st.MedianTime(), stats.Quantile(ref.times, 0.5); got != want {
 			t.Errorf("trials=%d: median %v, want exact %v", trials, got, want)
 		}
-		if got, want := st.MedianFoundTime(), stats.Median(ref.foundTimes); got != want {
+		if got, want := st.MedianFoundTime(), stats.Quantile(ref.foundTimes, 0.5); got != want {
 			t.Errorf("trials=%d: found median %v, want exact %v", trials, got, want)
 		}
 	}
@@ -105,7 +100,7 @@ func TestStreamingLargeRunStaysBounded(t *testing.T) {
 	cfg := TrialConfig{
 		Factory:   core.Factory(),
 		NumAgents: 4,
-		Adversary: adversary.Axis{D: 4},
+		Distance:  4,
 		Trials:    5000, // several shards per worker and > the exact sketch cap
 		Seed:      9,
 		MaxTime:   400,
@@ -134,7 +129,7 @@ func TestStreamingLargeRunStaysBounded(t *testing.T) {
 	if st.TimeQuantiles.Exact {
 		t.Error("5000 trials should have left the exact sketch")
 	}
-	exactMedian := stats.Median(ref.times)
+	exactMedian := stats.Quantile(ref.times, 0.5)
 	if exactMedian > 0 {
 		if rel := math.Abs(st.MedianTime()-exactMedian) / exactMedian; rel > 0.05 {
 			t.Errorf("P² median %v off exact %v by %.1f%%", st.MedianTime(), exactMedian, 100*rel)
@@ -149,15 +144,11 @@ func TestStreamingLargeRunStaysBounded(t *testing.T) {
 func TestStreamingShardInvariance(t *testing.T) {
 	t.Parallel()
 
-	ring, err := adversary.NewUniformRing(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, trials := range []int{1, 13, 64, 200} {
 		base := TrialConfig{
 			Factory:   core.Factory(),
 			NumAgents: 2,
-			Adversary: ring,
+			Distance:  8,
 			Trials:    trials,
 			Seed:      uint64(1000 + trials),
 			MaxTime:   4000,
@@ -205,7 +196,7 @@ func TestStreamingBeyondReplayPinWorkerInvariance(t *testing.T) {
 	base := TrialConfig{
 		Factory:   baseline.SingleSpiralFactory(),
 		NumAgents: 1,
-		Adversary: adversary.Axis{D: 2},
+		Distance:  2,
 		Trials:    trials,
 		Seed:      17,
 		MaxTime:   64,

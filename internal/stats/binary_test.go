@@ -45,8 +45,8 @@ func TestAccumulatorBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: %s diverged after round trip: %v vs %v", n, name, pair[0], pair[1])
 			}
 		}
-		if a.N() != b.N() {
-			t.Fatalf("n=%d: N diverged: %d vs %d", n, a.N(), b.N())
+		if a.n != b.n {
+			t.Fatalf("n=%d: n diverged: %d vs %d", n, a.n, b.n)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestSketchBinaryRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("n=%d: %d undecoded bytes", n, len(rest))
 		}
-		if a.Exact() != b.Exact() || a.N() != b.N() {
+		if (a.est == nil) != (b.est == nil) || a.n != b.n {
 			t.Fatalf("n=%d: mode or count diverged", n)
 		}
 		// Drive both through the same suffix — crossing the exact/estimation

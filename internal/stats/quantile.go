@@ -40,9 +40,6 @@ func NewP2(q float64) (*P2, error) {
 	return p, nil
 }
 
-// Count returns the number of observations added.
-func (p *P2) Count() int { return p.count }
-
 // Add incorporates one observation.
 func (p *P2) Add(x float64) {
 	if p.count < 5 {
@@ -161,12 +158,6 @@ func NewSketch(cap int) *Sketch {
 	return &Sketch{cap: cap, tracked: defaultTracked}
 }
 
-// N returns the number of observations added.
-func (s *Sketch) N() int { return s.n }
-
-// Exact reports whether the sketch still answers exactly.
-func (s *Sketch) Exact() bool { return s.est == nil }
-
 // Add incorporates one observation.
 func (s *Sketch) Add(x float64) {
 	if s.n == 0 {
@@ -205,14 +196,6 @@ func (s *Sketch) estimate() {
 		}
 	}
 	s.samples = nil
-}
-
-// Quantile returns the q-quantile. In exact mode it equals Quantile over the
-// observations; in estimation mode tracked quantiles answer from their P²
-// markers and intermediate ones interpolate linearly between the nearest
-// tracked neighbours (with the observed min and max anchoring the ends).
-func (s *Sketch) Quantile(q float64) float64 {
-	return s.Summary().Quantile(q)
 }
 
 // Summary snapshots the sketch into an immutable value. In estimation mode
@@ -262,8 +245,11 @@ type QuantileSummary struct {
 	qs, vs  []float64 // tracked quantiles and their estimates
 }
 
-// Quantile returns the q-quantile of the summarised stream (see
-// Sketch.Quantile for the exact/estimated semantics).
+// Quantile returns the q-quantile of the summarised stream. In exact mode it
+// equals Quantile over the observations; in estimation mode tracked
+// quantiles answer from their P² markers and intermediate ones interpolate
+// linearly between the nearest tracked neighbours (with the observed min and
+// max anchoring the ends).
 func (s QuantileSummary) Quantile(q float64) float64 {
 	if s.N == 0 {
 		return 0

@@ -75,11 +75,11 @@ func TestSketchExactModeMatchesQuantile(t *testing.T) {
 		data = append(data, x)
 		s.Add(x)
 	}
-	if !s.Exact() {
+	if s.est != nil {
 		t.Fatal("100 observations with cap 128 should stay exact")
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.77, 1} {
-		if got, want := s.Quantile(q), Quantile(data, q); got != want {
+		if got, want := s.Summary().Quantile(q), Quantile(data, q); got != want {
 			t.Errorf("Quantile(%v) = %v, want exact %v", q, got, want)
 		}
 	}
@@ -98,14 +98,14 @@ func TestSketchEstimationModeAccuracy(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Add(g.next())
 	}
-	if s.Exact() {
+	if s.est == nil {
 		t.Fatal("sketch should have left exact mode")
 	}
-	if s.N() != n {
-		t.Fatalf("N = %d, want %d", s.N(), n)
+	if s.n != n {
+		t.Fatalf("n = %d, want %d", s.n, n)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if got := s.Quantile(q); math.Abs(got-q) > 0.03 {
+		if got := s.Summary().Quantile(q); math.Abs(got-q) > 0.03 {
 			t.Errorf("estimated Quantile(%v) = %v, want within 0.03", q, got)
 		}
 	}

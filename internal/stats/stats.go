@@ -46,9 +46,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -130,9 +127,6 @@ func Quantile(data []float64, q float64) float64 {
 	sort.Float64s(sorted)
 	return sortedQuantile(sorted, q)
 }
-
-// Median returns the 0.5-quantile.
-func Median(data []float64) float64 { return Quantile(data, 0.5) }
 
 // Mean returns the arithmetic mean of the slice (0 for an empty slice).
 func Mean(data []float64) float64 {

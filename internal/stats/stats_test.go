@@ -10,15 +10,15 @@ func TestAccumulatorBasics(t *testing.T) {
 	t.Parallel()
 
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
+	if a.n != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
 		t.Error("zero-value accumulator should report zeros")
 	}
 	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, v := range data {
 		a.Add(v)
 	}
-	if a.N() != len(data) {
-		t.Errorf("N = %d", a.N())
+	if a.n != len(data) {
+		t.Errorf("n = %d", a.n)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("Mean = %v, want 5", a.Mean())
@@ -99,8 +99,8 @@ func TestQuantileAndMedian(t *testing.T) {
 		t.Error("quantile of empty data should be 0")
 	}
 	data := []float64{9, 1, 7, 3, 5}
-	if got := Median(data); got != 5 {
-		t.Errorf("Median = %v, want 5", got)
+	if got := Quantile(data, 0.5); got != 5 {
+		t.Errorf("Quantile(0.5) = %v, want 5", got)
 	}
 	if got := Quantile(data, 0); got != 1 {
 		t.Errorf("Quantile(0) = %v, want 1", got)

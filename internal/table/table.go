@@ -26,9 +26,6 @@ func New(title string, columns ...string) *Table {
 // Title returns the table title.
 func (t *Table) Title() string { return t.title }
 
-// Columns returns a copy of the column headers.
-func (t *Table) Columns() []string { return append([]string(nil), t.columns...) }
-
 // NumRows returns the number of rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
@@ -58,12 +55,6 @@ func (t *Table) MustAddRow(values ...any) {
 func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
-
-// Notes returns the attached footnotes.
-func (t *Table) Notes() []string { return append([]string(nil), t.notes...) }
-
-// Row returns a copy of row i.
-func (t *Table) Row(i int) []string { return append([]string(nil), t.rows[i]...) }
 
 // Cell formats a single value for inclusion in a table.
 func Cell(v any) string {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,28 +63,26 @@ func TestAddRowArity(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	t.Parallel()
 
-	tbl := New("title", "x", "y")
+	cols := []string{"x", "y"}
+	tbl := New("title", cols...)
+	cols[0] = "mutated"
 	tbl.MustAddRow(1, 2)
 	tbl.AddNote("a note %d", 7)
 
 	if tbl.Title() != "title" {
 		t.Errorf("Title = %q", tbl.Title())
 	}
-	cols := tbl.Columns()
-	if len(cols) != 2 || cols[0] != "x" {
-		t.Errorf("Columns = %v", cols)
+	if tbl.NumRows() != 1 {
+		t.Errorf("NumRows = %d, want 1", tbl.NumRows())
 	}
-	cols[0] = "mutated"
-	if tbl.Columns()[0] != "x" {
-		t.Error("Columns must return a copy")
+	if !reflect.DeepEqual(tbl.columns, []string{"x", "y"}) {
+		t.Errorf("columns = %v; New must copy its headers", tbl.columns)
 	}
-	row := tbl.Row(0)
-	if len(row) != 2 || row[0] != "1" {
-		t.Errorf("Row(0) = %v", row)
+	if !reflect.DeepEqual(tbl.rows, [][]string{{"1", "2"}}) {
+		t.Errorf("rows = %v", tbl.rows)
 	}
-	notes := tbl.Notes()
-	if len(notes) != 1 || notes[0] != "a note 7" {
-		t.Errorf("Notes = %v", notes)
+	if !reflect.DeepEqual(tbl.notes, []string{"a note 7"}) {
+		t.Errorf("notes = %v", tbl.notes)
 	}
 }
 

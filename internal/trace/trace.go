@@ -14,33 +14,8 @@ import (
 
 // Recorder collects visits; attach its Visit method to sim.RunExact.
 type Recorder struct {
+	// visits counts, for every node, how many times any agent stood on it.
 	visits map[grid.Point]int
-	bounds bounds
-}
-
-type bounds struct {
-	minX, maxX, minY, maxY int
-	set                    bool
-}
-
-func (b *bounds) extend(p grid.Point) {
-	if !b.set {
-		b.minX, b.maxX, b.minY, b.maxY = p.X, p.X, p.Y, p.Y
-		b.set = true
-		return
-	}
-	if p.X < b.minX {
-		b.minX = p.X
-	}
-	if p.X > b.maxX {
-		b.maxX = p.X
-	}
-	if p.Y < b.minY {
-		b.minY = p.Y
-	}
-	if p.Y > b.maxY {
-		b.maxY = p.Y
-	}
 }
 
 // NewRecorder returns an empty recorder.
@@ -52,11 +27,7 @@ func NewRecorder() *Recorder {
 // sim.RunExact.
 func (r *Recorder) Visit(_, _ int, p grid.Point) {
 	r.visits[p]++
-	r.bounds.extend(p)
 }
-
-// DistinctNodes returns the number of distinct nodes visited.
-func (r *Recorder) DistinctNodes() int { return len(r.visits) }
 
 // heatRunes maps visit intensity to characters, from lightest to heaviest.
 var heatRunes = []rune{'.', ':', '-', '=', '+', '*', '#', '%', '@'}

@@ -13,7 +13,7 @@ func TestRecorderCounts(t *testing.T) {
 	t.Parallel()
 
 	r := NewRecorder()
-	if r.DistinctNodes() != 0 {
+	if len(r.visits) != 0 {
 		t.Error("fresh recorder should be empty")
 	}
 	r.Visit(0, 0, grid.Origin)
@@ -23,8 +23,8 @@ func TestRecorderCounts(t *testing.T) {
 	if got := r.visits[grid.Origin]; got != 2 {
 		t.Errorf("visits of the origin = %d, want 2", got)
 	}
-	if got := r.DistinctNodes(); got != 2 {
-		t.Errorf("DistinctNodes = %d, want 2", got)
+	if got := len(r.visits); got != 2 {
+		t.Errorf("distinct nodes = %d, want 2", got)
 	}
 }
 
@@ -63,9 +63,13 @@ func TestRenderMarksSourceAndTreasure(t *testing.T) {
 func TestRecorderWithExactEngine(t *testing.T) {
 	t.Parallel()
 
+	alg, err := core.NewKnownK(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRecorder()
 	inst := sim.Instance{
-		Algorithm: core.MustKnownK(2),
+		Algorithm: alg,
 		NumAgents: 2,
 		Treasure:  grid.Point{X: 4, Y: 2},
 	}
@@ -76,7 +80,7 @@ func TestRecorderWithExactEngine(t *testing.T) {
 	if !res.Found {
 		t.Fatal("treasure not found")
 	}
-	if r.DistinctNodes() == 0 {
+	if len(r.visits) == 0 {
 		t.Error("no visits recorded")
 	}
 	if r.visits[grid.Origin] == 0 {

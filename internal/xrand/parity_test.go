@@ -35,7 +35,7 @@ func TestStreamMatchesStdlib(t *testing.T) {
 		s := NewStream(c.base, c.path...)
 		ref := stdlibFor(c.base, c.path...)
 		for i := 0; i < 2000; i++ {
-			switch i % 5 {
+			switch i % 4 {
 			case 0:
 				if got, want := s.Uint64(), ref.Uint64(); got != want {
 					t.Fatalf("base %d step %d: Uint64 = %#x, stdlib %#x", c.base, i, got, want)
@@ -54,28 +54,7 @@ func TestStreamMatchesStdlib(t *testing.T) {
 				if got, want := s.Float64(), ref.Float64(); got != want {
 					t.Fatalf("base %d step %d: Float64 = %v, stdlib %v", c.base, i, got, want)
 				}
-			case 4:
-				gotPerm, wantPerm := s.Perm(13), ref.Perm(13)
-				for j := range wantPerm {
-					if gotPerm[j] != wantPerm[j] {
-						t.Fatalf("base %d step %d: Perm(13) = %v, stdlib %v", c.base, i, gotPerm, wantPerm)
-					}
-				}
 			}
-		}
-	}
-}
-
-// TestStreamMatchesStdlibZiggurat pins the cold-path ziggurat sampler, which
-// delegates to the stdlib over this stream's generator.
-func TestStreamMatchesStdlibZiggurat(t *testing.T) {
-	t.Parallel()
-
-	s := NewStream(5, 9)
-	ref := stdlibFor(5, 9)
-	for i := 0; i < 500; i++ {
-		if got, want := s.ExpFloat64(), ref.ExpFloat64(); got != want {
-			t.Fatalf("step %d: ExpFloat64 = %v, stdlib %v", i, got, want)
 		}
 	}
 }
@@ -136,37 +115,18 @@ func TestResetReplaysNewStream(t *testing.T) {
 	}
 }
 
-// TestPermIntoMatchesPerm checks the zero-allocation variant consumes the
-// stream identically to Perm.
-func TestPermIntoMatchesPerm(t *testing.T) {
-	t.Parallel()
-
-	a := NewStream(17)
-	b := NewStream(17)
-	buf := make([]int, 20)
-	for i := 0; i < 100; i++ {
-		a.PermInto(buf)
-		want := b.Perm(20)
-		for j := range want {
-			if buf[j] != want[j] {
-				t.Fatalf("round %d: PermInto %v, Perm %v", i, buf, want)
-			}
-		}
-	}
-}
-
 // TestHotPathAllocFree pins the zero-allocation property of the samplers the
 // trial hot path uses, including Reset.
 func TestHotPathAllocFree(t *testing.T) {
 	var s Stream
-	buf := make([]int, 16)
 	allocs := testing.AllocsPerRun(200, func() {
 		s.Reset(7, 3, 1)
 		_ = s.Uint64()
 		_ = s.IntN(1000)
 		_ = s.Float64()
 		_ = s.Bernoulli(0.5)
-		s.PermInto(buf)
+		_ = s.UniformBallPoint(9)
+		_ = s.UniformRingPoint(9)
 	})
 	if allocs != 0 {
 		t.Errorf("hot-path samplers allocate %.1f times per run, want 0", allocs)

@@ -135,44 +135,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// PermInto fills p with a pseudo-random permutation of [0, len(p)) without
-// allocating, consuming exactly the random values Perm would (identity fill
-// followed by a Fisher–Yates shuffle, as in math/rand/v2).
-//
-//antlint:hotpath
-func (s *Stream) PermInto(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := int(s.uint64n(uint64(i + 1)))
-		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n). It is a convenience
-// wrapper over PermInto; per-trial call sites should reuse a buffer with
-// PermInto instead.
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	s.PermInto(p)
-	return p
-}
-
-// source adapts a Stream to math/rand/v2's Source interface for the cold-path
-// sampler below that delegates to the standard library's ziggurat tables.
-type source struct{ s *Stream }
-
-// Uint64 implements rand.Source.
-func (src source) Uint64() uint64 { return src.s.pcg.Uint64() }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1. It
-// delegates to the standard library's ziggurat sampler over this stream's
-// generator (bit-identical to the previous implementation); the small
-// per-call allocation makes it unsuitable for the trial hot path, which does
-// not use it.
-func (s *Stream) ExpFloat64() float64 { return rand.New(source{s}).ExpFloat64() }
-
 // PowerLawRadius samples an integer radius r >= 1 with probability
 // proportional to r^-(1+delta), for delta > 0. The support is unbounded; the
 // sampler uses exact rejection from the continuous Pareto envelope
@@ -210,21 +172,4 @@ func (s *Stream) PowerLawRadius(delta float64) int {
 			return r
 		}
 	}
-}
-
-// GeometricTrials returns the number of independent Bernoulli(p) trials up to
-// and including the first success (support {1, 2, ...}). It panics if p is
-// not in (0, 1].
-func (s *Stream) GeometricTrials(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: GeometricTrials requires p in (0, 1]")
-	}
-	if p == 1 {
-		return 1
-	}
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return 1 + int(math.Floor(math.Log(u)/math.Log(1-p)))
 }
