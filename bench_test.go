@@ -166,8 +166,9 @@ func BenchmarkMonteCarloEstimate(b *testing.B) {
 // BenchmarkSweepEngine measures the streaming sweep hot path at growing
 // trial counts. With b.ReportAllocs the per-trial allocation rate
 // (allocs/op divided by the reported trials/op metric) must stay flat as the
-// trial count grows: the engine aggregates through per-shard streaming
-// accumulators and never materializes an O(trials) result slice.
+// trial count grows: the engine folds each shard's results into one running
+// accumulator in trial order, holding at most O(workers) shards' results at
+// a time, and never materializes an O(trials) result slice.
 // BENCH_sweep.json records the baseline.
 //
 // The small counts (1, 8, 64) are the dense-parameter-grid regime — an

@@ -165,8 +165,9 @@ func runWith(args []string, out, errw io.Writer) error {
 	}
 
 	// Expand the (scenario × D × k) grid and run every cell through the
-	// streaming sweep engine: trials are sharded over workers and aggregated
-	// by per-shard accumulators, so memory stays flat however large -trials.
+	// streaming sweep engine: trials are sharded over workers and folded into
+	// one running accumulator in trial order, so memory stays flat however
+	// large -trials.
 	params := scenario.Params{
 		Epsilon: *eps, Delta: *delta, Rho: *rho, Mu: *mu,
 		CrashProb: *crashP, CrashBy: *crashBy,

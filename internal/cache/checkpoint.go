@@ -25,8 +25,9 @@ import (
 // load. Bump it whenever the record wire form or the serialized accumulator
 // state (sim's trialAccumulatorStateVersion, stats' binary codec) changes —
 // the state bytes are opaque here, so this version is the only load-time
-// guard against feeding a new decoder an old state.
-const CheckpointSchemaVersion = 2
+// guard against feeding a new decoder an old state. v2 states carried the
+// trial log and records a TotalShards field; v3 drops both.
+const CheckpointSchemaVersion = 3
 
 // maxCheckpointsPerCell bounds how many distinct prefixes the in-memory
 // index keeps per cell (the largest survive). The engine resumes from any
@@ -40,13 +41,12 @@ const maxCheckpointsPerCell = 8
 // comparison, not silently decoded into a short state that then fails —
 // or worse, passes — the accumulator decoder.
 //
-//antlint:codec version=CheckpointSchemaVersion fields=SchemaVersion,Key,ShardsDone,TotalShards,TrialsDone,TotalTrials,StateLen,State
+//antlint:codec version=CheckpointSchemaVersion fields=SchemaVersion,Key,ShardsDone,TrialsDone,TotalTrials,StateLen,State
 //antlint:wire
 type checkpointRecord struct {
 	SchemaVersion int    `json:"schema_version"`
 	Key           Key    `json:"key"`
 	ShardsDone    int    `json:"shards_done"`
-	TotalShards   int    `json:"total_shards"`
 	TrialsDone    int    `json:"trials_done"`
 	TotalTrials   int    `json:"total_trials"`
 	StateLen      int    `json:"state_len"`
@@ -59,7 +59,6 @@ func newCheckpointRecord(key Key, cp sim.CheckpointState) checkpointRecord {
 		SchemaVersion: CheckpointSchemaVersion,
 		Key:           key,
 		ShardsDone:    cp.ShardsDone,
-		TotalShards:   cp.TotalShards,
 		TrialsDone:    cp.TrialsDone,
 		TotalTrials:   cp.TotalTrials,
 		StateLen:      len(cp.State),
@@ -119,16 +118,16 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 	if err := s.open(dir, checkpointLockFile, checkpointSnapshotFile, checkpointLogFile); err != nil {
 		return nil, fmt.Errorf("cache: open checkpoint store: %w", err)
 	}
-	// Unparseable lines (torn tails, damaged records) and unusable records
-	// are skipped: a damaged checkpoint costs recomputation, never an error.
-	err := s.replay(func(line []byte) {
+	// Unparseable or over-long lines (torn tails, damaged records) and
+	// unusable records are skipped: a damaged checkpoint costs recomputation,
+	// never an error.
+	_, err := s.replay(func(line []byte) {
 		var rec checkpointRecord
 		if json.Unmarshal(line, &rec) != nil || !recordUsable(rec) {
 			return
 		}
 		s.insertLocked(rec.Key, sim.CheckpointState{
 			ShardsDone:  rec.ShardsDone,
-			TotalShards: rec.TotalShards,
 			TrialsDone:  rec.TrialsDone,
 			TotalTrials: rec.TotalTrials,
 			State:       rec.State,
@@ -147,7 +146,7 @@ func recordUsable(rec checkpointRecord) bool {
 	return rec.SchemaVersion == CheckpointSchemaVersion &&
 		rec.Key.CurrentSchema() &&
 		rec.TrialsDone > 0 && rec.TrialsDone <= rec.TotalTrials &&
-		rec.ShardsDone > 0 && rec.ShardsDone <= rec.TotalShards &&
+		rec.ShardsDone > 0 &&
 		len(rec.State) == rec.StateLen && rec.StateLen > 0
 }
 
@@ -186,9 +185,7 @@ func (s *CheckpointStore) save(key Key, cp sim.CheckpointState) error {
 		s.storeErrors++
 		return fmt.Errorf("cache: save checkpoint to closed store")
 	}
-	// A leading newline terminates any torn tail a previous failed write left
-	// behind; empty lines are skipped on load, so it costs one byte.
-	if _, err := s.log.Write(append(append([]byte{'\n'}, line...), '\n')); err != nil {
+	if err := s.writeLine(line); err != nil {
 		s.storeErrors++
 		return fmt.Errorf("cache: save checkpoint: %w", err)
 	}
@@ -328,8 +325,8 @@ const cellCheckpointDisableAfter = 3
 
 // cellCheckpointer binds a CheckpointStore to one cell's key, implementing
 // sim.Checkpointer. Each MonteCarlo run gets its own value (ForCell), so the
-// consecutive-failure budget is per run, and the engine's single merge
-// goroutine is the only Save caller — no locking needed on fails.
+// consecutive-failure budget is per run, and MonteCarlo's own goroutine is
+// the only Save caller — no locking needed on fails.
 type cellCheckpointer struct {
 	store *CheckpointStore
 	key   Key

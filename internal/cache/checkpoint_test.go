@@ -17,7 +17,6 @@ import (
 func testCheckpoint(trialsDone, totalTrials int, state []byte) sim.CheckpointState {
 	return sim.CheckpointState{
 		ShardsDone:  trialsDone / 128,
-		TotalShards: totalTrials / 128,
 		TrialsDone:  trialsDone,
 		TotalTrials: totalTrials,
 		State:       state,
@@ -229,12 +228,12 @@ func TestCheckpointStoreSkipsDamagedRecords(t *testing.T) {
 	}
 	lying, _ := json.Marshal(checkpointRecord{
 		SchemaVersion: CheckpointSchemaVersion, Key: key,
-		ShardsDone: 2, TotalShards: 8, TrialsDone: 256, TotalTrials: 1024,
+		ShardsDone: 2, TrialsDone: 256, TotalTrials: 1024,
 		StateLen: 99, State: []byte{1},
 	})
 	foreign, _ := json.Marshal(checkpointRecord{
 		SchemaVersion: CheckpointSchemaVersion + 1, Key: key,
-		ShardsDone: 3, TotalShards: 8, TrialsDone: 384, TotalTrials: 1024,
+		ShardsDone: 3, TrialsDone: 384, TotalTrials: 1024,
 		StateLen: 1, State: []byte{1},
 	})
 	for _, line := range [][]byte{lying, foreign, []byte(`{"schema_version":1,"key":"torn`)} {

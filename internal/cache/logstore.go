@@ -13,11 +13,12 @@ import (
 // logStore is the crash-safe file layout both store tiers share: under one
 // directory, an append-only NDJSON log next to a compacted NDJSON snapshot,
 // guarded by an exclusive flock on a lock file of the tier's own. Every crash
-// point leaves a loadable state: appends are single line-writes (a torn
-// final line is skipped on replay), and compaction writes the new snapshot to
-// a temp file, fsyncs it and renames it into place before it truncates the
-// log. The tiers embed it and keep their policy to themselves: what a record
-// is, how appends retry, which records a replay keeps.
+// point leaves a loadable state: appends are single line-writes framed by
+// writeLine (a torn line costs itself alone and is skipped on replay), and
+// compaction writes the new snapshot to a temp file, fsyncs it and renames it
+// into place before it truncates the log. The tiers embed it and keep their
+// policy to themselves: what a record is, how appends retry, which records a
+// replay keeps.
 type logStore struct {
 	// mu guards the fields below and the embedding tier's own state.
 	mu       sync.Mutex
@@ -27,7 +28,20 @@ type logStore struct {
 	log      *os.File
 	lock     *os.File // holds the directory's exclusive flock
 	closed   bool
+	// torn reports that the log may end in a partial line: a crash before
+	// open, or a failed write since, may have left one. The next line starts
+	// with a newline that ends it.
+	torn bool
+	// appendFault, when non-nil, is consulted before every physical log
+	// write; a non-nil return fails the attempt. It exists so tests can
+	// inject append failures, torn ones included, without breaking the file.
+	appendFault func() error
 }
+
+// maxLineBytes caps one replayed line. A longer one — a crash can leave an
+// unflushed region of NUL bytes with no newline — is skipped unbuffered up to
+// its newline and counted, never an error.
+const maxLineBytes = 1 << 24
 
 // open creates dir if needed, claims the flock named lockName under it,
 // sweeps orphaned snapshot temp files and opens the log for appending. The
@@ -61,23 +75,67 @@ func (l *logStore) open(dir, lockName, snapshot, logName string) error {
 		return err
 	}
 	l.dir, l.snapshot, l.logName, l.log, l.lock = dir, snapshot, logName, log, lock
+	l.torn = true
 	return nil
 }
 
+// writeLine appends line to the log as one line-write. The first write after
+// open, and every write after a failed one, starts with a newline, which ends
+// any partial line a crash or the failed write left behind: the torn line is
+// skipped on replay and this record still parses (blank lines replay as
+// nothing). The caller holds l.mu.
+func (l *logStore) writeLine(line []byte) error {
+	if l.torn {
+		line = append([]byte{'\n'}, line...)
+	}
+	var err error
+	if l.appendFault != nil {
+		err = l.appendFault()
+	}
+	if err == nil {
+		_, err = l.log.Write(append(line, '\n'))
+	}
+	l.torn = err != nil
+	return err
+}
+
 // replay calls fn with every non-blank line of the snapshot, then of the log,
-// so records written later replay later. A missing file replays as empty.
-// The caller holds l.mu or is still opening the store.
-func (l *logStore) replay(fn func(line []byte)) error {
+// so records written later replay later. A missing file replays as empty. A
+// line longer than maxLineBytes is skipped without being passed to fn or held
+// whole in memory; replay returns how many it skipped. The caller holds l.mu
+// or is still opening the store.
+func (l *logStore) replay(fn func(line []byte)) (int, error) {
+	overlong := 0
 	for _, name := range []string{l.snapshot, l.logName} {
 		f, err := os.Open(filepath.Join(l.dir, name))
 		if os.IsNotExist(err) {
 			continue
 		}
 		if err != nil {
-			return err
+			return overlong, err
 		}
 		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<24)
+		sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+		skipping := false
+		sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+			if skipping {
+				i := bytes.IndexByte(data, '\n')
+				if i < 0 {
+					return len(data), nil, nil
+				}
+				skipping = false
+				return i + 1, nil, nil
+			}
+			advance, token, err := bufio.ScanLines(data, atEOF)
+			if advance == 0 && len(data) >= maxLineBytes {
+				// The buffer is full and holds no newline: drop it and the
+				// rest of the line instead of failing with ErrTooLong.
+				skipping = true
+				overlong++
+				return len(data), nil, nil
+			}
+			return advance, token, err
+		})
 		for sc.Scan() {
 			if line := sc.Bytes(); len(bytes.TrimSpace(line)) > 0 {
 				fn(line)
@@ -85,10 +143,10 @@ func (l *logStore) replay(fn func(line []byte)) error {
 		}
 		f.Close() //antlint:allow storeerr read-only handle; a close failure cannot lose data
 		if err := sc.Err(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return overlong, fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	return nil
+	return overlong, nil
 }
 
 // compact replaces the snapshot with the records write encodes and then

@@ -85,14 +85,10 @@ type DiskStore struct {
 	fsync      bool          // fsync the log after every append
 	maxRetries int           // appendRetries; tests set their own
 	backoff    time.Duration // retryBackoff; tests shorten it
-	skipped    int           // records dropped by the last Load (schema, key schema or parse)
+	skipped    int           // records dropped by the last Load (schema, key schema, parse or length)
 	// retries counts retried append attempts. Atomic so Retries (the /stats
 	// path) never waits behind an Append sleeping through its backoff.
 	retries atomic.Uint64
-	// appendFault, when non-nil, is consulted before every physical log
-	// write; a non-nil return fails the attempt. It exists so tests can
-	// inject transient append failures without breaking the log file.
-	appendFault func() error
 }
 
 // appendRetries is the number of additional attempts a failed append makes
@@ -139,15 +135,15 @@ func OpenDiskStoreWith(dir string, opts DiskStoreOptions) (*DiskStore, error) {
 // Load implements Store: snapshot first, then the log, so log records
 // (written after the snapshot they follow) win on duplicate keys when the
 // caller replays emissions in order. Unparseable lines (a crash-torn tail,
-// hand-edited files), records from other schema versions and records keyed
-// under an older key schema (!Key.CurrentSchema()) are skipped and counted,
-// not errors: the worst outcome of a damaged or outdated store is
-// recomputation.
+// hand-edited files), lines past maxLineBytes, records from other schema
+// versions and records keyed under an older key schema
+// (!Key.CurrentSchema()) are skipped and counted, not errors: the worst
+// outcome of a damaged or outdated store is recomputation.
 func (s *DiskStore) Load(emit func(Entry)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.skipped = 0
-	err := s.replay(func(line []byte) {
+	overlong, err := s.replay(func(line []byte) {
 		var rec record
 		if json.Unmarshal(line, &rec) != nil || rec.SchemaVersion != StoreSchemaVersion || !rec.Key.CurrentSchema() {
 			s.skipped++
@@ -155,6 +151,7 @@ func (s *DiskStore) Load(emit func(Entry)) error {
 		}
 		emit(Entry{Key: rec.Key, Stats: rec.Stats})
 	})
+	s.skipped += overlong
 	if err != nil {
 		return fmt.Errorf("cache: load store: %w", err)
 	}
@@ -162,7 +159,7 @@ func (s *DiskStore) Load(emit func(Entry)) error {
 }
 
 // Skipped reports how many records the last Load dropped (wrong schema
-// version, stale key schema or unparseable).
+// version, stale key schema, unparseable or over-long).
 func (s *DiskStore) Skipped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,10 +170,11 @@ func (s *DiskStore) Skipped() int {
 // with DiskStoreOptions.FsyncAppends, one flush before the acknowledgement.
 // Failed attempts are retried with exponential backoff up to the configured
 // budget before the error (and with it the cache's memory-only degradation)
-// is reported; retried records start on a fresh line, so a torn partial write
-// from the failed attempt costs one skipped line on load, never a lost
-// record. The rare retry sleeps under s.mu — Snapshot/Load wait them out —
-// which is acceptable for a path whose steady state is one clean line-write.
+// is reported; logStore.writeLine starts the next write on a fresh line, so a
+// torn partial write from a failed attempt costs one skipped line on load,
+// never a lost record. The rare retry sleeps under s.mu — Snapshot/Load wait
+// them out — which is acceptable for a path whose steady state is one clean
+// line-write.
 //
 //antlint:blocking
 func (s *DiskStore) Append(e Entry) error {
@@ -189,22 +187,14 @@ func (s *DiskStore) Append(e Entry) error {
 	if s.closed {
 		return fmt.Errorf("cache: append to closed store")
 	}
-	payload := append(line, '\n')
 	var lastErr error
 	for attempt := 0; attempt <= s.maxRetries; attempt++ {
 		if attempt > 0 {
 			s.retries.Add(1)
 			time.Sleep(s.backoff << (attempt - 1))
 		}
-		if attempt == 1 {
-			// The failed attempt may have torn a partial line into the log; a
-			// leading newline terminates it so the retried record parses
-			// (empty lines are skipped on load). Built fresh — payload shares
-			// line's backing array, so rewriting it in place would corrupt
-			// the record.
-			payload = append(append([]byte{'\n'}, line...), '\n')
-		}
-		if lastErr = s.writeLocked(payload); lastErr != nil {
+		if err := s.writeLine(line); err != nil {
+			lastErr = fmt.Errorf("cache: append to store: %w", err)
 			continue
 		}
 		if s.fsync {
@@ -216,19 +206,6 @@ func (s *DiskStore) Append(e Entry) error {
 		return nil
 	}
 	return lastErr
-}
-
-// writeLocked performs one physical append attempt. The caller holds s.mu.
-func (s *DiskStore) writeLocked(payload []byte) error {
-	if s.appendFault != nil {
-		if err := s.appendFault(); err != nil {
-			return fmt.Errorf("cache: append to store: %w", err)
-		}
-	}
-	if _, err := s.log.Write(payload); err != nil {
-		return fmt.Errorf("cache: append to store: %w", err)
-	}
-	return nil
 }
 
 // Retries reports how many append attempts were retried over the store's

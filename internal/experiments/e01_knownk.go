@@ -28,7 +28,7 @@ func runE1(ctx context.Context, cfg Config) (*Outcome, error) {
 	agents := pick(cfg, []int{1, 4, 16}, []int{1, 4, 16, 64}, []int{1, 4, 16, 64, 256})
 	trials := pick(cfg, 12, 60, 200)
 
-	knownK, err := factoryFor("known-k", scenario.Params{})
+	knownK, err := scenario.Factory("known-k", scenario.Params{})
 	if err != nil {
 		return nil, fmt.Errorf("E1: %w", err)
 	}
@@ -37,12 +37,12 @@ func runE1(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New("E1: KnownK expected time vs the D + D²/k lower bound",
 		"D", "k", "mean time", "D + D²/k", "ratio")
 
-	var cells []sweepCell
+	var cells []scenario.Cell
 	for _, k := range agents {
 		for _, d := range distances {
-			cells = append(cells, sweepCell{
-				label:   fmt.Sprintf("E1/k=%d/D=%d", k, d),
-				factory: knownK, k: k, d: d, trials: trials,
+			cells = append(cells, scenario.Cell{
+				Scenario: fmt.Sprintf("E1/k=%d/D=%d", k, d),
+				Factory:  knownK, K: k, D: d, Trials: trials,
 			})
 		}
 	}
@@ -59,7 +59,7 @@ func runE1(ctx context.Context, cfg Config) (*Outcome, error) {
 	var slopeD, slopeT []float64
 
 	for i, cell := range cells {
-		st, k, d := sweep[i], cell.k, cell.d
+		st, k, d := sweep[i], cell.K, cell.D
 		ratio := st.MeanTime() / st.LowerBound()
 		tbl.MustAddRow(d, k, st.MeanTime(), st.LowerBound(), ratio)
 		ratioByK[k] = append(ratioByK[k], ratio)

@@ -41,13 +41,15 @@ func runE2(ctx context.Context, cfg Config) (*Outcome, error) {
 			biases = []float64{1}
 		}
 		for _, bias := range biases {
-			factory, err := factoryFor("rho-approx", scenario.Params{Rho: rho, Bias: bias})
+			factory, err := scenario.Factory("rho-approx", scenario.Params{Rho: rho, Bias: bias})
 			if err != nil {
 				return nil, fmt.Errorf("E2: %w", err)
 			}
 			for _, k := range agents {
-				label := fmt.Sprintf("E2/rho=%.2g/bias=%.2g/k=%d", rho, bias, k)
-				st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
+				st, err := measure(ctx, cfg, scenario.Cell{
+					Scenario: fmt.Sprintf("E2/rho=%.2g/bias=%.2g/k=%d", rho, bias, k),
+					Factory:  factory, K: k, D: d, Trials: trials,
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -27,7 +27,7 @@ func runE3(ctx context.Context, cfg Config) (*Outcome, error) {
 	trials := pick(cfg, 8, 30, 80)
 	agents := geometricInts(1, maxK)
 
-	factory, err := factoryFor("uniform", scenario.Params{Epsilon: eps})
+	factory, err := scenario.Factory("uniform", scenario.Params{Epsilon: eps})
 	if err != nil {
 		return nil, fmt.Errorf("E3: %w", err)
 	}
@@ -39,15 +39,15 @@ func runE3(ctx context.Context, cfg Config) (*Outcome, error) {
 	// The competitiveness definition takes a supremum over D; the hard
 	// regime is k ≤ D (the paper reduces to it), so track D = 2k with a
 	// floor that keeps small-k cells meaningful.
-	var cells []sweepCell
+	var cells []scenario.Cell
 	for _, k := range agents {
 		d := 2 * k
 		if d < 32 {
 			d = 32
 		}
-		cells = append(cells, sweepCell{
-			label:   fmt.Sprintf("E3/k=%d/D=%d", k, d),
-			factory: factory, k: k, d: d, trials: trials,
+		cells = append(cells, scenario.Cell{
+			Scenario: fmt.Sprintf("E3/k=%d/D=%d", k, d),
+			Factory:  factory, K: k, D: d, Trials: trials,
 		})
 	}
 	sweep, err := runSweep(ctx, cfg, cells)
@@ -58,7 +58,7 @@ func runE3(ctx context.Context, cfg Config) (*Outcome, error) {
 	var normalized []float64
 	var rawRatios []float64
 	for i, cell := range cells {
-		st, k, d := sweep[i], cell.k, cell.d
+		st, k, d := sweep[i], cell.K, cell.D
 		ratio := st.MeanTime() / st.LowerBound()
 		norm := ratio / polylog(k, eps)
 		tbl.MustAddRow(k, d, st.MeanTime(), st.LowerBound(), ratio, norm)

@@ -41,7 +41,7 @@ func runE4(ctx context.Context, cfg Config) (*Outcome, error) {
 	eps := 0.2
 	maxK := pick(cfg, 64, 512, 1024)
 	trials := pick(cfg, 8, 30, 60)
-	factory, err := factoryFor("uniform", scenario.Params{Epsilon: eps})
+	factory, err := scenario.Factory("uniform", scenario.Params{Epsilon: eps})
 	if err != nil {
 		return nil, fmt.Errorf("E4: %w", err)
 	}
@@ -54,8 +54,10 @@ func runE4(ctx context.Context, cfg Config) (*Outcome, error) {
 		if d < 32 {
 			d = 32
 		}
-		label := fmt.Sprintf("E4a/k=%d", k)
-		st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
+		st, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: fmt.Sprintf("E4a/k=%d", k),
+			Factory:  factory, K: k, D: d, Trials: trials,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -91,13 +93,12 @@ func runE4(ctx context.Context, cfg Config) (*Outcome, error) {
 	tblB := table.New("E4b: per-agent distinct-node coverage within horizon 2T (proof mechanism)",
 		"k", "per-agent distinct nodes", "per-agent / horizon", "overlap fraction")
 	budgetOK := true
-	for i, sr := range report.Scales {
+	for _, sr := range report.Scales {
 		perAgent := sr.PerAgentDistinct.Mean
 		tblB.MustAddRow(sr.K, perAgent, perAgent/float64(horizon), sr.Overlap)
 		if perAgent > float64(horizon)+1 {
 			budgetOK = false
 		}
-		_ = i
 	}
 	tblB.AddNote("horizon 2T = %d steps, treasure unreachable; an agent can never cover more nodes than it has steps", horizon)
 	out.Tables = append(out.Tables, tblB)

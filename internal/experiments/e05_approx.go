@@ -40,7 +40,7 @@ func runE5(ctx context.Context, cfg Config) (*Outcome, error) {
 	ratio := make(map[float64]map[int]float64)
 	worst := make(map[float64]float64)
 	for _, eps := range epsilons {
-		factory, err := factoryFor("approx-hedge", scenario.Params{Epsilon: eps})
+		factory, err := scenario.Factory("approx-hedge", scenario.Params{Epsilon: eps})
 		if err != nil {
 			return nil, fmt.Errorf("E5: %w", err)
 		}
@@ -50,8 +50,10 @@ func runE5(ctx context.Context, cfg Config) (*Outcome, error) {
 			if d < 32 {
 				d = 32
 			}
-			label := fmt.Sprintf("E5/eps=%.2g/k=%d", eps, k)
-			st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
+			st, err := measure(ctx, cfg, scenario.Cell{
+				Scenario: fmt.Sprintf("E5/eps=%.2g/k=%d", eps, k),
+				Factory:  factory, K: k, D: d, Trials: trials,
+			})
 			if err != nil {
 				return nil, err
 			}

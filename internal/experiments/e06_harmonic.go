@@ -45,7 +45,7 @@ func runE6(ctx context.Context, cfg Config) (*Outcome, error) {
 	var successLow, successHigh []float64
 	var normalizedHigh []float64
 	for _, delta := range deltas {
-		factory, err := factoryFor("harmonic", scenario.Params{Delta: delta})
+		factory, err := scenario.Factory("harmonic", scenario.Params{Delta: delta})
 		if err != nil {
 			return nil, fmt.Errorf("E6: %w", err)
 		}
@@ -58,8 +58,10 @@ func runE6(ctx context.Context, cfg Config) (*Outcome, error) {
 				}
 				bound := float64(d) + math.Pow(float64(d), 2+delta)/float64(k)
 				maxT := int(capFactor * bound)
-				label := fmt.Sprintf("E6/delta=%.2g/D=%d/m=%.2g", delta, d, m)
-				st, err := measure(ctx, cfg, factory, k, d, trials, maxT, label)
+				st, err := measure(ctx, cfg, scenario.Cell{
+					Scenario: fmt.Sprintf("E6/delta=%.2g/D=%d/m=%.2g", delta, d, m),
+					Factory:  factory, K: k, D: d, Trials: trials, MaxTime: maxT,
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -101,8 +103,7 @@ func runE6(ctx context.Context, cfg Config) (*Outcome, error) {
 	return out, nil
 }
 
-// mean is a local helper (stats.Mean works on the same data, but this keeps
-// the experiment self-contained for float slices built here).
+// mean returns the arithmetic mean of vs (0 for an empty slice).
 func mean(vs []float64) float64 {
 	if len(vs) == 0 {
 		return 0

@@ -61,16 +61,16 @@ func runE7(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New(fmt.Sprintf("E7: all strategies at D = %d (cap %d steps)", d, maxTime),
 		"algorithm", "k", "success rate", "mean time", "median time", "ratio vs D+D²/k")
 
-	var cells []sweepCell
+	var cells []scenario.Cell
 	for _, c := range contenders {
-		factory, err := factoryFor(c.scenario, c.params)
+		factory, err := scenario.Factory(c.scenario, c.params)
 		if err != nil {
 			return nil, fmt.Errorf("E7: %w", err)
 		}
 		for _, k := range agents {
-			cells = append(cells, sweepCell{
-				label:   fmt.Sprintf("E7/%s/k=%d", c.name, k),
-				factory: factory, k: k, d: d, trials: trials, maxTime: maxTime,
+			cells = append(cells, scenario.Cell{
+				Scenario: fmt.Sprintf("E7/%s/k=%d", c.name, k),
+				Factory:  factory, K: k, D: d, Trials: trials, MaxTime: maxTime,
 			})
 		}
 	}

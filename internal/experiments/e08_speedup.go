@@ -47,16 +47,16 @@ func runE8(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New(fmt.Sprintf("E8: speed-up T(1)/T(k) at D = %d", d),
 		"algorithm", "k", "mean time", "speed-up", "speed-up / k")
 
-	var cells []sweepCell
+	var cells []scenario.Cell
 	for _, c := range contenders {
-		factory, err := factoryFor(c.scenario, c.params)
+		factory, err := scenario.Factory(c.scenario, c.params)
 		if err != nil {
 			return nil, fmt.Errorf("E8: %w", err)
 		}
 		for _, k := range agents {
-			cells = append(cells, sweepCell{
-				label:   fmt.Sprintf("E8/%s/k=%d", c.name, k),
-				factory: factory, k: k, d: d, trials: trials,
+			cells = append(cells, scenario.Cell{
+				Scenario: fmt.Sprintf("E8/%s/k=%d", c.name, k),
+				Factory:  factory, K: k, D: d, Trials: trials,
 			})
 		}
 	}

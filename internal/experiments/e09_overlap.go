@@ -49,7 +49,7 @@ func runE9(ctx context.Context, cfg Config) (*Outcome, error) {
 		factory agent.Factory
 	}, len(specs))
 	for i, s := range specs {
-		factory, err := factoryFor(s.scenario, s.params)
+		factory, err := scenario.Factory(s.scenario, s.params)
 		if err != nil {
 			return nil, fmt.Errorf("E9: %w", err)
 		}

@@ -42,12 +42,14 @@ func runE10(ctx context.Context, cfg Config) (*Outcome, error) {
 		"epsilon", "mean time", "ratio", "ratio / log^(1+ε) k")
 	ratioByEps := make(map[float64]float64)
 	for _, eps := range epsilons {
-		factory, err := factoryFor("uniform", scenario.Params{Epsilon: eps})
+		factory, err := scenario.Factory("uniform", scenario.Params{Epsilon: eps})
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
-		label := fmt.Sprintf("E10a/eps=%.2g", eps)
-		st, err := measure(ctx, cfg, factory, k, d, trials, 0, label)
+		st, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: fmt.Sprintf("E10a/eps=%.2g", eps),
+			Factory:  factory, K: k, D: d, Trials: trials,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -72,21 +74,25 @@ func runE10(ctx context.Context, cfg Config) (*Outcome, error) {
 		"delta", "k / D^δ", "one-shot success", "restart mean time", "restart ratio")
 	successes := make(map[float64]float64)
 	for _, delta := range deltas {
-		oneShot, err := factoryFor("harmonic", scenario.Params{Delta: delta})
+		oneShot, err := scenario.Factory("harmonic", scenario.Params{Delta: delta})
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
-		restart, err := factoryFor("harmonic-restart", scenario.Params{Delta: delta})
+		restart, err := scenario.Factory("harmonic-restart", scenario.Params{Delta: delta})
 		if err != nil {
 			return nil, fmt.Errorf("E10: %w", err)
 		}
-		labelOne := fmt.Sprintf("E10b/one/delta=%.2g", delta)
-		stOne, err := measure(ctx, cfg, oneShot, kH, dH, trialsH, 0, labelOne)
+		stOne, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: fmt.Sprintf("E10b/one/delta=%.2g", delta),
+			Factory:  oneShot, K: kH, D: dH, Trials: trialsH,
+		})
 		if err != nil {
 			return nil, err
 		}
-		labelRe := fmt.Sprintf("E10b/re/delta=%.2g", delta)
-		stRe, err := measure(ctx, cfg, restart, kH, dH, trials, 0, labelRe)
+		stRe, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: fmt.Sprintf("E10b/re/delta=%.2g", delta),
+			Factory:  restart, K: kH, D: dH, Trials: trials,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func runE11(ctx context.Context, cfg Config) (*Outcome, error) {
 	ratioByProb := make(map[float64]float64)
 	survivorsByProb := make(map[float64]float64)
 	for _, p := range crashProbs {
-		factory, err := factoryFor("known-k", scenario.Params{})
+		factory, err := scenario.Factory("known-k", scenario.Params{})
 		if err != nil {
 			return nil, fmt.Errorf("E11: %w", err)
 		}
@@ -58,19 +58,18 @@ func runE11(ctx context.Context, cfg Config) (*Outcome, error) {
 		if p > 0 {
 			plan = &fault.Plan{CrashProb: p, CrashBy: d}
 		}
-		label := fmt.Sprintf("E11a/crash=%.2g", p)
-		st, err := runSweep(ctx, cfg, []sweepCell{{
-			label: label, factory: factory, k: k, d: d, trials: trials,
-			maxTime: maxTime, faults: plan,
-		}})
+		st, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: fmt.Sprintf("E11a/crash=%.2g", p),
+			Factory:  factory, K: k, D: d, Trials: trials, MaxTime: maxTime, Faults: plan,
+		})
 		if err != nil {
 			return nil, err
 		}
-		timeByProb[p] = st[0].MeanTime()
-		ratioByProb[p] = st[0].MeanSurvivorRatio()
-		survivorsByProb[p] = st[0].MeanSurvivors()
-		tblA.MustAddRow(p, st[0].MeanSurvivors(), st[0].SuccessRate(),
-			st[0].MeanTime(), st[0].MeanSurvivorRatio())
+		timeByProb[p] = st.MeanTime()
+		ratioByProb[p] = st.MeanSurvivorRatio()
+		survivorsByProb[p] = st.MeanSurvivors()
+		tblA.MustAddRow(p, st.MeanSurvivors(), st.SuccessRate(),
+			st.MeanTime(), st.MeanSurvivorRatio())
 	}
 	tblA.AddNote("crashes drawn uniformly over [0, D); %d trials per cell, capped at %d steps", trials, maxTime)
 	out.Tables = append(out.Tables, tblA)
@@ -112,24 +111,23 @@ func runE11(ctx context.Context, cfg Config) (*Outcome, error) {
 	timeByDur := make(map[int]float64)
 	successOK := true
 	for _, dur := range stallDurs {
-		factory, err := factoryFor("known-k", scenario.Params{})
+		factory, err := scenario.Factory("known-k", scenario.Params{})
 		if err != nil {
 			return nil, fmt.Errorf("E11: %w", err)
 		}
 		plan := &fault.Plan{StallProb: 1, StallBy: d, StallDur: dur}
-		label := "E11b/stall"
-		st, err := runSweep(ctx, cfg, []sweepCell{{
-			label: label, factory: factory, k: k, d: d, trials: trials,
-			maxTime: maxTime, faults: plan,
-		}})
+		st, err := measure(ctx, cfg, scenario.Cell{
+			Scenario: "E11b/stall",
+			Factory:  factory, K: k, D: d, Trials: trials, MaxTime: maxTime, Faults: plan,
+		})
 		if err != nil {
 			return nil, err
 		}
-		timeByDur[dur] = st[0].MeanTime()
-		if st[0].SuccessRate() < 1 {
+		timeByDur[dur] = st.MeanTime()
+		if st.SuccessRate() < 1 {
 			successOK = false
 		}
-		tblB.MustAddRow(dur, st[0].SuccessRate(), st[0].MeanTime(), st[0].MeanSurvivors())
+		tblB.MustAddRow(dur, st.SuccessRate(), st.MeanTime(), st.MeanSurvivors())
 	}
 	tblB.AddNote("every agent stalls once, starting uniformly in [0, D); %d trials per cell", trials)
 	out.Tables = append(out.Tables, tblB)

@@ -15,8 +15,6 @@ import (
 	"math"
 	"sort"
 
-	"antsearch/internal/agent"
-	"antsearch/internal/fault"
 	"antsearch/internal/scenario"
 	"antsearch/internal/sim"
 	"antsearch/internal/table"
@@ -154,58 +152,31 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// sweepCell is one labelled measurement of an experiment sweep: a (factory,
-// k, D) cell whose randomness derives from the experiment seed and the label.
-type sweepCell struct {
-	label   string
-	factory agent.Factory
-	k, d    int
-	trials  int
-	maxTime int
-	faults  *fault.Plan // nil = fault-free
-}
-
 // runSweep executes the cells through the scenario sweep engine (streaming,
 // sharded Monte Carlo, the treasure uniform on the ring at D), returning
-// statistics index for index.
-func runSweep(ctx context.Context, cfg Config, cells []sweepCell) ([]sim.TrialStats, error) {
-	resolved := make([]scenario.Cell, len(cells))
-	for i, c := range cells {
-		resolved[i] = scenario.Cell{
-			Scenario: c.label,
-			Factory:  c.factory,
-			K:        c.k,
-			D:        c.d,
-			Trials:   c.trials,
-			MaxTime:  c.maxTime,
-			Seed:     xrand.DeriveSeed(cfg.Seed, hashLabel(c.label)),
-			Faults:   c.faults,
-		}
+// statistics index for index. Each cell's Scenario is its label, and its
+// seed derives from the experiment seed and that label, so distinct cells
+// draw independent randomness; runSweep sets the Seed field in place.
+func runSweep(ctx context.Context, cfg Config, cells []scenario.Cell) ([]sim.TrialStats, error) {
+	for i := range cells {
+		cells[i].Seed = xrand.DeriveSeed(cfg.Seed, hashLabel(cells[i].Scenario))
 	}
-	stats, err := scenario.Runner{Workers: cfg.Workers}.Run(ctx, resolved)
+	stats, err := scenario.Runner{Workers: cfg.Workers}.Run(ctx, cells)
 	if err != nil {
 		return nil, fmt.Errorf("experiment cell: %w", err)
 	}
 	return stats, nil
 }
 
-// measure runs a Monte-Carlo estimation for one (factory, k, D) cell, the
-// treasure placed uniformly on the ring at D. It is the shared workhorse of
-// the experiments.
-func measure(ctx context.Context, cfg Config, factory agent.Factory, k, d, trials, maxTime int, label string) (sim.TrialStats, error) {
-	stats, err := runSweep(ctx, cfg, []sweepCell{{
-		label: label, factory: factory, k: k, d: d, trials: trials, maxTime: maxTime,
-	}})
+// measure runs the Monte-Carlo estimation of one labelled cell on its own,
+// the treasure placed uniformly on the ring at D. It is the shared workhorse
+// of the experiments.
+func measure(ctx context.Context, cfg Config, cell scenario.Cell) (sim.TrialStats, error) {
+	stats, err := runSweep(ctx, cfg, []scenario.Cell{cell})
 	if err != nil {
 		return sim.TrialStats{}, err
 	}
 	return stats[0], nil
-}
-
-// factoryFor resolves a registered scenario into the advice-model factory an
-// experiment sweeps.
-func factoryFor(name string, p scenario.Params) (agent.Factory, error) {
-	return scenario.Factory(name, p)
 }
 
 // hashLabel derives a stable stream index from a cell label so that distinct

@@ -106,19 +106,20 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 
 // ReduceOrdered runs fn(i) for every i in [0, n) with at most workers
 // goroutines and streams the results into merge in strict index order:
-// merge(v_0), merge(v_1), ... exactly as a sequential loop would, with merge
-// calls serialized (never concurrent with each other). Unlike Map it never
-// materializes all the results: at most O(workers) completed-but-unmerged
-// results are held at any moment, because workers claim indices in order
-// and a claim only proceeds while it is within a bounded window of the merge
-// frontier. The window cannot deadlock: the lowest unmerged index is always
-// already claimed, so its completion is what advances the frontier and
-// reopens the window.
+// merge(v_0), merge(v_1), ... exactly as a sequential loop would, every call
+// made on the calling goroutine. Unlike Map it never materializes all the
+// results: the caller issues index i only once i-2·workers has been merged,
+// so at most 2·workers completed-but-unmerged results are held at any
+// moment. The window is twice the worker count so a worker finishing a fast
+// task just ahead of the fold can take new work instead of idling while a
+// slow predecessor holds everything back.
 //
 // Error semantics match ForEach: the first error in index order among tasks
 // that ran is returned, and merge has then been called for a contiguous
 // prefix of indices strictly below the failing one — callers that discard the
-// accumulator on error observe no difference from Map.
+// accumulator on error observe no difference from Map. Cancelling ctx stops
+// the fold before its next merge; every spawned goroutine is joined before
+// ReduceOrdered returns.
 func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
 	if n <= 0 {
 		return nil
@@ -133,7 +134,7 @@ func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T
 		workers = n
 	}
 	if workers == 1 {
-		// Sequential fold: no goroutines, no parking, one result in flight.
+		// Sequential fold: no goroutines, one result in flight.
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -147,98 +148,58 @@ func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T
 		return nil
 	}
 
-	// The window is deliberately larger than the worker count so a worker
-	// finishing a fast task just ahead of the frontier can claim new work
-	// instead of sleeping while a slow predecessor holds everything back.
+	type result struct {
+		v   T
+		err error
+	}
 	window := 2 * workers
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		next     int
-		frontier int
-		pending  = make(map[int]T, window)
-		firstErr error
-		firstIdx = n
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Wake any worker parked on the window condition when the context is
-	// cancelled; the goroutine exits through the deferred cancel at the latest.
-	stopWake := context.AfterFunc(ctx, func() {
-		mu.Lock()
-		defer mu.Unlock()
-		cond.Broadcast()
-	})
-	defer stopWake()
-
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for {
-			if next >= n || firstErr != nil || ctx.Err() != nil {
-				return 0, false
-			}
-			if next < frontier+window {
-				i := next
-				next++
-				return i, true
-			}
-			cond.Wait()
-		}
+	// Index i reports through slots[i%window]. The caller issues i only after
+	// merging i-window, the slot's previous user, so every slot holds at most
+	// one result and no worker ever blocks on a send; the ticket buffer never
+	// holds more than the window either, so issuing never blocks.
+	tickets := make(chan int, window)
+	slots := make([]chan result, window)
+	for s := range slots {
+		slots[s] = make(chan result, 1)
 	}
-	deliver := func(i int, v T, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil || i < firstIdx {
-				firstErr = err
-				firstIdx = i
-				cancel()
-			}
-			cond.Broadcast()
-			return
-		}
-		pending[i] = v
-		// Drain the contiguous run at the frontier. Only the goroutine that
-		// finds pending[frontier] present merges: the entry is removed before
-		// the lock drops, and the frontier does not advance until the merge
-		// returns, so no other goroutine can see a mergeable entry — merge
-		// calls stay serialized and ordered without holding the lock through
-		// them.
-		for {
-			v, ok := pending[frontier]
-			if !ok {
-				break
-			}
-			delete(pending, frontier)
-			mu.Unlock()
-			merge(v)
-			mu.Lock()
-			frontier++
-		}
-		cond.Broadcast()
-	}
-
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i, ok := claim()
-				if !ok {
-					return
-				}
+			for i := range tickets {
 				v, err := fn(i)
-				deliver(i, v, err)
+				slots[i%window] <- result{v, err}
 			}
 		}()
 	}
-	wg.Wait()
+	defer func() {
+		// Unissued work is abandoned: the caller takes back every ticket no
+		// worker has claimed, and the workers exit once the closed channel
+		// drains.
+		close(tickets)
+		for range tickets {
+		}
+		wg.Wait()
+	}()
 
-	if firstErr != nil {
-		return firstErr
+	issued := 0
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for ; issued < n && issued < i+window; issued++ {
+			tickets <- issued
+		}
+		select {
+		case r := <-slots[i%window]:
+			if r.err != nil {
+				return r.err
+			}
+			merge(r.v)
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
-	return ctx.Err()
+	return nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand/v2"
@@ -110,20 +111,17 @@ func TestTrialAccumulatorBinaryRoundTrip(t *testing.T) {
 		if !bytes.Equal(marshal(b), data) {
 			t.Fatalf("trials=%d: decoded accumulator re-encodes differently", trials)
 		}
-		// The trial log round-trips, so the decoded accumulator merges into
-		// another exactly as its original does.
-		if trials <= stats.MergeReplayCap {
-			intoA, intoB := NewTrialAccumulator(4, 8), NewTrialAccumulator(4, 8)
-			for i := 0; i < 5; i++ {
-				r := result(0.5, 500, 4)
-				intoA.Add(r)
-				intoB.Add(r)
-			}
-			intoA.Merge(a)
-			intoB.Merge(b)
-			if !bytes.Equal(marshal(intoB), marshal(intoA)) {
-				t.Fatalf("trials=%d: merging the decoded accumulator differs from merging the original", trials)
-			}
+		// The trial log is not part of the state: a decoded accumulator that
+		// counts any trial has nothing to replay, and Merge refuses it.
+		if trials > 0 {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("trials=%d: Merge accepted a decoded accumulator, which has no trial log", trials)
+					}
+				}()
+				NewTrialAccumulator(4, 8).Merge(b)
+			}()
 		}
 		// The decoded accumulator must evolve identically: fold the same
 		// suffix into both and compare the full JSON-rendered aggregates.
@@ -150,19 +148,16 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The trial log closes the state: its count, then one entry per trial.
-	logAt := len(good) - trials*logEntrySize
-	short := append([]byte(nil), good[:len(good)-logEntrySize]...)
-	short[logAt-8]-- // count trials-1, and the last entry gone
-	unknownFlag := append([]byte(nil), good...)
-	unknownFlag[logAt] |= 1 << 2
+	// The counts follow the version byte: agents, distance, trials, found.
+	overFound := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(overFound[1+3*8:], trials+1)
 	for name, data := range map[string][]byte{
-		"empty":               nil,
-		"bad version":         append([]byte{trialAccumulatorStateVersion + 1}, good[1:]...),
-		"truncated":           good[:len(good)-5],
-		"trailing":            append(append([]byte(nil), good...), 0),
-		"log one entry short": short,
-		"unknown flag bit":    unknownFlag,
+		"empty":            nil,
+		"bad version":      append([]byte{trialAccumulatorStateVersion + 1}, good[1:]...),
+		"previous version": append([]byte{trialAccumulatorStateVersion - 1}, good[1:]...),
+		"truncated":        good[:len(good)-5],
+		"trailing":         append(append([]byte(nil), good...), 0),
+		"found > trials":   overFound,
 	} {
 		b := new(TrialAccumulator)
 		if err := b.UnmarshalBinary(data); err == nil {
@@ -438,7 +433,7 @@ func TestMonteCarloResumesFromAnyPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := CheckpointState{ShardsDone: 3, TotalShards: 9, TrialsDone: done, TotalTrials: trials, State: state}
+		cp := CheckpointState{ShardsDone: 3, TrialsDone: done, TotalTrials: trials, State: state}
 		for _, workers := range []int{1, 3} {
 			cfg := checkpointTestConfig(t, trials, workers)
 			cfg.Checkpointer = &memCheckpointer{saved: []CheckpointState{cp}}
@@ -508,12 +503,12 @@ func TestMonteCarloRejectsForeignCheckpoints(t *testing.T) {
 	// A prefix of the right budget whose state bytes are garbage: it must
 	// fail decoding.
 	bad = append(bad, CheckpointState{
-		ShardsDone: 1, TotalShards: 2, TrialsDone: 256, TotalTrials: 512,
+		ShardsDone: 1, TrialsDone: 256, TotalTrials: 512,
 		State: []byte{0xde, 0xad},
 	})
 	// A genuine state whose trial count is not the prefix it claims.
 	bad = append(bad, CheckpointState{
-		ShardsDone: 1, TotalShards: 2, TrialsDone: 300, TotalTrials: 512,
+		ShardsDone: 1, TrialsDone: 300, TotalTrials: 512,
 		State: donor.saved[0].State,
 	})
 	cfg := checkpointTestConfig(t, 512, 2)

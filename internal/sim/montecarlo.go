@@ -45,9 +45,9 @@ type TrialConfig struct {
 	// fault-free ones.
 	Faults *fault.Plan
 	// Progress, when non-nil, is called after each folded shard (throttled by
-	// ProgressEvery) with the running aggregate — from the goroutine that
-	// serializes the fold, so callbacks for one run never race. A nil hook
-	// costs the hot path nothing.
+	// ProgressEvery) with the running aggregate — on MonteCarlo's own
+	// goroutine, which does the folding, so callbacks for one run never race.
+	// A nil hook costs the hot path nothing.
 	Progress func(Progress)
 	// ProgressEvery throttles Progress to every N folded shards (the final
 	// shard always reports). Zero fires on every shard; negative selects an
@@ -174,13 +174,26 @@ func (s TrialStats) LowerBound() float64 {
 
 // TrialAccumulator folds per-trial results into streaming statistics in
 // bounded memory. MonteCarlo adds every trial to one accumulator in trial
-// order. The accumulator also keeps its first stats.MergeReplayCap results,
-// in trial order, which is what Merge replays; the engine never merges, but
-// callers that fold shards of their own (antbench's replay probe) do. The
-// zero value is not usable; construct with NewTrialAccumulator.
-//
-//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes,log encode=MarshalBinary decode=UnmarshalBinary
+// order. The accumulator also keeps the first stats.MergeReplayCap results it
+// was fed, in order, which is what Merge replays; the engine never merges,
+// but callers that fold shards of their own (antbench's replay probe) do.
+// The log is not part of the checkpointed state: a decoded accumulator starts
+// with an empty one. The zero value is not usable; construct with
+// NewTrialAccumulator.
 type TrialAccumulator struct {
+	trialState
+
+	// log holds the first stats.MergeReplayCap results added since the
+	// accumulator was built or decoded, in order.
+	log []Result
+}
+
+// trialState is the part of a TrialAccumulator a checkpoint persists: the
+// counts, the five Welford accumulators and both quantile sketches, which
+// together determine every aggregate Stats reports.
+//
+//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes encode=MarshalBinary decode=unmarshal
+type trialState struct {
 	numAgents int
 	distance  int
 	trials    int
@@ -195,21 +208,17 @@ type TrialAccumulator struct {
 
 	times      *stats.Sketch
 	foundTimes *stats.Sketch
-
-	// log holds the first stats.MergeReplayCap results in trial order, so
-	// len(log) == min(trials, stats.MergeReplayCap).
-	log []Result
 }
 
 // NewTrialAccumulator returns an empty accumulator for a configuration with
 // the given number of agents and treasure distance.
 func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
-	return &TrialAccumulator{
+	return &TrialAccumulator{trialState: trialState{
 		numAgents:  numAgents,
 		distance:   distance,
 		times:      stats.NewSketch(0),
 		foundTimes: stats.NewSketch(0),
-	}
+	}}
 }
 
 // Add incorporates one trial result.
@@ -246,13 +255,14 @@ func (a *TrialAccumulator) Add(r Result) {
 // in trial order. Merging shard accumulators in shard order therefore gives
 // exactly the state of one accumulator fed every trial in sequence: the
 // result depends only on the trial sequence, never on where it was cut.
-// Merge panics if b holds more than stats.MergeReplayCap trials, the most it
-// can replay. MonteCarlo does not merge; Merge serves callers that build
-// their own per-shard accumulators of at most that many trials.
+// Merge panics if b's log does not hold every trial b counts: b was fed more
+// than stats.MergeReplayCap trials, or it was decoded from a checkpoint,
+// which carries no log. MonteCarlo does not merge; Merge serves callers that
+// build their own per-shard accumulators of at most that many trials.
 func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
 	if b.trials > len(b.log) {
-		panic(fmt.Sprintf("sim: merging an accumulator of %d trials, more than the %d it can replay",
-			b.trials, stats.MergeReplayCap))
+		panic(fmt.Sprintf("sim: merging an accumulator of %d trials whose log replays only %d",
+			b.trials, len(b.log)))
 	}
 	for _, r := range b.log {
 		a.Add(r)
@@ -422,8 +432,9 @@ func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 }
 
 // foldState carries the running total and progress/checkpoint bookkeeping of
-// one MonteCarlo fold. merge is the ReduceOrdered sink: calls arrive
-// serialized in shard order, so no field needs locking.
+// one MonteCarlo fold. merge is the ReduceOrdered sink: it runs on
+// MonteCarlo's own goroutine, one shard at a time in shard order, so no field
+// needs locking.
 type foldState struct {
 	cfg        *TrialConfig
 	shards     int // shardsDone at the start plus the shards planned after it
@@ -486,7 +497,6 @@ func (st *foldState) merge(results []Result) {
 				// progress-only one), the fold just keeps going.
 				_ = cfg.Checkpointer.Save(CheckpointState{
 					ShardsDone:  st.shardsDone,
-					TotalShards: st.shards,
 					TrialsDone:  st.total.trials,
 					TotalTrials: cfg.Trials,
 					State:       state,

@@ -118,7 +118,7 @@ func (a *Accumulator) DecodeBinary(b []byte) ([]byte, error) {
 }
 
 // appendBinary appends the P² estimator's state to b.
-func (p *P2) appendBinary(b []byte) []byte {
+func (p *p2) appendBinary(b []byte) []byte {
 	b = appendF64(b, p.q)
 	for _, v := range p.n {
 		b = appendI64(b, v)
@@ -136,8 +136,8 @@ func (p *P2) appendBinary(b []byte) []byte {
 }
 
 // decodeBinary replaces p's state with the serialized one.
-func (p *P2) decodeBinary(b []byte) ([]byte, error) {
-	var dec P2
+func (p *p2) decodeBinary(b []byte) ([]byte, error) {
+	var dec p2
 	var err error
 	if dec.q, b, err = takeF64(b); err != nil {
 		return nil, err
@@ -248,9 +248,9 @@ func (s *Sketch) DecodeBinary(b []byte) ([]byte, error) {
 		if dec.n <= dec.cap {
 			return nil, fmt.Errorf("stats: inconsistent sketch state (cap=%d, n=%d)", dec.cap, dec.n)
 		}
-		dec.est = make([]*P2, len(dec.tracked))
+		dec.est = make([]*p2, len(dec.tracked))
 		for i := range dec.est {
-			e := new(P2)
+			e := new(p2)
 			if b, err = e.decodeBinary(b); err != nil {
 				return nil, err
 			}

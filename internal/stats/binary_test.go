@@ -28,18 +28,18 @@ func TestAccumulatorBinaryRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("n=%d: %d undecoded bytes", n, len(rest))
 		}
-		// Continue both with the same suffix; every summary stat must stay
-		// bit-identical.
+		// Continue both with the same suffix; the state behind every summary
+		// stat must stay bit-identical.
 		for i := 0; i < 50; i++ {
 			x := rng.Float64()
 			a.Add(x)
 			b.Add(x)
 		}
 		for name, pair := range map[string][2]float64{
-			"mean": {a.Mean(), b.Mean()},
-			"var":  {a.Variance(), b.Variance()},
-			"min":  {a.Min(), b.Min()},
-			"max":  {a.Max(), b.Max()},
+			"mean": {a.mean, b.mean},
+			"m2":   {a.m2, b.m2},
+			"min":  {a.min, b.min},
+			"max":  {a.max, b.max},
 		} {
 			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 				t.Fatalf("n=%d: %s diverged after round trip: %v vs %v", n, name, pair[0], pair[1])
@@ -61,8 +61,8 @@ func TestAccumulatorBinaryRoundTripsNonFinite(t *testing.T) {
 	if _, err := b.DecodeBinary(a.AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(b.Max(), 1) || math.Float64bits(a.Mean()) != math.Float64bits(b.Mean()) {
-		t.Fatalf("non-finite state lost: max=%v mean=%v", b.Max(), b.Mean())
+	if !math.IsInf(b.max, 1) || math.Float64bits(a.mean) != math.Float64bits(b.mean) {
+		t.Fatalf("non-finite state lost: max=%v mean=%v", b.max, b.mean)
 	}
 }
 

@@ -16,12 +16,12 @@ const DefaultSketchCap = 1024
 // it leaves exact mode. Queries between tracked points are interpolated.
 var defaultTracked = []float64{0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
 
-// P2 estimates a single quantile of a stream in O(1) memory with the P²
+// p2 estimates a single quantile of a stream in O(1) memory with the P²
 // algorithm of Jain and Chlamtac (CACM 1985): five markers track the minimum,
 // the q/2, q and (1+q)/2 quantiles and the maximum, and are nudged towards
 // their ideal positions with piecewise-parabolic interpolation after every
-// observation. The zero value is not usable; construct with NewP2.
-type P2 struct {
+// observation. The zero value is not usable; construct with newP2.
+type p2 struct {
 	q       float64
 	n       [5]int     // actual marker positions (1-based observation counts)
 	np      [5]float64 // desired marker positions
@@ -30,18 +30,18 @@ type P2 struct {
 	count   int
 }
 
-// NewP2 returns a P² estimator for the q-quantile, 0 < q < 1.
-func NewP2(q float64) (*P2, error) {
+// newP2 returns a P² estimator for the q-quantile, 0 < q < 1.
+func newP2(q float64) (*p2, error) {
 	if !(q > 0 && q < 1) {
 		return nil, fmt.Errorf("stats: P2 quantile must be in (0, 1), got %v", q)
 	}
-	p := &P2{q: q}
+	p := &p2{q: q}
 	p.dn = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
 	return p, nil
 }
 
 // Add incorporates one observation.
-func (p *P2) Add(x float64) {
+func (p *p2) Add(x float64) {
 	if p.count < 5 {
 		p.heights[p.count] = x
 		p.count++
@@ -100,7 +100,7 @@ func (p *P2) Add(x float64) {
 
 // parabolic is the piecewise-parabolic (P²) height update for marker i moved
 // by sign (±1).
-func (p *P2) parabolic(i, sign int) float64 {
+func (p *p2) parabolic(i, sign int) float64 {
 	d := float64(sign)
 	nm, ni, np := float64(p.n[i-1]), float64(p.n[i]), float64(p.n[i+1])
 	return p.heights[i] + d/(np-nm)*
@@ -109,14 +109,14 @@ func (p *P2) parabolic(i, sign int) float64 {
 }
 
 // linear is the fallback linear height update.
-func (p *P2) linear(i, sign int) float64 {
+func (p *p2) linear(i, sign int) float64 {
 	return p.heights[i] + float64(sign)*
 		(p.heights[i+sign]-p.heights[i])/float64(p.n[i+sign]-p.n[i])
 }
 
 // Value returns the current estimate of the q-quantile. With fewer than five
 // observations it falls back to the exact quantile of the buffered values.
-func (p *P2) Value() float64 {
+func (p *p2) Value() float64 {
 	if p.count == 0 {
 		return 0
 	}
@@ -138,7 +138,7 @@ type Sketch struct {
 	cap     int
 	tracked []float64
 	samples []float64 // exact mode; nil once estimators take over
-	est     []*P2     // estimation mode, parallel to tracked
+	est     []*p2     // estimation mode, parallel to tracked
 	n       int
 	min     float64
 	max     float64
@@ -182,9 +182,9 @@ func (s *Sketch) Add(x float64) {
 // estimate switches the sketch from exact to P² mode, replaying the buffered
 // samples (in insertion order) into the estimators and releasing the buffer.
 func (s *Sketch) estimate() {
-	s.est = make([]*P2, len(s.tracked))
+	s.est = make([]*p2, len(s.tracked))
 	for i, q := range s.tracked {
-		e, err := NewP2(q)
+		e, err := newP2(q)
 		if err != nil {
 			panic(err) // tracked quantiles are compile-time constants in (0, 1)
 		}

@@ -66,7 +66,7 @@ func TestP2MarkerInvariants(t *testing.T) {
 
 	for name, s := range propStreams(2000) {
 		for _, q := range []float64{0.05, 0.25, 0.5, 0.75, 0.95} {
-			p, err := NewP2(q)
+			p, err := newP2(q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestP2DuplicateHeavyAccuracy(t *testing.T) {
 	t.Parallel()
 
 	s := propStreams(6000)["ninety-percent-dup"]
-	p, err := NewP2(0.5)
+	p, err := newP2(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ func TestP2Validation(t *testing.T) {
 	t.Parallel()
 
 	for _, q := range []float64{-0.1, 0, 1, 1.5} {
-		if _, err := NewP2(q); err == nil {
-			t.Errorf("NewP2(%v) should fail", q)
+		if _, err := newP2(q); err == nil {
+			t.Errorf("newP2(%v) should fail", q)
 		}
 	}
-	if _, err := NewP2(0.5); err != nil {
+	if _, err := newP2(0.5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -30,7 +30,7 @@ func TestP2Validation(t *testing.T) {
 func TestP2SmallStreamsAreExact(t *testing.T) {
 	t.Parallel()
 
-	p, err := NewP2(0.5)
+	p, err := newP2(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestP2ApproximatesQuantiles(t *testing.T) {
 	t.Parallel()
 
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		p, err := NewP2(q)
+		p, err := newP2(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,41 +46,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// Mean returns the sample mean (0 for an empty accumulator).
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min returns the smallest observation (0 for an empty accumulator).
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation (0 for an empty accumulator).
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the unbiased sample variance (0 with fewer than two
-// observations).
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// ConfidenceInterval95 returns the half-width of the normal-approximation 95%
-// confidence interval for the mean.
-func (a *Accumulator) ConfidenceInterval95() float64 {
-	return 1.96 * a.StdErr()
-}
-
 // Summary is an immutable snapshot of an accumulator, convenient to embed in
 // experiment results.
 type Summary struct {
@@ -92,15 +57,28 @@ type Summary struct {
 	CI95   float64
 }
 
-// Summarize snapshots the accumulator.
+// Summarize snapshots the accumulator: the sample mean, the sample standard
+// deviation (from the unbiased variance, 0 with fewer than two
+// observations), the range (zeros for an empty accumulator) and the
+// half-width of the normal-approximation 95% confidence interval for the
+// mean.
 func (a *Accumulator) Summarize() Summary {
+	variance := 0.0
+	if a.n >= 2 {
+		variance = a.m2 / float64(a.n-1)
+	}
+	stdDev := math.Sqrt(variance)
+	stdErr := 0.0
+	if a.n > 0 {
+		stdErr = stdDev / math.Sqrt(float64(a.n))
+	}
 	return Summary{
 		N:      a.n,
-		Mean:   a.Mean(),
-		StdDev: a.StdDev(),
-		Min:    a.Min(),
-		Max:    a.Max(),
-		CI95:   a.ConfidenceInterval95(),
+		Mean:   a.mean,
+		StdDev: stdDev,
+		Min:    a.min,
+		Max:    a.max,
+		CI95:   1.96 * stdErr,
 	}
 }
 
@@ -126,18 +104,6 @@ func Quantile(data []float64, q float64) float64 {
 	sorted := append([]float64(nil), data...)
 	sort.Float64s(sorted)
 	return sortedQuantile(sorted, q)
-}
-
-// Mean returns the arithmetic mean of the slice (0 for an empty slice).
-func Mean(data []float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range data {
-		sum += v
-	}
-	return sum / float64(len(data))
 }
 
 // LinearFit fits y = intercept + slope·x by least squares. It returns an

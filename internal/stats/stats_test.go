@@ -10,34 +10,30 @@ func TestAccumulatorBasics(t *testing.T) {
 	t.Parallel()
 
 	var a Accumulator
-	if a.n != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdErr() != 0 {
-		t.Error("zero-value accumulator should report zeros")
+	if s := a.Summarize(); s != (Summary{}) {
+		t.Errorf("zero-value accumulator should report zeros, got %+v", s)
 	}
 	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, v := range data {
 		a.Add(v)
 	}
-	if a.n != len(data) {
-		t.Errorf("n = %d", a.n)
+	s := a.Summarize()
+	if s.N != len(data) {
+		t.Errorf("N = %d", s.N)
 	}
-	if math.Abs(a.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", a.Mean())
+	if math.Abs(s.Mean-5) > 1e-12 {
+		t.Errorf("Mean = %v, want 5", s.Mean)
 	}
 	// Population variance of this classic data set is 4; sample variance is
 	// 32/7.
-	if want := 32.0 / 7.0; math.Abs(a.Variance()-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", a.Variance(), want)
+	if want := math.Sqrt(32.0 / 7.0); math.Abs(s.StdDev-want) > 1e-12 {
+		t.Errorf("StdDev = %v, want %v", s.StdDev, want)
 	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("range = [%v, %v], want [2, 9]", a.Min(), a.Max())
+	if s.Min != 2 || s.Max != 9 {
+		t.Errorf("range = [%v, %v], want [2, 9]", s.Min, s.Max)
 	}
-	if a.StdDev() <= 0 || a.StdErr() <= 0 || a.ConfidenceInterval95() <= 0 {
-		t.Error("dispersion measures should be positive")
-	}
-
-	s := a.Summarize()
-	if s.N != len(data) || s.Mean != a.Mean() || s.Min != 2 || s.Max != 9 {
-		t.Errorf("summary mismatch: %+v", s)
+	if want := 1.96 * s.StdDev / math.Sqrt(float64(len(data))); math.Abs(s.CI95-want) > 1e-12 {
+		t.Errorf("CI95 = %v, want %v", s.CI95, want)
 	}
 	if s.String() == "" {
 		t.Error("empty summary string")
@@ -49,11 +45,12 @@ func TestAccumulatorSingleObservation(t *testing.T) {
 
 	var a Accumulator
 	a.Add(3.5)
-	if a.Mean() != 3.5 || a.Min() != 3.5 || a.Max() != 3.5 {
-		t.Errorf("single observation misreported: %+v", a.Summarize())
+	s := a.Summarize()
+	if s.Mean != 3.5 || s.Min != 3.5 || s.Max != 3.5 {
+		t.Errorf("single observation misreported: %+v", s)
 	}
-	if a.Variance() != 0 {
-		t.Errorf("variance of one observation = %v, want 0", a.Variance())
+	if s.StdDev != 0 || s.CI95 != 0 {
+		t.Errorf("dispersion of one observation = %v ±%v, want 0", s.StdDev, s.CI95)
 	}
 }
 
@@ -77,7 +74,8 @@ func TestAccumulatorMatchesDirectFormulaQuick(t *testing.T) {
 			sum += v
 		}
 		mean := sum / float64(len(data))
-		if math.Abs(a.Mean()-mean) > 1e-6*(1+math.Abs(mean)) {
+		s := a.Summarize()
+		if math.Abs(s.Mean-mean) > 1e-6*(1+math.Abs(mean)) {
 			return false
 		}
 		ss := 0.0
@@ -85,7 +83,7 @@ func TestAccumulatorMatchesDirectFormulaQuick(t *testing.T) {
 			ss += (v - mean) * (v - mean)
 		}
 		variance := ss / float64(len(data)-1)
-		return math.Abs(a.Variance()-variance) <= 1e-6*(1+variance)
+		return math.Abs(s.StdDev*s.StdDev-variance) <= 1e-6*(1+variance)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Errorf("Welford accumulation disagrees with direct formula: %v", err)
@@ -135,17 +133,6 @@ func TestQuantileAndMedian(t *testing.T) {
 	// The input must not be reordered.
 	if data[0] != 9 || data[4] != 5 {
 		t.Error("Quantile modified its input")
-	}
-}
-
-func TestMean(t *testing.T) {
-	t.Parallel()
-
-	if Mean(nil) != 0 {
-		t.Error("mean of empty slice should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
 	}
 }
 
