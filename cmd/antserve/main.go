@@ -591,7 +591,16 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req sweepRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is one request: only whitespace may follow it.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -248,6 +248,12 @@ func TestSweepErrors(t *testing.T) {
 			"params": {"d": 4}}`, http.StatusBadRequest},
 		{"too many cells", `{"scenarios": ["known-k"], "ks": [1, 2], "ds": [4, 8], "trials": 1}`,
 			http.StatusRequestEntityTooLarge},
+		// One request per body: anything but whitespace after it is refused,
+		// not ignored.
+		{"second JSON value", `{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1} {"trials": 999999}`,
+			http.StatusBadRequest},
+		{"trailing garbage", `{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1}garbage`,
+			http.StatusBadRequest},
 		// A one-cell grid padded past the body bound for MaxCells 3.
 		{"oversized body", `{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1` +
 			strings.Repeat(" ", int(maxSweepBody(3))) + `}`, http.StatusRequestEntityTooLarge},
@@ -631,8 +637,9 @@ func TestSweepRejectsHugeK(t *testing.T) {
 // server. The request context is cancelled before the handler runs, so
 // decoding, the body cap, the cell count, the k bound and grid expansion run
 // in full while no cell computes. The handler must answer 200, 400 or 413 —
-// never panic, never 5xx — and may answer 200 only for a body that decodes
-// to at most MaxCells cells with every k within maxSweepK.
+// never panic, never 5xx — and may answer 200 only for a body that is one
+// request, followed by nothing but whitespace, that decodes to at most
+// MaxCells cells with every k within maxSweepK.
 func FuzzSweepRequest(f *testing.F) {
 	for _, body := range []string{
 		// The CI smoke bodies.
@@ -651,6 +658,9 @@ func FuzzSweepRequest(f *testing.F) {
 		// A grid of 4,000,000 cells, and a k no engine could hold.
 		hugeGridBody(),
 		hugeKBody,
+		// Data after the request.
+		`{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1} {"trials": 999999}`,
+		`{"scenarios": ["known-k"], "ks": [1], "ds": [4], "trials": 1}garbage`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -679,6 +689,9 @@ func FuzzSweepRequest(f *testing.F) {
 		var sr sweepRequest
 		if err := dec.Decode(&sr); err != nil {
 			t.Fatalf("200 for a body that does not decode (%v): %q", err, body)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			t.Fatalf("200 for a body with data after the request (%v): %q", err, body)
 		}
 		if size, err := sr.Size(); err != nil || size > maxCells {
 			t.Fatalf("200 for a grid of %d cells (%v), more than %d: %q", size, err, maxCells, body)

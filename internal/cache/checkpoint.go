@@ -22,12 +22,11 @@ import (
 
 // CheckpointSchemaVersion is the version stamped on every persisted
 // checkpoint record; records carrying a different version are skipped on
-// load. Bump it whenever the record wire form or the serialized accumulator
-// state (sim's trialAccumulatorStateVersion, stats' binary codec) changes —
-// the state bytes are opaque here, so this version is the only load-time
-// guard against feeding a new decoder an old state. v2 states carried the
-// trial log and records a TotalShards field; v3 drops both.
-const CheckpointSchemaVersion = 3
+// load. Bump it whenever the record wire form or the accumulator state it
+// embeds (sim's trialAccumulatorStateVersion) changes, so an old state never
+// reaches a new decoder. v3 records carried the state as base64 of a binary
+// encoding with a state_len field; v4 embeds the state's JSON object.
+const CheckpointSchemaVersion = 4
 
 // maxCheckpointsPerCell bounds how many distinct prefixes the in-memory
 // index keeps per cell (the largest survive). The engine resumes from any
@@ -36,21 +35,18 @@ const CheckpointSchemaVersion = 3
 const maxCheckpointsPerCell = 8
 
 // checkpointRecord is the NDJSON wire form of one persisted checkpoint. The
-// state travels base64-encoded (encoding/json's []byte convention) with an
-// explicit length so a damaged or truncated encoding is detected by
-// comparison, not silently decoded into a short state that then fails —
-// or worse, passes — the accumulator decoder.
+// state is sim's JSON trial state, embedded as is: the store checks that it
+// is present and leaves decoding it, strictly, to the resuming fold.
 //
-//antlint:codec version=CheckpointSchemaVersion fields=SchemaVersion,Key,ShardsDone,TrialsDone,TotalTrials,StateLen,State
+//antlint:codec version=CheckpointSchemaVersion fields=SchemaVersion,Key,ShardsDone,TrialsDone,TotalTrials,State
 //antlint:wire
 type checkpointRecord struct {
-	SchemaVersion int    `json:"schema_version"`
-	Key           Key    `json:"key"`
-	ShardsDone    int    `json:"shards_done"`
-	TrialsDone    int    `json:"trials_done"`
-	TotalTrials   int    `json:"total_trials"`
-	StateLen      int    `json:"state_len"`
-	State         []byte `json:"state"`
+	SchemaVersion int             `json:"schema_version"`
+	Key           Key             `json:"key"`
+	ShardsDone    int             `json:"shards_done"`
+	TrialsDone    int             `json:"trials_done"`
+	TotalTrials   int             `json:"total_trials"`
+	State         json.RawMessage `json:"state"`
 }
 
 // newCheckpointRecord is the current-schema wire form of cp under key.
@@ -61,7 +57,6 @@ func newCheckpointRecord(key Key, cp sim.CheckpointState) checkpointRecord {
 		ShardsDone:    cp.ShardsDone,
 		TrialsDone:    cp.TrialsDone,
 		TotalTrials:   cp.TotalTrials,
-		StateLen:      len(cp.State),
 		State:         cp.State,
 	}
 }
@@ -141,13 +136,14 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) {
 }
 
 // recordUsable filters loaded records: current schema, internally consistent
-// bounds, and state bytes matching their declared length.
+// bounds — every shard holds at least one trial, so 0 < shards_done <=
+// trials_done — and a state.
 func recordUsable(rec checkpointRecord) bool {
 	return rec.SchemaVersion == CheckpointSchemaVersion &&
 		rec.Key.CurrentSchema() &&
 		rec.TrialsDone > 0 && rec.TrialsDone <= rec.TotalTrials &&
-		rec.ShardsDone > 0 &&
-		len(rec.State) == rec.StateLen && rec.StateLen > 0
+		rec.ShardsDone > 0 && rec.ShardsDone <= rec.TrialsDone &&
+		len(rec.State) > 0
 }
 
 // insertLocked merges one checkpoint into a cell's candidate list, keeping
@@ -202,7 +198,7 @@ func (s *CheckpointStore) load(key Key, valid func(sim.CheckpointState) bool) (s
 	s.mu.Lock()
 	candidates := append([]sim.CheckpointState(nil), s.index[key]...)
 	s.mu.Unlock()
-	// Decoding runs off the lock: valid() replays accumulator state, and a
+	// Decoding runs off the lock: valid() decodes the trial state, and a
 	// concurrent sweep must not stall behind it.
 	for i := len(candidates) - 1; i >= 0; i-- {
 		if valid(candidates[i]) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,7 +36,7 @@ func TestCheckpointStoreSaveLoadRoundTrip(t *testing.T) {
 	key := testKeyV2("cell-a")
 	ck := s.ForCell(key)
 	for _, done := range []int{128, 256, 384} {
-		if err := ck.Save(testCheckpoint(done, 1024, []byte{1, byte(done / 128)})); err != nil {
+		if err := ck.Save(testCheckpoint(done, 1024, []byte(fmt.Sprintf("[1,%d]", done/128)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +69,7 @@ func TestCheckpointStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 	defer s2.Close()
 	cp, ok = s2.ForCell(key).Load(func(sim.CheckpointState) bool { return true })
-	if !ok || cp.TrialsDone != 384 || len(cp.State) != 2 {
+	if !ok || cp.TrialsDone != 384 || string(cp.State) != "[1,3]" {
 		t.Fatalf("reloaded Load = %+v, %v", cp, ok)
 	}
 }
@@ -82,12 +84,12 @@ func TestCheckpointStoreKeepsLargestPrefixes(t *testing.T) {
 	defer s.Close()
 	ck := s.ForCell(testKeyV2("cell"))
 	for i := 1; i <= maxCheckpointsPerCell+4; i++ {
-		if err := ck.Save(testCheckpoint(i*128, 1<<20, []byte{9})); err != nil {
+		if err := ck.Save(testCheckpoint(i*128, 1<<20, []byte("9"))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Re-saving an existing prefix replaces, never duplicates.
-	if err := ck.Save(testCheckpoint((maxCheckpointsPerCell+4)*128, 1<<20, []byte{10})); err != nil {
+	if err := ck.Save(testCheckpoint((maxCheckpointsPerCell+4)*128, 1<<20, []byte("10"))); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
@@ -96,7 +98,7 @@ func TestCheckpointStoreKeepsLargestPrefixes(t *testing.T) {
 	if len(list) != maxCheckpointsPerCell {
 		t.Fatalf("index holds %d prefixes, want %d", len(list), maxCheckpointsPerCell)
 	}
-	if got := list[len(list)-1]; got.TrialsDone != (maxCheckpointsPerCell+4)*128 || got.State[0] != 10 {
+	if got := list[len(list)-1]; got.TrialsDone != (maxCheckpointsPerCell+4)*128 || string(got.State) != "10" {
 		t.Fatalf("largest prefix = %+v", got)
 	}
 	if got := list[0].TrialsDone; got != 5*128 {
@@ -116,7 +118,7 @@ func TestCheckpointStorePrune(t *testing.T) {
 	for _, key := range []Key{finished, running} {
 		ck := s.ForCell(key)
 		for _, done := range []int{128, 256} {
-			if err := ck.Save(testCheckpoint(done, 1024, []byte{1})); err != nil {
+			if err := ck.Save(testCheckpoint(done, 1024, []byte("1"))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -166,7 +168,7 @@ func TestCheckpointStoreDrop(t *testing.T) {
 	}
 	finished, running := testKeyV2("finished"), testKeyV2("running")
 	for _, key := range []Key{finished, running} {
-		if err := s.ForCell(key).Save(testCheckpoint(128, 1024, []byte{1})); err != nil {
+		if err := s.ForCell(key).Save(testCheckpoint(128, 1024, []byte("1"))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,30 +216,44 @@ func TestCheckpointStoreSkipsDamagedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKeyV2("cell")
-	if err := s.ForCell(key).Save(testCheckpoint(128, 1024, []byte{1, 2, 3})); err != nil {
+	if err := s.ForCell(key).Save(testCheckpoint(128, 1024, []byte("[1,2,3]"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the log: a torn tail, a record whose state length lies, and a
-	// foreign schema version — all must be skipped on reload.
+	// Corrupt the log: records claiming more shards than trials or none at
+	// all, a record without a state, a foreign schema version and a torn
+	// tail — all must be skipped on reload.
 	f, err := os.OpenFile(filepath.Join(dir, checkpointLogFile), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lying, _ := json.Marshal(checkpointRecord{
-		SchemaVersion: CheckpointSchemaVersion, Key: key,
-		ShardsDone: 2, TrialsDone: 256, TotalTrials: 1024,
-		StateLen: 99, State: []byte{1},
-	})
-	foreign, _ := json.Marshal(checkpointRecord{
-		SchemaVersion: CheckpointSchemaVersion + 1, Key: key,
-		ShardsDone: 3, TrialsDone: 384, TotalTrials: 1024,
-		StateLen: 1, State: []byte{1},
-	})
-	for _, line := range [][]byte{lying, foreign, []byte(`{"schema_version":1,"key":"torn`)} {
-		if _, err := f.Write(append(line, '\n')); err != nil {
+	line := func(rec checkpointRecord) []byte {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	record := func(shards, trials int) checkpointRecord {
+		return checkpointRecord{
+			SchemaVersion: CheckpointSchemaVersion, Key: key,
+			ShardsDone: shards, TrialsDone: trials, TotalTrials: 1024,
+			State: json.RawMessage("[1]"),
+		}
+	}
+	foreign := record(5, 640)
+	foreign.SchemaVersion++
+	for _, l := range [][]byte{
+		line(record(257, 256)),
+		line(record(math.MaxInt-1, 384)),
+		line(record(0, 512)),
+		bytes.Replace(line(record(6, 768)), []byte(`,"state":[1]`), nil, 1),
+		line(foreign),
+		[]byte(`{"schema_version":1,"key":"torn`),
+	} {
+		if _, err := f.Write(append(l, '\n')); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,9 +263,15 @@ func TestCheckpointStoreSkipsDamagedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if n := len(s2.index[key]); n != 1 {
+		t.Fatalf("reload indexed %d records, want the one good record", n)
+	}
 	cp, ok := s2.ForCell(key).Load(func(sim.CheckpointState) bool { return true })
 	if !ok || cp.TrialsDone != 128 {
 		t.Fatalf("Load after damage = %+v, %v; want the one good record", cp, ok)
+	}
+	if st := s2.Stats(); st.ResumedShards != 1 {
+		t.Fatalf("resumed_shards = %d, want the good record's 1", st.ResumedShards)
 	}
 }
 
@@ -285,7 +307,7 @@ func TestCellCheckpointerDisablesAfterPersistentFailures(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cp := testCheckpoint(128, 1024, []byte{1})
+	cp := testCheckpoint(128, 1024, []byte("1"))
 	for i := 0; i < cellCheckpointDisableAfter; i++ {
 		if err := ck.Save(cp); err == nil {
 			t.Fatalf("save %d succeeded on closed store", i)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -650,7 +651,7 @@ func TestStoresSkipOverlongLine(t *testing.T) {
 	}
 	for i := range lines {
 		var err error
-		cp := testCheckpoint(128*(i+1), 1024, []byte{byte(i + 1)})
+		cp := testCheckpoint(128*(i+1), 1024, []byte(strconv.Itoa(i+1)))
 		if lines[i], err = json.Marshal(newCheckpointRecord(testKeyV2("long", i), cp)); err != nil {
 			t.Fatal(err)
 		}
@@ -760,7 +761,7 @@ func FuzzStoreReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	checkpoint, err := json.Marshal(newCheckpointRecord(testKeyV2("seed"), testCheckpoint(256, 1024, []byte{1, 2})))
+	checkpoint, err := json.Marshal(newCheckpointRecord(testKeyV2("seed"), testCheckpoint(256, 1024, []byte("[1,2]"))))
 	if err != nil {
 		f.Fatal(err)
 	}

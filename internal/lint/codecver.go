@@ -11,11 +11,11 @@ import (
 )
 
 // CodecVer checks structs marked //antlint:codec — types whose binary or
-// JSON encoding is a versioned schema commitment (the checkpoint state
-// codecs of internal/stats and internal/sim, the durable-store records of
-// internal/cache). The marker commits three things in one auditable line:
+// JSON encoding is a versioned schema commitment (the checkpoint state codec
+// of internal/sim, the durable-store records of internal/cache). The marker
+// commits three things in one auditable line:
 //
-//		//antlint:codec version=fooStateVersion fields=a,b,c encode=AppendBinary decode=DecodeBinary
+//		//antlint:codec version=fooStateVersion fields=a,b,c encode=MarshalJSON decode=UnmarshalJSON
 //
 //	  - version= names the package-level integer constant guarding the wire
 //	    form; it must exist, and in coverage mode both codec bodies must

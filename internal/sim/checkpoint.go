@@ -1,19 +1,20 @@
 // This file holds the checkpoint/resume and progress surface of the
 // Monte-Carlo engine. A giant cell adds its trials' results to one running
-// TrialAccumulator in strict trial order (parallel.ReduceOrdered), so the
-// running state after any trial prefix [0, n) is a pure function of those n
-// trials — which makes it safe to persist: a crashed run restored from that
-// state and folded over trials [n, Trials) finishes with aggregates
-// bit-identical to an uninterrupted run, whatever the shard plan of either
-// run. The serialized state is the accumulator's complete statistical state
-// (its counts plus stats/binary.go's Welford and sketch encodings), floats as
-// raw IEEE-754 bits, never a lossy summary; the trial log Merge replays is
-// not part of it, because a resumed run only ever adds to the state.
+// trialState in strict trial order (parallel.ReduceOrdered), so the running
+// state after any trial prefix [0, n) is a pure function of those n trials —
+// which makes it safe to persist: a crashed run restored from that state and
+// folded over trials [n, Trials) finishes with aggregates bit-identical to an
+// uninterrupted run, whatever the shard plan of either run. The persisted
+// state is the aggregate's complete statistical state as JSON (its counts
+// plus the stats Accumulator and Sketch states), never a lossy summary:
+// encoding/json writes each finite float64 in the shortest form that parses
+// back to the same bits.
 
 package sim
 
 import (
-	"encoding/binary"
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"antsearch/internal/stats"
@@ -43,13 +44,13 @@ type Progress struct {
 }
 
 // CheckpointState is one persisted prefix aggregate of a MonteCarlo run: the
-// serialized running accumulator after ShardsDone shards, covering trials
+// serialized running aggregate after ShardsDone shards, covering trials
 // [0, TrialsDone) of TotalTrials.
 type CheckpointState struct {
 	ShardsDone  int
 	TrialsDone  int
 	TotalTrials int
-	// State is TrialAccumulator.MarshalBinary of the running total.
+	// State is the JSON form of the running total (trialState.MarshalJSON).
 	State []byte
 }
 
@@ -79,83 +80,89 @@ type Checkpointer interface {
 // serialized state writes stay invisible next to the trials themselves.
 const DefaultCheckpointEvery = 64
 
-// trialAccumulatorStateVersion guards the serialized TrialAccumulator wire
-// form; bump it whenever the accumulator gains, loses or reorders state.
-const trialAccumulatorStateVersion = 3
+// trialAccumulatorStateVersion guards the trial state's JSON form, stats'
+// Accumulator and Sketch forms inside it included; bump it whenever any of
+// them gains, loses or renames state.
+const trialAccumulatorStateVersion = 4
 
-func appendInt(b []byte, v int) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+// trialStateJSON is the wire form of a trialState.
+//
+//antlint:wire
+type trialStateJSON struct {
+	Version       int               `json:"version"`
+	NumAgents     int               `json:"num_agents"`
+	Distance      int               `json:"distance"`
+	Trials        int               `json:"trials"`
+	Found         int               `json:"found"`
+	Capped        int               `json:"capped"`
+	Time          stats.Accumulator `json:"time"`
+	AllTime       stats.Accumulator `json:"all_time"`
+	Ratio         stats.Accumulator `json:"ratio"`
+	Survivors     stats.Accumulator `json:"survivors"`
+	SurvivorRatio stats.Accumulator `json:"survivor_ratio"`
+	Times         *stats.Sketch     `json:"times"`
+	FoundTimes    *stats.Sketch     `json:"found_times"`
 }
 
-func takeInt(b []byte) (int, []byte) {
-	return int(int64(binary.LittleEndian.Uint64(b))), b[8:]
+// MarshalJSON implements json.Marshaler: the versioned complete state, from
+// which UnmarshalJSON restores a bit-identical one — adding further trials to
+// the restored value produces exactly the aggregates the original would have
+// produced. A non-finite value fails to encode.
+func (s *trialState) MarshalJSON() ([]byte, error) {
+	return json.Marshal(trialStateJSON{
+		Version:       trialAccumulatorStateVersion,
+		NumAgents:     s.numAgents,
+		Distance:      s.distance,
+		Trials:        s.trials,
+		Found:         s.found,
+		Capped:        s.capped,
+		Time:          s.time,
+		AllTime:       s.allTime,
+		Ratio:         s.ratio,
+		Survivors:     s.survivors,
+		SurvivorRatio: s.survivorRatio,
+		Times:         s.times,
+		FoundTimes:    s.foundTimes,
+	})
 }
 
-// MarshalBinary serializes the accumulator's statistical state: counts, the
-// five Welford accumulators and both quantile sketches, not the trial log.
-// The encoding is length-prefixed and versioned, floats travel as raw
-// IEEE-754 bits, and UnmarshalBinary restores a bit-identical state: adding
-// further trials to the restored value produces exactly the aggregates the
-// original would have produced.
-func (s *trialState) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 1024)
-	b = append(b, trialAccumulatorStateVersion)
-	for _, v := range []int{s.numAgents, s.distance, s.trials, s.found, s.capped} {
-		b = appendInt(b, v)
+// UnmarshalJSON implements json.Unmarshaler. It rejects any other version,
+// inconsistent counts, a missing sketch, every Accumulator and Sketch state
+// the stats decoders reject, and any data that is not exactly what
+// MarshalJSON writes for the decoded state: unlike a positional encoding,
+// JSON lets a field go missing and decode as zero, which would resume a
+// wrong aggregate. On error s is left unchanged.
+func (s *trialState) UnmarshalJSON(data []byte) error {
+	var w trialStateJSON
+	if err := json.Unmarshal(data, &w); err != nil {
+		return fmt.Errorf("sim: trial state: %w", err)
 	}
-	b = s.time.AppendBinary(b)
-	b = s.allTime.AppendBinary(b)
-	b = s.ratio.AppendBinary(b)
-	b = s.survivors.AppendBinary(b)
-	b = s.survivorRatio.AppendBinary(b)
-	b = s.times.AppendBinary(b)
-	b = s.foundTimes.AppendBinary(b)
-	return b, nil
-}
-
-// UnmarshalBinary restores the state serialized by MarshalBinary, with an
-// empty trial log, so Merge refuses the result as a source unless it counts
-// no trials. It rejects unknown versions, truncated or trailing bytes and
-// internally inconsistent counts; on error the receiver is left unchanged.
-func (a *TrialAccumulator) UnmarshalBinary(data []byte) error {
-	var s trialState
-	if err := s.unmarshal(data); err != nil {
-		return err
+	switch {
+	case w.Version != trialAccumulatorStateVersion:
+		return fmt.Errorf("sim: trial state version %d, want %d", w.Version, trialAccumulatorStateVersion)
+	case w.Trials < 0 || w.Found < 0 || w.Capped < 0 || w.Found > w.Trials || w.Capped > w.Trials:
+		return fmt.Errorf("sim: inconsistent trial state (trials=%d, found=%d, capped=%d)", w.Trials, w.Found, w.Capped)
+	case w.Times == nil || w.FoundTimes == nil:
+		return fmt.Errorf("sim: trial state without its quantile sketches")
 	}
-	*a = TrialAccumulator{trialState: s}
-	return nil
-}
-
-// unmarshal decodes data into s, a zero trialState.
-func (s *trialState) unmarshal(data []byte) error {
-	if len(data) < 1 || data[0] != trialAccumulatorStateVersion {
-		return fmt.Errorf("sim: unknown trial-accumulator state version")
+	dec := trialState{
+		numAgents:     w.NumAgents,
+		distance:      w.Distance,
+		trials:        w.Trials,
+		found:         w.Found,
+		capped:        w.Capped,
+		time:          w.Time,
+		allTime:       w.AllTime,
+		ratio:         w.Ratio,
+		survivors:     w.Survivors,
+		survivorRatio: w.SurvivorRatio,
+		times:         w.Times,
+		foundTimes:    w.FoundTimes,
 	}
-	b := data[1:]
-	if len(b) < 5*8 {
-		return fmt.Errorf("sim: truncated trial-accumulator state")
+	if enc, err := dec.MarshalJSON(); err != nil || !bytes.Equal(enc, data) {
+		return fmt.Errorf("sim: trial state is not in the form its encoder writes")
 	}
-	for _, p := range []*int{&s.numAgents, &s.distance, &s.trials, &s.found, &s.capped} {
-		*p, b = takeInt(b)
-	}
-	if s.trials < 0 || s.found < 0 || s.capped < 0 || s.found > s.trials || s.capped > s.trials {
-		return fmt.Errorf("sim: inconsistent trial-accumulator state (trials=%d, found=%d, capped=%d)",
-			s.trials, s.found, s.capped)
-	}
-	// Fresh sketches only to have non-nil pointers to decode into; DecodeBinary
-	// replaces their state wholesale.
-	s.times, s.foundTimes = stats.NewSketch(0), stats.NewSketch(0)
-	var err error
-	for _, acc := range []interface {
-		DecodeBinary([]byte) ([]byte, error)
-	}{&s.time, &s.allTime, &s.ratio, &s.survivors, &s.survivorRatio, s.times, s.foundTimes} {
-		if b, err = acc.DecodeBinary(b); err != nil {
-			return fmt.Errorf("sim: decode trial-accumulator state: %w", err)
-		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("sim: %d trailing bytes after trial-accumulator state", len(b))
-	}
+	*s = dec
 	return nil
 }
 

@@ -3,9 +3,9 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -79,7 +79,9 @@ func statsJSON(t *testing.T, st TrialStats) string {
 	return string(b)
 }
 
-func TestTrialAccumulatorBinaryRoundTrip(t *testing.T) {
+// TestTrialStateJSONRoundTrip pins the checkpoint codec: a decoded state
+// re-encodes to the same bytes and evolves exactly like the original.
+func TestTrialStateJSONRoundTrip(t *testing.T) {
 	t.Parallel()
 
 	rng := rand.New(rand.NewPCG(5, 23))
@@ -91,77 +93,97 @@ func TestTrialAccumulatorBinaryRoundTrip(t *testing.T) {
 			Survivors: survivors, Distance: 8, LowerBound: 24,
 		}
 	}
-	marshal := func(a *TrialAccumulator) []byte {
-		data, err := a.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	for _, trials := range []int{0, 1, 77, stats.MergeReplayCap, 1500} {
-		a := NewTrialAccumulator(4, 8)
+		a := newTrialState(4, 8)
 		for i := 0; i < trials; i++ {
-			a.Add(result(0.9, 500, 4))
+			a.add(result(0.9, 500, 4))
 		}
-		data := marshal(a)
-		b := new(TrialAccumulator)
-		if err := b.UnmarshalBinary(data); err != nil {
+		data := marshalState(t, &a)
+		var b trialState
+		if err := json.Unmarshal(data, &b); err != nil {
 			t.Fatalf("trials=%d: %v", trials, err)
 		}
-		if !bytes.Equal(marshal(b), data) {
-			t.Fatalf("trials=%d: decoded accumulator re-encodes differently", trials)
+		if !bytes.Equal(marshalState(t, &b), data) {
+			t.Fatalf("trials=%d: decoded state re-encodes differently", trials)
 		}
-		// The trial log is not part of the state: a decoded accumulator that
-		// counts any trial has nothing to replay, and Merge refuses it.
-		if trials > 0 {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("trials=%d: Merge accepted a decoded accumulator, which has no trial log", trials)
-					}
-				}()
-				NewTrialAccumulator(4, 8).Merge(b)
-			}()
-		}
-		// The decoded accumulator must evolve identically: fold the same
-		// suffix into both and compare the full JSON-rendered aggregates.
+		// The decoded state must evolve identically: fold the same suffix
+		// into both and compare the full JSON-rendered aggregates.
 		for i := 0; i < 300; i++ {
 			r := result(0.8, 900, 3)
-			a.Add(r)
-			b.Add(r)
+			a.add(r)
+			b.add(r)
 		}
-		if got, want := statsJSON(t, b.Stats()), statsJSON(t, a.Stats()); got != want {
-			t.Fatalf("trials=%d: round-tripped accumulator diverged\n got %s\nwant %s", trials, got, want)
+		if got, want := statsJSON(t, b.snapshot()), statsJSON(t, a.snapshot()); got != want {
+			t.Fatalf("trials=%d: round-tripped state diverged\n got %s\nwant %s", trials, got, want)
 		}
 	}
+}
+
+func marshalState(t testing.TB, s *trialState) []byte {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 	t.Parallel()
 
 	const trials = 20
-	a := NewTrialAccumulator(2, 8)
+	a := newTrialState(2, 8)
 	for i := 0; i < trials; i++ {
-		a.Add(Result{Found: true, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
+		a.add(Result{Found: true, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
 	}
-	good, err := a.MarshalBinary()
+	good := marshalState(t, &a)
+	ratio, err := json.Marshal(a.ratio)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The counts follow the version byte: agents, distance, trials, found.
-	overFound := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint64(overFound[1+3*8:], trials+1)
+	// damaged re-encodes the good state's wire form after damage.
+	damaged := func(damage func(w *trialStateJSON)) []byte {
+		var w trialStateJSON
+		if err := json.Unmarshal(good, &w); err != nil {
+			t.Fatal(err)
+		}
+		damage(&w)
+		data, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
 	for name, data := range map[string][]byte{
 		"empty":            nil,
-		"bad version":      append([]byte{trialAccumulatorStateVersion + 1}, good[1:]...),
-		"previous version": append([]byte{trialAccumulatorStateVersion - 1}, good[1:]...),
+		"null":             []byte("null"),
 		"truncated":        good[:len(good)-5],
-		"trailing":         append(append([]byte(nil), good...), 0),
-		"found > trials":   overFound,
+		"trailing":         append(append([]byte(nil), good...), '0'),
+		"unknown field":    append([]byte(`{"log":[],`), good[1:]...),
+		"bad version":      damaged(func(w *trialStateJSON) { w.Version++ }),
+		"previous version": damaged(func(w *trialStateJSON) { w.Version-- }),
+		"negative trials":  damaged(func(w *trialStateJSON) { w.Trials = -1 }),
+		"negative found":   damaged(func(w *trialStateJSON) { w.Found = -1 }),
+		"negative capped":  damaged(func(w *trialStateJSON) { w.Capped = -1 }),
+		"found > trials":   damaged(func(w *trialStateJSON) { w.Found = trials + 1 }),
+		"capped > trials":  damaged(func(w *trialStateJSON) { w.Capped = trials + 1 }),
+		"missing sketch":   damaged(func(w *trialStateJSON) { w.FoundTimes = nil }),
+		"damaged sketch":   bytes.Replace(good, []byte(`"cap":1024`), []byte(`"cap":3`), 1),
+		// A field JSON lets go missing, or write in another form, would
+		// decode as a plausible state with a wrong count or statistic.
+		"missing count":     bytes.Replace(good, []byte(`"found":20,`), nil, 1),
+		"missing statistic": bytes.Replace(good, []byte(`"mean":10.5,`), nil, 1),
+		"null accumulator":  bytes.Replace(good, append([]byte(`"ratio":`), ratio...), []byte(`"ratio":null`), 1),
+		"reformatted":       bytes.Replace(good, []byte(`"trials":20`), []byte(`"trials": 20`), 1),
+		"renamed key":       bytes.Replace(good, []byte(`"trials":`), []byte(`"Trials":`), 1),
+		"other number form": bytes.Replace(good, []byte(`"mean":10.5,`), []byte(`"mean":10.50,`), 1),
 	} {
-		b := new(TrialAccumulator)
-		if err := b.UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: UnmarshalBinary accepted damaged state", name)
+		b := newTrialState(3, 5)
+		if err := json.Unmarshal(data, &b); err == nil {
+			t.Errorf("%s: decode accepted damaged state", name)
+		}
+		if b.numAgents != 3 || b.distance != 5 || b.trials != 0 {
+			t.Errorf("%s: a rejected state changed the receiver", name)
 		}
 	}
 }
@@ -169,44 +191,37 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 // FuzzTrialAccumulatorUnmarshal feeds arbitrary bytes to the checkpoint
 // state decoder, and through it to the stats.Accumulator and stats.Sketch
 // decoders; a resuming MonteCarlo hands them whatever a checkpoint store
-// holds. Decoding must never panic, and an accepted state must re-encode to a
-// fixed point: decoding its encoding and encoding again reproduces it byte
-// for byte. The seeds are real accumulators with both quantile sketches in
-// exact mode (few trials) and in estimation mode (past the sketch cap).
+// holds. Decoding must never panic, an accepted state must re-encode to a
+// fixed point — decoding its encoding and encoding again reproduces it byte
+// for byte — and it must keep folding trials. The seeds are real states with
+// both quantile sketches in exact mode (few trials) and in estimation mode
+// (past the sketch cap); the committed corpus holds crashers of an earlier
+// binary form, which must now simply fail to decode.
 func FuzzTrialAccumulatorUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for _, trials := range []int{0, 3, 2 * stats.DefaultSketchCap} {
-		a := NewTrialAccumulator(4, 8)
+		a := newTrialState(4, 8)
 		for i := 0; i < trials; i++ {
 			found := rng.Float64() < 0.9
-			a.Add(Result{Found: found, Capped: !found, Time: 1 + rng.IntN(500), Survivors: 4, Distance: 8, LowerBound: 24})
+			a.add(Result{Found: found, Capped: !found, Time: 1 + rng.IntN(500), Survivors: 4, Distance: 8, LowerBound: 24})
 		}
-		data, err := a.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+		f.Add(marshalState(f, &a))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var a TrialAccumulator
-		if a.UnmarshalBinary(data) != nil {
+		var a trialState
+		if json.Unmarshal(data, &a) != nil {
 			return
 		}
-		enc, err := a.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b TrialAccumulator
-		if err := b.UnmarshalBinary(enc); err != nil {
+		enc := marshalState(t, &a)
+		var b trialState
+		if err := json.Unmarshal(enc, &b); err != nil {
 			t.Fatalf("re-encoded accepted state is rejected: %v", err)
 		}
-		again, err := b.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		if again := marshalState(t, &b); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not a fixed point:\n first %s\nsecond %s", enc, again)
 		}
-		if !bytes.Equal(again, enc) {
-			t.Fatalf("re-encoding is not a fixed point:\n first %x\nsecond %x", enc, again)
-		}
+		b.add(Result{Found: true, Time: 7, Survivors: 4, Distance: 8, LowerBound: 24})
+		_ = b.snapshot()
 	})
 }
 
@@ -429,11 +444,12 @@ func TestMonteCarloResumesFromAnyPrefix(t *testing.T) {
 		for _, r := range results[:done] {
 			acc.Add(r)
 		}
-		state, err := acc.MarshalBinary()
+		state, err := json.Marshal(&acc.state)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := CheckpointState{ShardsDone: 3, TrialsDone: done, TotalTrials: trials, State: state}
+		// A checkpoint counts at least one trial per shard, so prefix 1 claims one.
+		cp := CheckpointState{ShardsDone: min(3, done), TrialsDone: done, TotalTrials: trials, State: state}
 		for _, workers := range []int{1, 3} {
 			cfg := checkpointTestConfig(t, trials, workers)
 			cfg.Checkpointer = &memCheckpointer{saved: []CheckpointState{cp}}
@@ -528,5 +544,49 @@ func TestMonteCarloRejectsForeignCheckpoints(t *testing.T) {
 	}
 	if first.ResumedShards != 0 {
 		t.Fatalf("resumed %d shards from a foreign checkpoint", first.ResumedShards)
+	}
+}
+
+// TestMonteCarloRejectsImpossibleShardCounts pins that a checkpoint must
+// count at least one shard and no more shards than trials (every shard holds
+// a trial): a genuine 128-trial prefix resumes under 1 or 128 shards and is
+// ignored under any other count, whose shard total would otherwise run past
+// the trials or wrap negative.
+func TestMonteCarloRejectsImpossibleShardCounts(t *testing.T) {
+	t.Parallel()
+
+	ref, err := MonteCarlo(context.Background(), checkpointTestConfig(t, 512, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := MonteCarloResults(context.Background(), checkpointTestConfig(t, 128, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := newTrialState(4, 8)
+	for _, r := range results {
+		prefix.add(r)
+	}
+	state := marshalState(t, &prefix)
+	for _, tc := range []struct{ shards, resumed int }{
+		{1, 1}, {128, 128}, {0, 0}, {-1, 0}, {129, 0}, {1000, 0}, {math.MaxInt - 1, 0},
+	} {
+		cfg := checkpointTestConfig(t, 512, 2)
+		cfg.Checkpointer = &memCheckpointer{saved: []CheckpointState{
+			{ShardsDone: tc.shards, TrialsDone: 128, TotalTrials: 512, State: state},
+		}}
+		var last Progress
+		cfg.Progress = func(p Progress) { last = p }
+		st, err := MonteCarlo(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if statsJSON(t, st) != statsJSON(t, ref) {
+			t.Fatalf("shards_done %d: the aggregate differs from an uninterrupted run", tc.shards)
+		}
+		if last.ResumedShards != tc.resumed || last.ShardsDone != last.TotalShards || last.TotalShards <= 0 {
+			t.Fatalf("shards_done %d: final progress shard %d of %d with %d resumed, want %d resumed",
+				tc.shards, last.ShardsDone, last.TotalShards, last.ResumedShards, tc.resumed)
+		}
 	}
 }

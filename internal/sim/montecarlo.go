@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -173,26 +174,23 @@ func (s TrialStats) LowerBound() float64 {
 }
 
 // TrialAccumulator folds per-trial results into streaming statistics in
-// bounded memory. MonteCarlo adds every trial to one accumulator in trial
-// order. The accumulator also keeps the first stats.MergeReplayCap results it
-// was fed, in order, which is what Merge replays; the engine never merges,
-// but callers that fold shards of their own (antbench's replay probe) do.
-// The log is not part of the checkpointed state: a decoded accumulator starts
-// with an empty one. The zero value is not usable; construct with
-// NewTrialAccumulator.
+// bounded memory, and keeps the first stats.MergeReplayCap results it was
+// fed, in order, which is what Merge replays. MonteCarlo does not use it: its
+// fold adds every trial to one trialState, which needs no log. It serves
+// callers that fold shards of their own (antbench's replay probe). The zero
+// value is not usable; construct with NewTrialAccumulator.
 type TrialAccumulator struct {
-	trialState
-
-	// log holds the first stats.MergeReplayCap results added since the
-	// accumulator was built or decoded, in order.
+	state trialState
+	// log holds the first stats.MergeReplayCap results added, in order.
 	log []Result
 }
 
-// trialState is the part of a TrialAccumulator a checkpoint persists: the
-// counts, the five Welford accumulators and both quantile sketches, which
-// together determine every aggregate Stats reports.
+// trialState is the running aggregate of a trial fold: the counts, the five
+// Welford accumulators and both quantile sketches, which together determine
+// every aggregate TrialStats reports. MonteCarlo folds into one directly, and
+// its JSON form (checkpoint.go) is what a checkpoint persists.
 //
-//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes encode=MarshalBinary decode=unmarshal
+//antlint:codec version=trialAccumulatorStateVersion fields=numAgents,distance,trials,found,capped,time,allTime,ratio,survivors,survivorRatio,times,foundTimes encode=MarshalJSON decode=UnmarshalJSON
 type trialState struct {
 	numAgents int
 	distance  int
@@ -210,59 +208,86 @@ type trialState struct {
 	foundTimes *stats.Sketch
 }
 
-// NewTrialAccumulator returns an empty accumulator for a configuration with
-// the given number of agents and treasure distance.
-func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
-	return &TrialAccumulator{trialState: trialState{
+// newTrialState returns an empty aggregate for a configuration with the
+// given number of agents and treasure distance.
+func newTrialState(numAgents, distance int) trialState {
+	return trialState{
 		numAgents:  numAgents,
 		distance:   distance,
 		times:      stats.NewSketch(0),
 		foundTimes: stats.NewSketch(0),
-	}}
+	}
 }
 
-// Add incorporates one trial result.
-func (a *TrialAccumulator) Add(r Result) {
-	a.trials++
-	if len(a.log) < stats.MergeReplayCap {
-		a.log = append(a.log, r)
-	}
+// add incorporates one trial result.
+func (s *trialState) add(r Result) {
+	s.trials++
 	if r.Found {
-		a.found++
-		a.time.Add(float64(r.Time))
-		a.foundTimes.Add(float64(r.Time))
+		s.found++
+		s.time.Add(float64(r.Time))
+		s.foundTimes.Add(float64(r.Time))
 	}
 	if r.Capped {
-		a.capped++
+		s.capped++
 	}
-	a.allTime.Add(float64(r.Time))
+	s.allTime.Add(float64(r.Time))
 	if ratio := r.CompetitiveRatio(); !math.IsNaN(ratio) {
 		// A NaN ratio marks the degenerate D=0 instance, which the engines
 		// reject before any trial runs; excluding it keeps the accumulator
 		// well defined even for hand-built Results.
-		a.ratio.Add(ratio)
+		s.ratio.Add(ratio)
 	}
-	a.survivors.Add(float64(r.Survivors))
+	s.survivors.Add(float64(r.Survivors))
 	if sr := r.SurvivorCompetitiveRatio(); !math.IsNaN(sr) {
 		// NaN here additionally marks all-crashed trials, whose k′ bound is
 		// +Inf; they carry no ratio information.
-		a.survivorRatio.Add(sr)
+		s.survivorRatio.Add(sr)
 	}
-	a.times.Add(float64(r.Time))
+	s.times.Add(float64(r.Time))
+}
+
+// snapshot returns the aggregate as a TrialStats value.
+func (s *trialState) snapshot() TrialStats {
+	return TrialStats{
+		NumAgents:          s.numAgents,
+		Distance:           s.distance,
+		Trials:             s.trials,
+		Found:              s.found,
+		Capped:             s.capped,
+		Time:               s.time.Summarize(),
+		AllTime:            s.allTime.Summarize(),
+		Ratio:              s.ratio.Summarize(),
+		TimeQuantiles:      s.times.Summary(),
+		FoundTimeQuantiles: s.foundTimes.Summary(),
+		Survivors:          s.survivors.Summarize(),
+		SurvivorRatio:      s.survivorRatio.Summarize(),
+	}
+}
+
+// NewTrialAccumulator returns an empty accumulator for a configuration with
+// the given number of agents and treasure distance.
+func NewTrialAccumulator(numAgents, distance int) *TrialAccumulator {
+	return &TrialAccumulator{state: newTrialState(numAgents, distance)}
+}
+
+// Add incorporates one trial result.
+func (a *TrialAccumulator) Add(r Result) {
+	if len(a.log) < stats.MergeReplayCap {
+		a.log = append(a.log, r)
+	}
+	a.state.add(r)
 }
 
 // Merge folds another accumulator into a by replaying b's trials through Add,
 // in trial order. Merging shard accumulators in shard order therefore gives
 // exactly the state of one accumulator fed every trial in sequence: the
 // result depends only on the trial sequence, never on where it was cut.
-// Merge panics if b's log does not hold every trial b counts: b was fed more
-// than stats.MergeReplayCap trials, or it was decoded from a checkpoint,
-// which carries no log. MonteCarlo does not merge; Merge serves callers that
-// build their own per-shard accumulators of at most that many trials.
+// Merge panics if b was fed more than stats.MergeReplayCap trials, which its
+// log cannot replay.
 func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
-	if b.trials > len(b.log) {
+	if b.state.trials > len(b.log) {
 		panic(fmt.Sprintf("sim: merging an accumulator of %d trials whose log replays only %d",
-			b.trials, len(b.log)))
+			b.state.trials, len(b.log)))
 	}
 	for _, r := range b.log {
 		a.Add(r)
@@ -270,22 +295,7 @@ func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
 }
 
 // Stats snapshots the accumulator into a TrialStats value.
-func (a *TrialAccumulator) Stats() TrialStats {
-	return TrialStats{
-		NumAgents:          a.numAgents,
-		Distance:           a.distance,
-		Trials:             a.trials,
-		Found:              a.found,
-		Capped:             a.capped,
-		Time:               a.time.Summarize(),
-		AllTime:            a.allTime.Summarize(),
-		Ratio:              a.ratio.Summarize(),
-		TimeQuantiles:      a.times.Summary(),
-		FoundTimeQuantiles: a.foundTimes.Summary(),
-		Survivors:          a.survivors.Summarize(),
-		SurvivorRatio:      a.survivorRatio.Summarize(),
-	}
-}
+func (a *TrialAccumulator) Stats() TrialStats { return a.state.snapshot() }
 
 // minShardTrials is the smallest batch of trials worth scheduling as an
 // independent shard: below it the per-shard fixed costs (result slice,
@@ -428,7 +438,7 @@ func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 	if err != nil {
 		return TrialStats{}, fmt.Errorf("sim: monte carlo: %w", err)
 	}
-	return st.total.Stats(), nil
+	return st.total.snapshot(), nil
 }
 
 // foldState carries the running total and progress/checkpoint bookkeeping of
@@ -438,36 +448,38 @@ func MonteCarlo(ctx context.Context, cfg TrialConfig) (TrialStats, error) {
 type foldState struct {
 	cfg        *TrialConfig
 	shards     int // shardsDone at the start plus the shards planned after it
-	total      *TrialAccumulator
+	total      trialState
 	shardsDone int
 	resumed    int // shards restored from a checkpoint, <= shardsDone
 }
 
 // resume seeds the fold from the longest valid persisted prefix, if the
 // configuration carries a Checkpointer and the store holds one, and
-// otherwise starts it from an empty accumulator. Any prefix resumes, shard
+// otherwise starts it from an empty aggregate. Any prefix resumes, shard
 // boundary of the current plan or not, because the fold continues with the
 // very next trial. Validity is strict: the checkpoint's totals must match
-// this run, its prefix must be non-empty and unfinished, and its state must
-// decode into an accumulator of exactly that prefix for this configuration.
-// Anything else is ignored and the run starts fresh; a checkpoint can only
-// ever save work, never corrupt a result.
+// this run, its prefix must be non-empty and unfinished, it must count at
+// least one shard and no more shards than trials (every shard holds a
+// trial), and its state must decode to an aggregate of exactly that prefix
+// for this configuration. Anything else is ignored and the run starts fresh;
+// a checkpoint can only ever save work, never corrupt a result.
 func (st *foldState) resume() {
 	cfg := st.cfg
-	st.total = NewTrialAccumulator(cfg.NumAgents, cfg.Distance)
+	st.total = newTrialState(cfg.NumAgents, cfg.Distance)
 	if cfg.Checkpointer == nil {
 		return
 	}
 	cfg.Checkpointer.Load(func(cp CheckpointState) bool {
-		if cp.TotalTrials != cfg.Trials || cp.TrialsDone <= 0 || cp.TrialsDone >= cfg.Trials {
+		if cp.TotalTrials != cfg.Trials || cp.TrialsDone <= 0 || cp.TrialsDone >= cfg.Trials ||
+			cp.ShardsDone <= 0 || cp.ShardsDone > cp.TrialsDone {
 			return false
 		}
-		acc := new(TrialAccumulator)
-		if acc.UnmarshalBinary(cp.State) != nil || acc.trials != cp.TrialsDone ||
-			acc.numAgents != cfg.NumAgents || acc.distance != cfg.Distance {
+		var s trialState
+		if json.Unmarshal(cp.State, &s) != nil || s.trials != cp.TrialsDone ||
+			s.numAgents != cfg.NumAgents || s.distance != cfg.Distance {
 			return false
 		}
-		st.total, st.shardsDone, st.resumed = acc, cp.ShardsDone, cp.ShardsDone
+		st.total, st.shardsDone, st.resumed = s, cp.ShardsDone, cp.ShardsDone
 		return true
 	})
 }
@@ -476,7 +488,7 @@ func (st *foldState) resume() {
 // drives the progress and checkpoint hooks.
 func (st *foldState) merge(results []Result) {
 	for _, r := range results {
-		st.total.Add(r)
+		st.total.add(r)
 	}
 	st.shardsDone++
 	cfg := st.cfg
@@ -491,7 +503,9 @@ func (st *foldState) merge(results []Result) {
 			every = DefaultCheckpointEvery
 		}
 		if st.shardsDone%every == 0 {
-			if state, err := st.total.MarshalBinary(); err == nil {
+			// A state that fails to encode (JSON has no ±Inf) is not saved;
+			// the fold goes on either way.
+			if state, err := st.total.MarshalJSON(); err == nil {
 				// Save errors are deliberately dropped: the Checkpointer owns
 				// counting and degrading (a full disk turns the run into a
 				// progress-only one), the fold just keeps going.
@@ -514,6 +528,6 @@ func (st *foldState) report() {
 		TrialsDone:    st.total.trials,
 		TotalTrials:   st.cfg.Trials,
 		ResumedShards: st.resumed,
-		Stats:         st.total.Stats(),
+		Stats:         st.total.snapshot(),
 	})
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -113,4 +114,135 @@ func (w quantileSummaryJSON) validate() error {
 		prevQ, prevV = q, v
 	}
 	return nil
+}
+
+// The Accumulator and Sketch JSON forms below are complete states, not
+// summaries: checkpointed sweeps (internal/sim, internal/cache) persist them
+// mid-fold and resume from them. encoding/json writes every finite float64 in
+// the shortest form that parses back to the same bits, so a decoded value
+// continues exactly where the encoded one stopped; a non-finite value fails to
+// encode, since JSON has no NaN or ±Inf. Both forms are part of sim's trial
+// state, so a change to either is a change to that state and bumps its
+// version there.
+
+// accumulatorJSON is the wire form of an Accumulator.
+//
+//antlint:wire
+type accumulatorJSON struct {
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (a Accumulator) MarshalJSON() ([]byte, error) {
+	return json.Marshal(accumulatorJSON{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max})
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields and a
+// negative count; on error a is left unchanged.
+func (a *Accumulator) UnmarshalJSON(data []byte) error {
+	var w accumulatorJSON
+	if err := decodeStrict(data, &w); err != nil {
+		return fmt.Errorf("stats: accumulator state: %w", err)
+	}
+	if w.N < 0 {
+		return fmt.Errorf("stats: accumulator state: negative count %d", w.N)
+	}
+	*a = Accumulator{n: w.N, mean: w.Mean, m2: w.M2, min: w.Min, max: w.Max}
+	return nil
+}
+
+// sketchJSON is the wire form of a Sketch. Est is null while the sketch is
+// exact, and Samples is null once it estimates. The tracked quantiles are
+// defaultTracked, and each estimator's quantile, increments and count follow
+// from its position and the sketch's count, so none of them is stored.
+//
+//antlint:wire
+type sketchJSON struct {
+	Cap     int       `json:"cap"`
+	N       int       `json:"n"`
+	Min     float64   `json:"min"`
+	Max     float64   `json:"max"`
+	Samples []float64 `json:"samples"`
+	Est     []p2JSON  `json:"est"`
+}
+
+// p2JSON is the wire form of one P² estimator's markers.
+//
+//antlint:wire
+type p2JSON struct {
+	N       [5]int     `json:"n"`
+	NP      [5]float64 `json:"np"`
+	Heights [5]float64 `json:"heights"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (s *Sketch) MarshalJSON() ([]byte, error) {
+	w := sketchJSON{Cap: s.cap, N: s.n, Min: s.min, Max: s.max, Samples: s.samples}
+	if s.est != nil {
+		w.Est = make([]p2JSON, len(s.est))
+		for i, e := range s.est {
+			w.Est[i] = p2JSON{N: e.n, NP: e.np, Heights: e.heights}
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields and
+// every state Add cannot reach (see validate); on error s is left unchanged.
+func (s *Sketch) UnmarshalJSON(data []byte) error {
+	var w sketchJSON
+	if err := decodeStrict(data, &w); err != nil {
+		return fmt.Errorf("stats: sketch state: %w", err)
+	}
+	if err := w.validate(); err != nil {
+		return fmt.Errorf("stats: sketch state: %w", err)
+	}
+	dec := Sketch{cap: w.Cap, samples: w.Samples, n: w.N, min: w.Min, max: w.Max}
+	if w.Est != nil {
+		dec.est = trackedEstimators()
+		for i, m := range w.Est {
+			e := dec.est[i]
+			e.n, e.np, e.heights, e.count = m.N, m.NP, m.Heights, w.N
+		}
+	}
+	*s = dec
+	return nil
+}
+
+// validate checks the invariants Add keeps: a cap of at least 4 (NewSketch
+// clamps it) and a non-negative count; while exact, one sample per
+// observation and no more than cap of them; once estimating, more
+// observations than the cap, no samples and one estimator per tracked
+// quantile.
+func (w sketchJSON) validate() error {
+	switch {
+	case w.Cap < 4:
+		return fmt.Errorf("cap %d below 4", w.Cap)
+	case w.N < 0:
+		return fmt.Errorf("negative count %d", w.N)
+	case w.Est == nil && len(w.Samples) != w.N:
+		return fmt.Errorf("exact mode with %d samples for %d observations", len(w.Samples), w.N)
+	case w.Est == nil && w.N > w.Cap:
+		return fmt.Errorf("exact mode with %d observations past the cap %d", w.N, w.Cap)
+	case w.Est != nil && w.N <= w.Cap:
+		return fmt.Errorf("estimation mode with %d observations within the cap %d", w.N, w.Cap)
+	case w.Est != nil && w.Samples != nil:
+		return fmt.Errorf("estimation mode with %d samples", len(w.Samples))
+	case w.Est != nil && len(w.Est) != len(defaultTracked):
+		return fmt.Errorf("%d estimators for %d tracked quantiles", len(w.Est), len(defaultTracked))
+	}
+	return nil
+}
+
+// decodeStrict decodes data into v, rejecting fields v does not declare.
+// Trailing data needs no check here: encoding/json hands an UnmarshalJSON
+// exactly one complete value.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

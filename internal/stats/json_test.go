@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -150,4 +152,198 @@ func FuzzQuantileSummaryJSON(f *testing.F) {
 			prev = v
 		}
 	})
+}
+
+// TestAccumulatorJSONRoundTrip pins the state codec's core guarantee: a
+// decoded accumulator is indistinguishable from the original — not just in
+// its summary, but in how it behaves under further Adds.
+func TestAccumulatorJSONRoundTrip(t *testing.T) {
+	t.Parallel()
+
+	rng := rand.New(rand.NewPCG(7, 11))
+	for _, n := range []int{0, 1, 5, 1000} {
+		var a Accumulator
+		for i := 0; i < n; i++ {
+			a.Add(rng.NormFloat64() * 1e3)
+		}
+		data, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("n=%d: encode: %v", n, err)
+		}
+		var b Accumulator
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if again, _ := json.Marshal(b); !bytes.Equal(again, data) {
+			t.Fatalf("n=%d: decoded accumulator re-encodes to %s, want %s", n, again, data)
+		}
+		// Continue both with the same suffix; the state behind every summary
+		// stat must stay bit-identical.
+		for i := 0; i < 50; i++ {
+			x := rng.Float64()
+			a.Add(x)
+			b.Add(x)
+		}
+		for name, pair := range map[string][2]float64{
+			"mean": {a.mean, b.mean},
+			"m2":   {a.m2, b.m2},
+			"min":  {a.min, b.min},
+			"max":  {a.max, b.max},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("n=%d: %s diverged after round trip: %v vs %v", n, name, pair[0], pair[1])
+			}
+		}
+		if a.n != b.n {
+			t.Fatalf("n=%d: n diverged: %d vs %d", n, a.n, b.n)
+		}
+	}
+}
+
+// TestStateEncodeRejectsNonFinite pins the one state JSON cannot carry: an
+// accumulator or sketch holding +Inf fails to encode and writes nothing, so
+// a checkpoint save is skipped instead of persisting a state that would not
+// decode. The sweep engine never gets here (times are integers and NaN
+// ratios are dropped before they are added).
+func TestStateEncodeRejectsNonFinite(t *testing.T) {
+	t.Parallel()
+
+	var a Accumulator
+	a.Add(42)
+	a.Add(math.Inf(1))
+	exact, estimating := NewSketch(0), NewSketch(4)
+	for i := 0; i < 6; i++ {
+		exact.Add(float64(i))
+		estimating.Add(float64(i))
+	}
+	exact.Add(math.Inf(1))
+	estimating.Add(math.Inf(1))
+	for name, v := range map[string]any{"accumulator": a, "exact sketch": exact, "estimating sketch": estimating} {
+		if data, err := json.Marshal(v); err == nil || len(data) != 0 {
+			t.Errorf("%s: encoded a non-finite state to %q (err %v), want an error and no bytes", name, data, err)
+		}
+	}
+}
+
+func TestAccumulatorDecodeRejectsDamage(t *testing.T) {
+	t.Parallel()
+
+	for _, tc := range []struct {
+		name, payload, want string
+	}{
+		{"empty", ``, "unexpected end"},
+		{"truncated", `{"n":10,"mean":4.5,"m2":82.5,"min":0,`, "unexpected end"},
+		{"trailing data", `{"n":10,"mean":4.5,"m2":82.5,"min":0,"max":9} 0`, "after top-level value"},
+		{"negative count", `{"n":-1,"mean":0,"m2":0,"min":0,"max":0}`, "negative count -1"},
+		{"unknown field", `{"n":10,"mean":4.5,"m2":82.5,"min":0,"max":9,"sum":45}`, `unknown field "sum"`},
+		{"fractional count", `{"n":1.5,"mean":0,"m2":0,"min":0,"max":0}`, "cannot unmarshal number 1.5"},
+	} {
+		b := Accumulator{n: 7}
+		err := json.Unmarshal([]byte(tc.payload), &b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if b != (Accumulator{n: 7}) {
+			t.Errorf("%s: a rejected state changed the accumulator to %+v", tc.name, b)
+		}
+	}
+}
+
+// TestSketchJSONRoundTrip covers both exact and estimation mode: the decoded
+// sketch must re-encode to the same bytes and answer and evolve
+// bit-identically.
+func TestSketchJSONRoundTrip(t *testing.T) {
+	t.Parallel()
+
+	rng := rand.New(rand.NewPCG(3, 9))
+	for _, n := range []int{0, 3, 100, DefaultSketchCap, DefaultSketchCap + 500} {
+		a := NewSketch(0)
+		for i := 0; i < n; i++ {
+			a.Add(rng.ExpFloat64() * 100)
+		}
+		data, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("n=%d: encode: %v", n, err)
+		}
+		b := NewSketch(0)
+		if err := json.Unmarshal(data, b); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if again, _ := json.Marshal(b); !bytes.Equal(again, data) {
+			t.Fatalf("n=%d: decoded sketch re-encodes differently", n)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("n=%d: decoded sketch differs from the original", n)
+		}
+		// Drive both through the same suffix — crossing the exact/estimation
+		// boundary for the small cases — and compare summaries exactly.
+		for i := 0; i < DefaultSketchCap+50; i++ {
+			x := rng.Float64() * 10
+			a.Add(x)
+			b.Add(x)
+		}
+		sa, sb := a.Summary(), b.Summary()
+		for _, q := range []float64{0, 0.05, 0.25, 0.5, 0.9, 0.99, 1} {
+			if math.Float64bits(sa.Quantile(q)) != math.Float64bits(sb.Quantile(q)) {
+				t.Fatalf("n=%d: q=%v diverged after round trip: %v vs %v", n, q, sa.Quantile(q), sb.Quantile(q))
+			}
+		}
+		if !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("n=%d: summaries diverged after round trip", n)
+		}
+	}
+}
+
+func TestSketchDecodeRejectsDamage(t *testing.T) {
+	t.Parallel()
+
+	// est renders the first k estimators of a sketch of cap 4 that has
+	// seen the six observations 0..5.
+	estimating := NewSketch(4)
+	for i := 0; i < 6; i++ {
+		estimating.Add(float64(i))
+	}
+	var w sketchJSON
+	if data, err := json.Marshal(estimating); err != nil || json.Unmarshal(data, &w) != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	est := func(k int) string {
+		data, err := json.Marshal(w.Est[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, tc := range []struct {
+		name, payload, want string
+	}{
+		{"empty", ``, "unexpected end"},
+		{"truncated", `{"cap":8,"n":2,"min":1,"max":2,"samples":[1,`, "unexpected end"},
+		{"trailing data", `{"cap":8,"n":0,"min":0,"max":0,"samples":null,"est":null}}`, "after top-level value"},
+		{"unknown field", `{"cap":8,"n":0,"min":0,"max":0,"samples":null,"est":null,"tracked":[0.5]}`, `unknown field "tracked"`},
+		{"unknown estimator field", `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":[{"q":0.5}]}`, `unknown field "q"`},
+		{"cap below 4", `{"cap":3,"n":0,"min":0,"max":0,"samples":null,"est":null}`, "cap 3 below 4"},
+		{"negative count", `{"cap":8,"n":-1,"min":0,"max":0,"samples":null,"est":null}`, "negative count -1"},
+		{"samples short of n", `{"cap":8,"n":3,"min":1,"max":2,"samples":[1,2],"est":null}`, "2 samples for 3 observations"},
+		{"samples past n", `{"cap":8,"n":1,"min":1,"max":2,"samples":[1,2],"est":null}`, "2 samples for 1 observations"},
+		{"exact past the cap", `{"cap":4,"n":5,"min":0,"max":4,"samples":[0,1,2,3,4],"est":null}`, "exact mode with 5 observations past the cap 4"},
+		{"estimating within the cap", `{"cap":8,"n":6,"min":0,"max":5,"samples":null,"est":` + est(8) + `}`, "estimation mode with 6 observations within the cap 8"},
+		{"estimating with samples", `{"cap":4,"n":6,"min":0,"max":5,"samples":[0],"est":` + est(8) + `}`, "estimation mode with 1 samples"},
+		{"too few estimators", `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":` + est(7) + `}`, "7 estimators for 8 tracked quantiles"},
+		{"no estimators", `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":[]}`, "0 estimators for 8 tracked quantiles"},
+	} {
+		b := NewSketch(0)
+		err := json.Unmarshal([]byte(tc.payload), b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if !reflect.DeepEqual(b, NewSketch(0)) {
+			t.Errorf("%s: a rejected state changed the sketch", tc.name)
+		}
+	}
+	// Undamaged, the fixture decodes.
+	good := `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":` + est(8) + `}`
+	if err := json.Unmarshal([]byte(good), NewSketch(0)); err != nil {
+		t.Fatalf("the undamaged fixture is rejected: %v", err)
+	}
 }

@@ -130,15 +130,13 @@ func (p *p2) Value() float64 {
 // observations it stores the samples and answers exactly (Quantile over the
 // raw data, so small runs reproduce the pre-streaming aggregation
 // bit-for-bit); past the cap it switches to one P² estimator per tracked
-// quantile and stays at constant size no matter how many observations follow.
-// The zero value is not usable; construct with NewSketch.
-//
-//antlint:codec version=sketchStateVersion fields=cap,tracked,samples,est,n,min,max encode=AppendBinary decode=DecodeBinary
+// quantile (defaultTracked) and stays at constant size no matter how many
+// observations follow. Its JSON form (json.go) is its complete state. The
+// zero value is not usable; construct with NewSketch.
 type Sketch struct {
 	cap     int
-	tracked []float64
 	samples []float64 // exact mode; nil once estimators take over
-	est     []*p2     // estimation mode, parallel to tracked
+	est     []*p2     // estimation mode, parallel to defaultTracked
 	n       int
 	min     float64
 	max     float64
@@ -155,7 +153,7 @@ func NewSketch(cap int) *Sketch {
 	if cap < 4 {
 		cap = 4
 	}
-	return &Sketch{cap: cap, tracked: defaultTracked}
+	return &Sketch{cap: cap}
 }
 
 // Add incorporates one observation.
@@ -179,17 +177,23 @@ func (s *Sketch) Add(x float64) {
 	}
 }
 
-// estimate switches the sketch from exact to P² mode, replaying the buffered
-// samples (in insertion order) into the estimators and releasing the buffer.
-func (s *Sketch) estimate() {
-	s.est = make([]*p2, len(s.tracked))
-	for i, q := range s.tracked {
+// trackedEstimators returns a fresh P² estimator for each tracked quantile.
+func trackedEstimators() []*p2 {
+	est := make([]*p2, len(defaultTracked))
+	for i, q := range defaultTracked {
 		e, err := newP2(q)
 		if err != nil {
 			panic(err) // tracked quantiles are compile-time constants in (0, 1)
 		}
-		s.est[i] = e
+		est[i] = e
 	}
+	return est
+}
+
+// estimate switches the sketch from exact to P² mode, replaying the buffered
+// samples (in insertion order) into the estimators and releasing the buffer.
+func (s *Sketch) estimate() {
+	s.est = trackedEstimators()
 	for _, x := range s.samples {
 		for _, e := range s.est {
 			e.Add(x)
@@ -212,7 +216,7 @@ func (s *Sketch) Summary() QuantileSummary {
 		sort.Float64s(sum.samples)
 		return sum
 	}
-	sum.qs = append([]float64(nil), s.tracked...)
+	sum.qs = append([]float64(nil), defaultTracked...)
 	sum.vs = make([]float64, len(s.est))
 	prev := sum.Min
 	for i, e := range s.est {

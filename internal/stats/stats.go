@@ -21,9 +21,7 @@ import (
 const MergeReplayCap = DefaultSketchCap
 
 // Accumulator computes running mean and variance using Welford's method. The
-// zero value is ready to use.
-//
-//antlint:codec version=accumulatorStateVersion fields=n,mean,m2,min,max encode=AppendBinary decode=DecodeBinary
+// zero value is ready to use. Its JSON form (json.go) is its complete state.
 type Accumulator struct {
 	n    int
 	mean float64
