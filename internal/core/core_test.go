@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"antsearch/internal/agent"
@@ -287,6 +289,68 @@ func TestUniformScheduleGrows(t *testing.T) {
 	}
 	if sortieCount(segs) < 100 {
 		t.Errorf("expected at least 100 completed sorties, got %d", sortieCount(segs))
+	}
+}
+
+// TestUniformPhaseWeights pins the phase weight table, and the direct
+// computation past its end, to max(j, 1)^(1+ε), the weight the schedule is
+// defined with.
+func TestUniformPhaseWeights(t *testing.T) {
+	t.Parallel()
+
+	const eps = 0.3
+	a, err := NewUniform(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := a.NewSearcher(nil, xrand.NewStream(1, 0), 0).(*uniformSearcher)
+	for j := 0; j < 2*phaseWeights; j++ {
+		s.j = j
+		if got, want := s.phaseWeight(), math.Pow(math.Max(float64(j), 1), 1+eps); got != want {
+			t.Fatalf("phase %d: weight %v, want %v", j, got, want)
+		}
+	}
+}
+
+// TestUniformSharedAcrossGoroutines builds searchers from one fresh Uniform
+// on several goroutines at once, as the concurrent shards of a sweep cell
+// do, so the first NewSearcher calls race to fill the phase weight table.
+// Every schedule must match the one a Uniform used by a single goroutine
+// emits for the same stream (run with -race to check the table's guard).
+func TestUniformSharedAcrossGoroutines(t *testing.T) {
+	t.Parallel()
+
+	const goroutines, segments = 4, 400
+	emit := func(a *Uniform, seed uint64) []trajectory.Seg {
+		s := a.NewSearcher(nil, xrand.NewStream(seed, 0), 0)
+		var segs []trajectory.Seg
+		for len(segs) < segments {
+			segs, _ = s.EmitSortie(segs)
+		}
+		return segs
+	}
+	fresh := func() *Uniform {
+		a, err := NewUniform(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	shared := fresh()
+	got := make([][]trajectory.Seg, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = emit(shared, uint64(g))
+		}()
+	}
+	wg.Wait()
+	for g, segs := range got {
+		if want := emit(fresh(), uint64(g)); !reflect.DeepEqual(segs, want) {
+			t.Errorf("goroutine %d: schedule differs from a Uniform used alone", g)
+		}
 	}
 }
 

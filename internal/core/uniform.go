@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"antsearch/internal/agent"
 	"antsearch/internal/trajectory"
@@ -32,7 +33,19 @@ import (
 // term is interpreted with max(j, 1), which changes no asymptotic statement.
 type Uniform struct {
 	epsilon float64
+	// weights[j] is the phase weight max(j, 1)^(1+ε), filled once by the
+	// first NewSearcher rather than by NewUniform: a sweep builds an
+	// algorithm per (scenario, D) while expanding its grid, before it writes
+	// the first row, and a cached cell never runs a trial.
+	weightsOnce sync.Once
+	weights     [phaseWeights]float64
 }
+
+// phaseWeights is the number of phases whose weight the table holds. An
+// agent reaches phase j only after a spiral of 2^(j+1) steps (stage j-1,
+// phase 0), so a run under sim.DefaultMaxTime never leaves the table; later
+// phases compute their weight directly.
+const phaseWeights = 64
 
 // NewUniform returns the uniform algorithm with hedging exponent 1+epsilon.
 // Theorem 3.3 requires epsilon > 0; Theorem 4.1 shows why epsilon = 0 is
@@ -52,6 +65,7 @@ func (a *Uniform) Name() string { return fmt.Sprintf("uniform(eps=%.2g)", a.epsi
 // starting from -1 so that the first sortie is (ell=0, i=0, j=0).
 type uniformSearcher struct {
 	rng       *xrand.Stream
+	weights   *[phaseWeights]float64
 	epsilon   float64
 	ell, i, j int
 }
@@ -68,8 +82,7 @@ func (s *uniformSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bo
 			s.i = 0
 		}
 	}
-	jEff := math.Max(float64(s.j), 1)
-	denom := math.Pow(jEff, 1+s.epsilon)
+	denom := s.phaseWeight()
 	// Ldexp(1, e) is exactly 2^e, the same value math.Pow(2, e) returns.
 	radius := clampRadius(math.Sqrt(math.Ldexp(1, s.i+s.j) / denom))
 	steps := clampSteps(math.Ldexp(1, s.i+2) / denom)
@@ -79,9 +92,25 @@ func (s *uniformSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bo
 	}), true
 }
 
+// phaseWeight returns the current phase's weight max(j, 1)^(1+ε).
+func (s *uniformSearcher) phaseWeight() float64 {
+	if s.j < len(s.weights) {
+		return s.weights[s.j]
+	}
+	return math.Pow(float64(s.j), 1+s.epsilon)
+}
+
 // NewSearcher implements agent.Algorithm.
 func (a *Uniform) NewSearcher(prev agent.Searcher, rng *xrand.Stream, _ int) agent.Searcher {
-	return agent.ReuseOrNew(prev, uniformSearcher{rng: rng, epsilon: a.epsilon, j: -1})
+	a.weightsOnce.Do(a.fillWeights)
+	return agent.ReuseOrNew(prev, uniformSearcher{rng: rng, weights: &a.weights, epsilon: a.epsilon, j: -1})
+}
+
+// fillWeights computes the phase weight table.
+func (a *Uniform) fillWeights() {
+	for j := range a.weights {
+		a.weights[j] = math.Pow(math.Max(float64(j), 1), 1+a.epsilon)
+	}
 }
 
 // UniformFactory returns a Factory for the uniform algorithm: the returned

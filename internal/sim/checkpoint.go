@@ -127,7 +127,8 @@ func (s *trialState) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler. It rejects any other version,
-// inconsistent counts, a missing sketch, every Accumulator and Sketch state
+// inconsistent counts, a missing sketch, counts that disagree with the
+// accumulators and sketches they count, every Accumulator and Sketch state
 // the stats decoders reject, and any data that is not exactly what
 // MarshalJSON writes for the decoded state: unlike a positional encoding,
 // JSON lets a field go missing and decode as zero, which would resume a
@@ -144,6 +145,13 @@ func (s *trialState) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("sim: inconsistent trial state (trials=%d, found=%d, capped=%d)", w.Trials, w.Found, w.Capped)
 	case w.Times == nil || w.FoundTimes == nil:
 		return fmt.Errorf("sim: trial state without its quantile sketches")
+	case w.Time.Summarize().N != w.Found || w.FoundTimes.Summary().N != w.Found ||
+		w.AllTime.Summarize().N != w.Trials || w.Survivors.Summarize().N != w.Trials || w.Times.Summary().N != w.Trials ||
+		w.Ratio.Summarize().N > w.Trials || w.SurvivorRatio.Summarize().N > w.Trials:
+		// add keeps these for any input: every trial feeds all_time,
+		// survivors and times, every find feeds time and found_times, and
+		// the ratios skip only NaN ones.
+		return fmt.Errorf("sim: trial state counts (trials=%d, found=%d) disagree with its accumulators", w.Trials, w.Found)
 	}
 	dec := trialState{
 		numAgents:     w.NumAgents,

@@ -128,15 +128,34 @@ func marshalState(t testing.TB, s *trialState) []byte {
 	return data
 }
 
+// foundTrialsState returns the encoded state of 20 trials that all found the
+// treasure, at times 1 to 20.
+func foundTrialsState(tb testing.TB) []byte {
+	tb.Helper()
+	a := newTrialState(2, 8)
+	for i := 0; i < 20; i++ {
+		a.add(Result{Found: true, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
+	}
+	return marshalState(tb, &a)
+}
+
+// editedFoundState is foundTrialsState edited to claim 5 finds: every field
+// is well formed, but a resume from it would report Found=5 beside a
+// first-hit summary over 20 trials.
+func editedFoundState(tb testing.TB) []byte {
+	tb.Helper()
+	return bytes.Replace(foundTrialsState(tb), []byte(`"found":20,`), []byte(`"found":5,`), 1)
+}
+
 func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 	t.Parallel()
 
 	const trials = 20
-	a := newTrialState(2, 8)
-	for i := 0; i < trials; i++ {
-		a.add(Result{Found: true, Time: i + 1, Survivors: 2, Distance: 8, LowerBound: 40})
+	good := foundTrialsState(t)
+	var a trialState
+	if err := json.Unmarshal(good, &a); err != nil {
+		t.Fatal(err)
 	}
-	good := marshalState(t, &a)
 	ratio, err := json.Marshal(a.ratio)
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +196,13 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 		"reformatted":       bytes.Replace(good, []byte(`"trials":20`), []byte(`"trials": 20`), 1),
 		"renamed key":       bytes.Replace(good, []byte(`"trials":`), []byte(`"Trials":`), 1),
 		"other number form": bytes.Replace(good, []byte(`"mean":10.5,`), []byte(`"mean":10.50,`), 1),
+		// Counts that disagree with the accumulators they count.
+		"found below its accumulators":  editedFoundState(t),
+		"trials above its accumulators": damaged(func(w *trialStateJSON) { w.Trials = trials + 1 }),
+		"ratio count past trials":       bytes.Replace(good, []byte(`"ratio":{"n":20,`), []byte(`"ratio":{"n":21,`), 1),
+		"survivor ratio past trials":    bytes.Replace(good, []byte(`"survivor_ratio":{"n":20,`), []byte(`"survivor_ratio":{"n":21,`), 1),
+		// A sketch whose summary the result store could not read back.
+		"sketch min above max": bytes.Replace(good, []byte(`"times":{"cap":1024,"n":20,"min":1,`), []byte(`"times":{"cap":1024,"n":20,"min":30,`), 1),
 	} {
 		b := newTrialState(3, 5)
 		if err := json.Unmarshal(data, &b); err == nil {
@@ -193,7 +219,9 @@ func TestTrialAccumulatorUnmarshalRejectsDamage(t *testing.T) {
 // decoders; a resuming MonteCarlo hands them whatever a checkpoint store
 // holds. Decoding must never panic, an accepted state must re-encode to a
 // fixed point — decoding its encoding and encoding again reproduces it byte
-// for byte — and it must keep folding trials. The seeds are real states with
+// for byte — and it must keep folding trials. Its TrialStats snapshot, before
+// and after one more trial, must round-trip through the JSON the result store
+// persists rows in. The seeds are real states with
 // both quantile sketches in exact mode (few trials) and in estimation mode
 // (past the sketch cap); the committed corpus holds crashers of an earlier
 // binary form, which must now simply fail to decode.
@@ -207,6 +235,7 @@ func FuzzTrialAccumulatorUnmarshal(f *testing.F) {
 		}
 		f.Add(marshalState(f, &a))
 	}
+	f.Add(editedFoundState(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a trialState
 		if json.Unmarshal(data, &a) != nil {
@@ -220,9 +249,27 @@ func FuzzTrialAccumulatorUnmarshal(f *testing.F) {
 		if again := marshalState(t, &b); !bytes.Equal(again, enc) {
 			t.Fatalf("re-encoding is not a fixed point:\n first %s\nsecond %s", enc, again)
 		}
+		checkStatsRoundTrip(t, b.snapshot())
 		b.add(Result{Found: true, Time: 7, Survivors: 4, Distance: 8, LowerBound: 24})
-		_ = b.snapshot()
+		checkStatsRoundTrip(t, b.snapshot())
 	})
+}
+
+// checkStatsRoundTrip requires st to survive the result store's encoding:
+// it marshals, and the decoded value marshals to the same bytes.
+func checkStatsRoundTrip(t *testing.T, st TrialStats) {
+	t.Helper()
+	first, err := json.Marshal(st)
+	if err != nil {
+		t.Fatalf("snapshot of an accepted state fails to encode: %v", err)
+	}
+	var decoded TrialStats
+	if err := json.Unmarshal(first, &decoded); err != nil {
+		t.Fatalf("snapshot of an accepted state fails to decode: %v\n%s", err, first)
+	}
+	if second := statsJSON(t, decoded); second != string(first) {
+		t.Fatalf("snapshot round trip is not a fixed point:\n first %s\nsecond %s", first, second)
+	}
 }
 
 func TestMonteCarloProgressReports(t *testing.T) {

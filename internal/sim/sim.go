@@ -19,11 +19,13 @@
 //
 // The engines interleave the k agents by advancing, at every step, the agent
 // with the smallest elapsed time (a min-heap keyed on elapsed time and agent
-// index). That keeps the total work proportional to k times the answer: an
-// agent is never simulated past the moment some other agent is already known
-// to have found the treasure, and an individual agent that would never find
-// the treasure on its own (a coordinated agent assigned the wrong sector, a
-// one-shot searcher that missed) does not stall the run.
+// index); the analytic engine lets an agent run ahead of that order only
+// through segments that cannot reach the treasure. That keeps the total work
+// near k times the answer: an agent is never simulated past the moment some
+// other agent is already known to have found the treasure, and an individual
+// agent that would never find the treasure on its own (a coordinated agent
+// assigned the wrong sector, a one-shot searcher that missed) does not stall
+// the run.
 //
 // Time accounting follows Section 2 of the paper: traversing one edge costs
 // one unit, all agents start at the source at time zero and move
@@ -119,8 +121,11 @@ type Result struct {
 	Found bool
 	// Time is the first-hit time if Found, and the cap otherwise.
 	Time int
-	// Finder is the index of the agent that found the treasure first
-	// (ties broken towards the smaller index), or -1.
+	// Finder is the index of the agent that found the treasure first, or -1.
+	// When several agents first reach it at Time, the finder is the one
+	// whose hitting segment starts first, the smaller index among segments
+	// that start together — not necessarily the smallest tied index
+	// (DESIGN.md §7).
 	Finder int
 	// Capped is true if the treasure was not found before the cap.
 	Capped bool
@@ -415,19 +420,33 @@ func initialResult(in Instance, timeCap int) Result {
 // buffered segment is enumerated cell by cell (exactSeg), and every agent's
 // presence at the source at time zero is reported first. Both read the same
 // per-agent segment buffers, refilled by one EmitSortie dispatch per batch
-// (refill), so the per-segment path makes no dynamic call. Two further
+// (refill), so the per-segment path makes no dynamic call. Three further
 // properties keep the per-segment cost low:
 //
+//   - the analytic engine runs an agent through every segment that cannot
+//     reach the treasure (trajectory.Seg.Reach below the treasure's distance)
+//     without the hit query and without looking at the other agents: such a
+//     segment reports no hit under any budget, and each agent draws only from
+//     its own stream, so folding it early changes nothing but the agent's own
+//     state. Only a segment that could hit waits until its agent precedes
+//     every other live agent. The exact engine never skips: its visitor sees
+//     every cell in the order the agents reach them. So only for a searcher
+//     that breaks its contract can the engines differ: an agent running
+//     ahead may meet a discontinuity or a zero-progress streak past the
+//     answer time, which the exact engine never reaches;
 //   - the inner loop keeps advancing the same agent while it still strictly
 //     precedes every other live agent, skipping the heap sift exactly when it
 //     would be a no-op and re-select the same agent anyway; the rest of the
 //     heap is frozen during that inner loop, so the key the agent must stay
 //     ahead of — the smaller of the top's at most two children, which bounds
 //     the whole rest of the heap — is loop-invariant and hoisted out;
-//   - the (elapsed, idx) strict total order makes both the skip condition and
-//     the retire conditions exact, so the sequence of (agent, segment) steps —
-//     and therefore every Result bit — is identical to the historical
-//     one-segment-per-heap-round loops this replaces.
+//   - the (elapsed, idx) strict total order makes both the precedence test
+//     and the retire conditions exact, so the segments that could hit are
+//     scanned in (segment start, agent index) order under the same budget as
+//     in the historical one-segment-per-heap-round loops this replaces, and
+//     every Result bit, Finder on ties included, is identical. A skipped
+//     segment may be folded under a larger budget than those loops used,
+//     which only postpones a saturation that retires the agent either way.
 //
 // The hotpath marker holds this body to no dynamic dispatch and no
 // allocation.
@@ -482,11 +501,18 @@ func (e *engine) runLoop(in Instance, opts Options, visit func(agentIdx, t int, 
 				}
 			}
 			seg := st.segs[st.segNext]
+			// Only a segment that could hit waits for its agent to precede
+			// every other live agent.
+			skip := visit == nil && seg.Reach() < res.Distance
+			if !skip && (st.elapsed > restElapsed || (st.elapsed == restElapsed && int32(st.idx) > restIdx)) {
+				e.fixTop(st.elapsed)
+				break
+			}
 			st.segNext++
 			var outcome stepOutcome
 			var err error
 			if visit == nil {
-				outcome, err = st.scanSeg(seg, in.Treasure, best)
+				outcome, err = st.scanSeg(seg, in.Treasure, best, skip)
 			} else {
 				outcome, err = st.exactSeg(seg, in.Treasure, best, visit) //antlint:allow hotpath exact engine only (a visitor is set): per-cell enumeration through a callback closure; Run never takes this branch
 			}
@@ -495,7 +521,9 @@ func (e *engine) runLoop(in Instance, opts Options, visit func(agentIdx, t int, 
 				// step leaves, which see segment durations for free.
 				return Result{}, agentError(st.idx, err) //antlint:allow hotpath error exit aborts the run; the cold helper may allocate
 			}
-			if outcome.hit >= 0 && (outcome.hit < best || (outcome.hit == best && !res.Found)) {
+			if outcome.hit >= 0 {
+				// Every leaf reports only hits strictly below the budget, so
+				// this hit beats every earlier one.
 				best = outcome.hit
 				res.Found = true
 				res.Capped = false
@@ -506,12 +534,6 @@ func (e *engine) runLoop(in Instance, opts Options, visit func(agentIdx, t int, 
 				e.popTop()
 				break
 			}
-			if st.elapsed > restElapsed || (st.elapsed == restElapsed && int32(st.idx) > restIdx) {
-				e.fixTop(st.elapsed)
-				break
-			}
-			// The top agent still precedes everyone else: the sift would be a
-			// no-op and the next round would pick it again, so keep going.
 		}
 	}
 	res.Survivors = in.NumAgents
@@ -559,7 +581,11 @@ func (st *agentState) refill() (bool, error) {
 // scanSeg folds one segment into the agent's state using the segment's
 // closed-form queries, fused into a single kind dispatch (trajectory.Seg.Scan)
 // so the step performs one switch per segment instead of four. The budget is
-// exclusive: no times >= budget may be reported as hits.
+// exclusive: no times >= budget may be reported as hits. A segment the loop
+// skips cannot reach the treasure (its Reach is below the treasure's
+// distance), so it needs only its endpoints and duration, not the hit query;
+// everything else — continuity, faults, the budget, the zero streak — is
+// checked exactly as for a scanned one.
 //
 // The zero-streak guard lives here — the leaf that already knows the segment
 // duration — rather than in the engine loop, which would have to save and
@@ -568,8 +594,15 @@ func (st *agentState) refill() (bool, error) {
 // the duration), so only the zero-duration advance can extend a streak.
 //
 //antlint:hotpath
-func (st *agentState) scanSeg(seg trajectory.Seg, treasure grid.Point, budget int) (stepOutcome, error) {
-	start, end, duration, off, found := seg.Scan(treasure)
+func (st *agentState) scanSeg(seg trajectory.Seg, treasure grid.Point, budget int, skip bool) (stepOutcome, error) {
+	var start, end grid.Point
+	var duration, off int
+	var found bool
+	if skip {
+		start, end, duration = seg.Start(), seg.End(), seg.Duration()
+	} else {
+		start, end, duration, off, found = seg.Scan(treasure)
+	}
 	if start != st.pos {
 		return stepOutcome{}, discontinuityError(seg, start, st.pos) //antlint:allow hotpath error exit aborts the run; the cold helper may allocate
 	}

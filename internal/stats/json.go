@@ -35,7 +35,12 @@ type quantileSummaryJSON struct {
 
 // MarshalJSON implements json.Marshaler.
 func (s QuantileSummary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(quantileSummaryJSON{
+	return json.Marshal(s.wire())
+}
+
+// wire returns the summary's wire form.
+func (s QuantileSummary) wire() quantileSummaryJSON {
+	return quantileSummaryJSON{
 		N:       s.N,
 		Min:     s.Min,
 		Max:     s.Max,
@@ -43,7 +48,7 @@ func (s QuantileSummary) MarshalJSON() ([]byte, error) {
 		Samples: s.samples,
 		Qs:      s.qs,
 		Vs:      s.vs,
-	})
+	}
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The decoded summary answers
@@ -141,15 +146,20 @@ func (a Accumulator) MarshalJSON() ([]byte, error) {
 	return json.Marshal(accumulatorJSON{N: a.n, Mean: a.mean, M2: a.m2, Min: a.min, Max: a.max})
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields and a
-// negative count; on error a is left unchanged.
+// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields, a
+// negative count and a negative sum of squared deviations, which Add never
+// produces and which would make Summarize report a NaN deviation; on error a
+// is left unchanged.
 func (a *Accumulator) UnmarshalJSON(data []byte) error {
 	var w accumulatorJSON
 	if err := decodeStrict(data, &w); err != nil {
 		return fmt.Errorf("stats: accumulator state: %w", err)
 	}
-	if w.N < 0 {
+	switch {
+	case w.N < 0:
 		return fmt.Errorf("stats: accumulator state: negative count %d", w.N)
+	case w.M2 < 0:
+		return fmt.Errorf("stats: accumulator state: negative m2 %v", w.M2)
 	}
 	*a = Accumulator{n: w.N, mean: w.Mean, m2: w.M2, min: w.Min, max: w.Max}
 	return nil
@@ -191,8 +201,11 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields and
-// every state Add cannot reach (see validate); on error s is left unchanged.
+// UnmarshalJSON implements json.Unmarshaler. It rejects unknown fields,
+// every state Add cannot reach (see validate) and every state whose Summary
+// QuantileSummary.UnmarshalJSON would reject — min above max, or a sample
+// outside them — since a TrialStats built from it could not be read back;
+// on error s is left unchanged.
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var w sketchJSON
 	if err := decodeStrict(data, &w); err != nil {
@@ -208,6 +221,9 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 			e := dec.est[i]
 			e.n, e.np, e.heights, e.count = m.N, m.NP, m.Heights, w.N
 		}
+	}
+	if err := dec.Summary().wire().validate(); err != nil {
+		return fmt.Errorf("stats: sketch state: %w", err)
 	}
 	*s = dec
 	return nil

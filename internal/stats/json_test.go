@@ -235,6 +235,7 @@ func TestAccumulatorDecodeRejectsDamage(t *testing.T) {
 		{"truncated", `{"n":10,"mean":4.5,"m2":82.5,"min":0,`, "unexpected end"},
 		{"trailing data", `{"n":10,"mean":4.5,"m2":82.5,"min":0,"max":9} 0`, "after top-level value"},
 		{"negative count", `{"n":-1,"mean":0,"m2":0,"min":0,"max":0}`, "negative count -1"},
+		{"negative m2", `{"n":10,"mean":4.5,"m2":-82.5,"min":0,"max":9}`, "negative m2 -82.5"},
 		{"unknown field", `{"n":10,"mean":4.5,"m2":82.5,"min":0,"max":9,"sum":45}`, `unknown field "sum"`},
 		{"fractional count", `{"n":1.5,"mean":0,"m2":0,"min":0,"max":0}`, "cannot unmarshal number 1.5"},
 	} {
@@ -331,6 +332,12 @@ func TestSketchDecodeRejectsDamage(t *testing.T) {
 		{"estimating with samples", `{"cap":4,"n":6,"min":0,"max":5,"samples":[0],"est":` + est(8) + `}`, "estimation mode with 1 samples"},
 		{"too few estimators", `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":` + est(7) + `}`, "7 estimators for 8 tracked quantiles"},
 		{"no estimators", `{"cap":4,"n":6,"min":0,"max":5,"samples":null,"est":[]}`, "0 estimators for 8 tracked quantiles"},
+		// States whose summary QuantileSummary.UnmarshalJSON rejects.
+		{"min above max", `{"cap":8,"n":2,"min":30,"max":20,"samples":[20,30],"est":null}`, "min 30 exceeds max 20"},
+		{"empty with min above max", `{"cap":8,"n":0,"min":30,"max":20,"samples":[],"est":null}`, "min 30 exceeds max 20"},
+		{"sample below min", `{"cap":8,"n":2,"min":1,"max":2,"samples":[0,2],"est":null}`, "sample 0 outside [min, max]"},
+		{"sample above max", `{"cap":8,"n":2,"min":1,"max":2,"samples":[1,3],"est":null}`, "sample 3 outside [min, max]"},
+		{"estimating with min above max", `{"cap":4,"n":6,"min":5,"max":0,"samples":null,"est":` + est(8) + `}`, "min 5 exceeds max 0"},
 	} {
 		b := NewSketch(0)
 		err := json.Unmarshal([]byte(tc.payload), b)

@@ -7,8 +7,10 @@
 // sub-path with a known duration. The analytic simulation engine asks a Seg
 // one constant-time question, Scan ("where does it start and end, how long is
 // it, and when does it first stand on the treasure?"), to skip over long
-// spiral searches without enumerating every cell; the exact engine uses
-// ForEach to enumerate cells one by one. Scan uses closed forms
+// spiral searches without enumerating every cell — and not even that of a
+// segment whose Reach, a bound on how far from the source it goes, falls
+// short of the treasure; the exact engine uses ForEach to enumerate cells
+// one by one. Scan uses closed forms
 // (grid.PathHitTime, grid.SpiralIndex) and ForEach enumerates
 // (grid.ForEachOnPath, grid.SpiralOffset); the property tests pin each
 // closed form to the enumeration.
@@ -147,6 +149,23 @@ func (s Seg) Scan(target grid.Point) (start, end grid.Point, duration, hitOff in
 		return s.a.Add(grid.SpiralOffset(s.n)), s.b, s.m - s.n, hitOff, hit
 	default: // KindPause
 		return s.a, s.a, s.n, 0, target == s.a
+	}
+}
+
+// Reach returns an upper bound on the L1 norm of every node the segment
+// visits, so a segment whose Reach is below |target|₁ cannot visit target and
+// needs no Scan. A walk's staircase is monotone in both coordinates, so each
+// coordinate stays between the endpoints'; a spiral visits its Chebyshev
+// rings in order, so no node lies further from the centre, in L1, than twice
+// the ring of its last step; a pause stands on one node.
+func (s Seg) Reach() int {
+	switch s.kind {
+	case KindWalk:
+		return max(s.a.X, -s.a.X, s.b.X, -s.b.X) + max(s.a.Y, -s.a.Y, s.b.Y, -s.b.Y)
+	case KindSpiral:
+		return s.a.L1() + 2*s.b.Sub(s.a).Linf()
+	default: // KindPause
+		return s.a.L1()
 	}
 }
 

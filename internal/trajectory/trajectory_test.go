@@ -97,6 +97,41 @@ func TestSegScanMatchesQueries(t *testing.T) {
 	}
 }
 
+// TestSegReachBoundsEveryNode checks Reach against ForEach enumeration over
+// random walks, spirals (resumed ones, fromStep > 0, included) and pauses:
+// no node a segment visits lies further from the origin than its Reach. The
+// analytic engine skips the hit query of every segment whose Reach is below
+// the treasure's distance, so an underestimate would lose hits.
+func TestSegReachBoundsEveryNode(t *testing.T) {
+	t.Parallel()
+
+	err := quick.Check(func(ax, ay, bx, by int8, steps, from uint16) bool {
+		a := grid.Point{X: int(ax), Y: int(ay)}
+		b := grid.Point{X: int(bx), Y: int(by)}
+		toStep := int(steps) % 2000
+		fromStep := int(from) % (toStep + 1)
+		for _, s := range []Seg{
+			WalkSeg(a, b),
+			SpiralSeg(a, fromStep, toStep),
+			SpiralSearchSeg(a, toStep),
+			PauseSeg(a, toStep%50),
+		} {
+			reach := s.Reach()
+			s.ForEach(func(off int, p grid.Point) bool {
+				if p.L1() > reach {
+					t.Errorf("%v: node %v at offset %d has L1 %d, beyond Reach %d", s, p, off, p.L1(), reach)
+					return false
+				}
+				return true
+			})
+		}
+		return !t.Failed()
+	}, &quick.Config{MaxCount: 500})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
 // TestSegMatchesBoxedSegments checks every constructor against its
 // primitive's definition, written out per kind as a position at each offset:
 // a walk is the staircase grid.PathPoint(a, b, off), a spiral over steps
