@@ -12,11 +12,13 @@
 //	         [-debug-addr ""]
 //
 // Every /sweep request splits a budget of -workers cores (0 = GOMAXPROCS)
-// with scenario.AutoSplit, the rule every sweep in the repository uses: a
-// grid of many small cells routes the cores to cross-cell concurrency, a
-// grid of few big cells routes them to trial-level fan-out. Results are
-// bit-identical whatever the budget. -debug-addr exposes net/http/pprof on
-// a separate listener for live profiling (disabled when empty).
+// with scenario.AutoSplit and streams its cells in order, in chunks of
+// concurrent cells: a grid whose every cell gives each core a shard of at
+// least sim.MinShardTrials trials runs one cell at a time on all cores; any
+// other grid gets the cores as cells in flight first, and the remainder as
+// trial-level fan-out. Results are bit-identical whatever the budget.
+// -debug-addr exposes net/http/pprof on a separate listener for live
+// profiling (disabled when empty).
 //
 // -store-dir makes the result cache durable: every computed cell is
 // appended to an NDJSON log under the directory, the cache is compacted
@@ -90,7 +92,8 @@
 // full TrialStats aggregate (lossless JSON, including quantile summaries).
 // Mid-stream failures append a final NDJSON object with an "error" field.
 // Cancellation flows down: when a client disconnects, the request context
-// aborts the cell's trial fan-out inside parallel.ForEach.
+// aborts the cell loop (parallel.Map) and each cell's trial fan-out
+// (parallel.ReduceOrdered inside sim.MonteCarlo).
 package main
 
 import (
@@ -128,7 +131,7 @@ func run(args []string, logw io.Writer) (err error) {
 	var (
 		addr         = fs.String("addr", ":8077", "listen address")
 		cacheSize    = fs.Int("cache-size", cache.DefaultCapacity, "maximum cached cell results")
-		workers      = fs.Int("workers", 0, "cores per /sweep request, split between cells and trials by AutoSplit (0 = GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, fmt.Sprintf("cores per /sweep request: one cell at a time on all of them if every cell has %d trials per core, else cells first (0 = GOMAXPROCS)", sim.MinShardTrials))
 		maxCells     = fs.Int("max-cells", 10000, "largest grid a single /sweep may expand to")
 		maxInflight  = fs.Int("max-inflight-sweeps", 0, "maximum /sweep requests computing concurrently; excess is shed with 503 (0 = unlimited)")
 		storeDir     = fs.String("store-dir", "", "directory for the durable result store (empty = memory-only cache)")
@@ -255,7 +258,8 @@ func run(args []string, logw io.Writer) (err error) {
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections and
 	// give in-flight sweeps a grace period to stream out; past it, close the
 	// server, which cancels every request context and thereby aborts the
-	// trial fan-out inside parallel.ForEach.
+	// cell loop (parallel.Map) and the trial fan-out (parallel.ReduceOrdered
+	// inside sim.MonteCarlo).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -348,7 +352,7 @@ func snapIntervalSet(fs *flag.FlagSet) bool {
 
 // serverConfig carries the tunables of a server instance.
 type serverConfig struct {
-	Workers           int                    // cores per request, split by scenario.AutoSplit (0 = GOMAXPROCS)
+	Workers           int                    // cores per request, split between cells and trials by scenario.AutoSplit (0 = GOMAXPROCS)
 	CacheSize         int                    // LRU bound of the result cache
 	MaxCells          int                    // largest grid a single request may expand to
 	MaxInflightSweeps int                    // concurrent /sweep cap; excess shed with 503 (0 = unlimited)
@@ -664,12 +668,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Stream the cells in order, computing up to cellWorkers of them
 	// concurrently per chunk; the request's own cells × trials shape picks
-	// that chunk width and the per-cell trial fan-out (scenario.AutoSplit),
-	// so a dashboard grid of many small cells and a single million-trial
-	// cell both saturate the cores. Identical cells — within this request or
-	// across concurrent requests — collapse in the cache, so N simultaneous
-	// identical sweeps run one simulation. Memory per request is bounded by
-	// the chunk, never by the grid.
+	// that chunk width and the per-cell trial fan-out (scenario.AutoSplit).
+	// A grid whose every cell fills the cores with shards runs one cell per
+	// chunk on all cores, so no chunk waits on a slower neighbour; a
+	// dashboard grid of one-trial cells runs cores cells per chunk. Identical
+	// cells — within this request or across concurrent requests — collapse
+	// in the cache, so N simultaneous identical sweeps run one simulation.
+	// Memory per request is bounded by the chunk, never by the grid.
 	cellWorkers, trialWorkers := scenario.AutoSplit(cells, s.cfg.Workers)
 	runner := scenario.Runner{Workers: trialWorkers}
 	for lo := 0; lo < len(cells); lo += cellWorkers {

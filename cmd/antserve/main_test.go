@@ -339,28 +339,63 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // TestSweepCellWorkersParity pins that the per-request split changes only
-// scheduling: with a budget of 4 cores, AutoSplit computes the grid's cells
-// four at a time, and the rows are byte-identical to the one-core run's.
+// scheduling. With a budget of 2 or 4 cores AutoSplit computes a grid of
+// small cells several cells at a time, and a grid whose cells give every
+// core a shard (40 and 41 trials) one cell at a time on all cores, its
+// progress hook writing rows while the shards fold. Either way the result
+// rows are byte-identical to the one-core run's.
 func TestSweepCellWorkersParity(t *testing.T) {
 	t.Parallel()
 
-	body := `{"scenarios": ["known-k", "single-spiral"], "ks": [1, 2], "ds": [4, 6],
-	          "trials": 5, "seed": 11}`
-	sequential := newTestServer(t, serverConfig{CacheSize: 64, Workers: 1})
-	fanned := newTestServer(t, serverConfig{CacheSize: 64, Workers: 4})
-
-	a := decodeRows(t, postSweep(t, sequential.URL, body))
-	b := decodeRows(t, postSweep(t, fanned.URL, body))
-	if len(a) != 8 || len(b) != 8 {
-		t.Fatalf("row counts %d and %d, want 8", len(a), len(b))
+	urls := map[int]string{}
+	for _, w := range []int{1, 2, 4} {
+		urls[w] = newTestServer(t, serverConfig{CacheSize: 64, Workers: w}).URL
 	}
-	for i := range a {
-		ja, _ := json.Marshal(a[i])
-		jb, _ := json.Marshal(b[i])
-		if !bytes.Equal(ja, jb) {
-			t.Errorf("row %d differs between core budgets:\n%s\nvs\n%s", i, ja, jb)
+	for _, tc := range []struct {
+		body string
+		rows int
+	}{
+		{`{"scenarios": ["known-k", "single-spiral"], "ks": [1, 2], "ds": [4, 6], "trials": 5, "seed": 11}`, 8},
+		{`{"scenarios": ["known-k", "uniform"], "ks": [1, 4], "ds": [6], "trials": 40, "seed": 11,
+			"params": {"epsilon": 0.5}, "progress": true}`, 4},
+		{`{"scenarios": ["known-k", "uniform"], "ks": [1, 4], "ds": [6], "trials": 41, "seed": 11,
+			"params": {"epsilon": 0.5}, "progress": true}`, 4},
+	} {
+		want := resultLines(t, postSweep(t, urls[1], tc.body))
+		if len(want) != tc.rows {
+			t.Fatalf("%s: one-core run streamed %d result rows, want %d", tc.body, len(want), tc.rows)
+		}
+		for _, w := range []int{2, 4} {
+			got := resultLines(t, postSweep(t, urls[w], tc.body))
+			if len(got) != tc.rows {
+				t.Fatalf("%s, Workers=%d: %d result rows, want %d", tc.body, w, len(got), tc.rows)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s: row %d differs between Workers=1 and Workers=%d:\n%s\nvs\n%s", tc.body, i, w, want[i], got[i])
+				}
+			}
 		}
 	}
+}
+
+// resultLines returns a /sweep response's result rows as raw NDJSON lines,
+// skipping progress rows, whose shard counts depend on the core budget.
+func resultLines(t *testing.T, resp *http.Response) []string {
+	t.Helper()
+	defer resp.Body.Close()
+	var lines []string
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		if !strings.HasPrefix(sc.Text(), `{"type":"progress"`) {
+			lines = append(lines, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }
 
 // TestSweepRowZeroCoordinatesSurvive is the regression test for the

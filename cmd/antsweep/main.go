@@ -15,9 +15,11 @@
 // The -algs names come from the scenario registry; -list enumerates them.
 // Trials run through the streaming sweep engine, so arbitrarily large
 // -trials values execute in constant memory; -workers is the core budget
-// (0 = GOMAXPROCS) that scenario.AutoSplit divides between cells and
-// trials. -cpuprofile and -memprofile write pprof profiles of the sweep (the
-// whole run, flags included), so the hot path can be profiled on any real
+// (0 = GOMAXPROCS) that scenario.Runner.Run divides between cells and
+// trials, cells first: many cells take one core each, and only a grid of
+// fewer cells than cores fans each cell's trials over the rest.
+// -cpuprofile and -memprofile write pprof profiles of the sweep (the whole
+// run, flags included), so the hot path can be profiled on any real
 // workload without patching the source.
 //
 // -progress streams per-shard progress lines to stderr while cells compute
@@ -87,7 +89,7 @@ func runWith(args []string, out, errw io.Writer) error {
 		stallDur  = fs.Int("stall-dur", 0, "stall lengths are drawn uniformly over [1, stall-dur] (required with -stall-prob)")
 		maxTime   = fs.Int("max-time", 0, "per-trial time cap (0 = engine default)")
 		format    = fs.String("format", "ascii", "output format: ascii, markdown or csv")
-		workers   = fs.Int("workers", 0, "cores, split between cells and trials by AutoSplit (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "cores, split between cells and trials, cells first (0 = GOMAXPROCS)")
 		progress  = fs.Bool("progress", false, "stream per-shard progress lines to stderr while cells compute")
 		ckptDir   = fs.String("checkpoint-dir", "", "persist shard-range checkpoints here; a rerun resumes interrupted cells")
 		ckptEvery = fs.Int("checkpoint-every", 0, "shards between persisted checkpoints (0 = engine default; needs -checkpoint-dir)")

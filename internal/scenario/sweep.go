@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"antsearch/internal/agent"
 	"antsearch/internal/fault"
@@ -40,11 +41,12 @@ type Cell struct {
 // Memory per cell is bounded by the sketch cap, never by the trial budget.
 type Runner struct {
 	// Workers is the core budget (0 = GOMAXPROCS). Run splits it between
-	// concurrent cells and each cell's trial fan-out with AutoSplit; RunOne
-	// fans its cell's trials over at most Workers goroutines. Any value is
-	// safe for correctness: per-trial randomness derives from (seed, trial)
-	// and results are written index-for-index, so the output is identical
-	// whatever the budget (pinned by the runner parity test).
+	// concurrent cells and each cell's trial fan-out, cells first (see
+	// splitCellsFirst); RunOne fans its cell's trials over at most Workers
+	// goroutines. Any value is safe for correctness: per-trial randomness
+	// derives from (seed, trial) and results are written index-for-index, so
+	// the output is identical whatever the budget (pinned by the runner
+	// parity test).
 	Workers int
 	// Progress, when non-nil, receives intra-cell progress updates as each
 	// cell's ordered fold advances (see sim.TrialConfig.Progress). Run may
@@ -65,43 +67,53 @@ type Runner struct {
 }
 
 // AutoSplit divides a core budget (0 or negative = GOMAXPROCS) between
-// cross-cell and intra-cell parallelism for the given cells. The two layers
-// multiply — cellWorkers cells in flight, each fanning trials over
-// trialWorkers goroutines — so the product stays within the budget. The
-// heuristic is the cells × trials shape of the grid: cells are the coarser,
-// lower-overhead unit of work, so they get the cores first (many small cells
-// → cellWorkers = cores, sequential trials); only when there are fewer cells
-// than cores does the remainder go to trial-level fan-out (few big cells →
-// trialWorkers = cores/cells), capped by the largest trial budget, which
-// bounds the useful trial parallelism.
+// cross-cell and intra-cell parallelism for a stream that computes its cells
+// in ordered chunks of cellWorkers, each chunk waiting for its slowest cell,
+// as antserve's /sweep does. The two layers multiply — cellWorkers cells in
+// flight, each fanning trials over trialWorkers goroutines — so the product
+// stays within the budget. When every cell holds at least cores ×
+// sim.MinShardTrials trials, each cell's trials fill every core with a shard,
+// so the grid runs one cell at a time on all cores (1, cores): the shards of
+// one cell are identically distributed and finish together, while a chunk of
+// unlike cells idles the cores its fast cells release. Any other grid gets
+// the cells-first split Runner.Run uses (see splitCellsFirst), so a grid of
+// one-trial cells still computes cores cells at a time.
 func AutoSplit(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
-	if cores <= 0 {
-		cores = runtime.GOMAXPROCS(0)
+	cores = coreBudget(cores)
+	shortOfShards := func(c Cell) bool { return c.Trials/sim.MinShardTrials < cores }
+	if len(cells) == 0 || slices.ContainsFunc(cells, shortOfShards) {
+		return splitCellsFirst(cells, cores)
 	}
-	if cores < 1 {
-		cores = 1
-	}
+	return 1, cores
+}
+
+// splitCellsFirst is Runner.Run's split of a core budget (0 or negative =
+// GOMAXPROCS). Cells are the coarser, lower-overhead unit of work, so they
+// get the cores first (many small cells → cellWorkers = cores, sequential
+// trials); only when there are fewer cells than cores does the remainder go
+// to trial-level fan-out (few big cells → trialWorkers = cores/cells),
+// capped by the largest trial budget, which bounds the useful trial
+// parallelism. Run has no chunk barrier — parallel.Map hands the next cell
+// to whichever worker frees first — so cells-first keeps its cores busy.
+func splitCellsFirst(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
+	cores = coreBudget(cores)
 	if len(cells) == 0 {
 		return 1, 1
 	}
-	cellWorkers = cores
-	if len(cells) < cellWorkers {
-		cellWorkers = len(cells)
-	}
-	trialWorkers = cores / cellWorkers
+	cellWorkers = min(cores, len(cells))
 	maxTrials := 1
 	for _, c := range cells {
-		if c.Trials > maxTrials {
-			maxTrials = c.Trials
-		}
+		maxTrials = max(maxTrials, c.Trials)
 	}
-	if trialWorkers > maxTrials {
-		trialWorkers = maxTrials
+	return cellWorkers, max(min(cores/cellWorkers, maxTrials), 1)
+}
+
+// coreBudget resolves a core budget: 0 or negative means GOMAXPROCS.
+func coreBudget(cores int) int {
+	if cores <= 0 {
+		cores = runtime.GOMAXPROCS(0)
 	}
-	if trialWorkers < 1 {
-		trialWorkers = 1
-	}
-	return cellWorkers, trialWorkers
+	return max(cores, 1)
 }
 
 // RunOne executes a single cell and returns its aggregated statistics.
@@ -133,13 +145,15 @@ func (r Runner) RunOne(ctx context.Context, cell Cell) (sim.TrialStats, error) {
 }
 
 // Run executes the cells and returns their statistics, index for index.
-// AutoSplit divides the Workers budget between cells computed concurrently
-// and the trial fan-out inside each. Every cell's statistics are a pure
-// function of its own configuration and seed, so the results are identical —
-// bit for bit — across all Workers values; only wall-clock time and error
-// selection under multiple failures differ.
+// splitCellsFirst divides the Workers budget between cells computed
+// concurrently and the trial fan-out inside each: Run returns nothing until
+// every cell is done, so it needs no chunk barrier and keeps the cells-first
+// split rather than AutoSplit's one-cell-at-a-time regime. Every cell's
+// statistics are a pure function of its own configuration and seed, so the
+// results are identical — bit for bit — across all Workers values; only
+// wall-clock time and error selection under multiple failures differ.
 func (r Runner) Run(ctx context.Context, cells []Cell) ([]sim.TrialStats, error) {
-	cellWorkers, trialWorkers := AutoSplit(cells, r.Workers)
+	cellWorkers, trialWorkers := splitCellsFirst(cells, r.Workers)
 	r.Workers = trialWorkers
 	return parallel.Map(ctx, len(cells), cellWorkers, func(i int) (sim.TrialStats, error) {
 		return r.RunOne(ctx, cells[i])

@@ -116,10 +116,10 @@ func TestGridCellsExplicitDWithMultipleDs(t *testing.T) {
 }
 
 // TestRunnerCellWorkersParity is the parity property test of Run's one
-// scheduling rule: whatever core budget AutoSplit divides — all of it on
-// cells for a grid of many small cells, the rest on trials for a grid of few
-// big ones — every Workers value must reproduce the one-core statistics
-// exactly, index for index.
+// scheduling rule: whatever core budget splitCellsFirst divides — all of it
+// on cells for a grid of many small cells, the rest on trials for a grid of
+// few big ones, odd trial counts included — every Workers value must
+// reproduce the one-core statistics exactly, index for index.
 func TestRunnerCellWorkersParity(t *testing.T) {
 	t.Parallel()
 
@@ -138,6 +138,14 @@ func TestRunnerCellWorkersParity(t *testing.T) {
 			Ks:        []int{2},
 			Ds:        []int{7},
 			Trials:    600,
+			Seed:      17,
+		},
+		{ // an odd trial count, which the planner splits one shard per worker
+			Scenarios: []string{"known-k"},
+			Params:    DefaultParams(),
+			Ks:        []int{2},
+			Ds:        []int{7},
+			Trials:    601,
 			Seed:      17,
 		},
 	}
@@ -294,46 +302,95 @@ func TestRunnerErrors(t *testing.T) {
 	}
 }
 
-// TestAutoSplit pins the adaptive heuristic's two regimes: many small cells
-// route the cores to cross-cell parallelism with sequential trials, few big
-// cells route them to trial-level fan-out.
+// TestAutoSplit pins the streamed split's two regimes: a grid whose every
+// cell gives each core a shard of at least sim.MinShardTrials trials runs one
+// cell at a time on all cores; any other grid falls back to Run's
+// cells-first split, so one-trial and eight-trial cells still get the cores
+// as cells in flight.
 func TestAutoSplit(t *testing.T) {
+	t.Parallel()
+
+	cellsOf := func(n, trials int) []Cell {
+		cells := make([]Cell, n)
+		for i := range cells {
+			cells[i] = Cell{Trials: trials}
+		}
+		return cells
+	}
+	for _, cores := range []int{2, 4, 8} {
+		// antbench's cold-cells shape: 8 cells of 1025 trials.
+		if cw, tw := AutoSplit(cellsOf(8, 1025), cores); cw != 1 || tw != cores {
+			t.Errorf("8 cells of 1025 trials on %d cores: split (%d, %d), want (1, %d)", cores, cw, tw, cores)
+		}
+		for _, trials := range []int{1, 8} {
+			if cw, tw := AutoSplit(cellsOf(1000, trials), cores); cw != cores || tw != 1 {
+				t.Errorf("1000 cells of %d trials on %d cores: split (%d, %d), want (%d, 1)", trials, cores, cw, tw, cores)
+			}
+		}
+		// The threshold is every cell's, not the grid's largest.
+		full := cellsOf(4, cores*sim.MinShardTrials)
+		if cw, tw := AutoSplit(full, cores); cw != 1 || tw != cores {
+			t.Errorf("4 cells of %d trials on %d cores: split (%d, %d), want (1, %d)", cores*sim.MinShardTrials, cores, cw, tw, cores)
+		}
+		full[2].Trials--
+		if cw, tw := AutoSplit(full, cores); cw != min(4, cores) {
+			t.Errorf("one cell below %d trials on %d cores: split (%d, %d), want %d cells in flight", cores*sim.MinShardTrials, cores, cw, tw, min(4, cores))
+		}
+	}
+
+	big := []Cell{{Trials: 100000}, {Trials: 100000}}
+	if cw, tw := AutoSplit(big, 8); cw != 1 || tw != 8 {
+		t.Errorf("2 big cells on 8 cores: split (%d, %d), want (1, 8)", cw, tw)
+	}
+	if cw, tw := AutoSplit(nil, 8); cw != 1 || tw != 1 {
+		t.Errorf("no cells: split (%d, %d), want (1, 1)", cw, tw)
+	}
+	// cores <= 0 falls back to GOMAXPROCS; the split must stay positive.
+	if cw, tw := AutoSplit(cellsOf(64, 8), 0); cw < 1 || tw < 1 {
+		t.Errorf("GOMAXPROCS fallback produced a degenerate split (%d, %d)", cw, tw)
+	}
+}
+
+// TestSplitCellsFirst pins Run's split: many small cells route the cores to
+// cross-cell parallelism with sequential trials, few big cells route the
+// remainder to trial-level fan-out, capped by the largest trial budget.
+func TestSplitCellsFirst(t *testing.T) {
 	t.Parallel()
 
 	small := make([]Cell, 64)
 	for i := range small {
 		small[i] = Cell{Trials: 8}
 	}
-	cw, tw := AutoSplit(small, 8)
+	cw, tw := splitCellsFirst(small, 8)
 	if cw != 8 || tw != 1 {
 		t.Errorf("64 small cells on 8 cores: split (%d, %d), want (8, 1)", cw, tw)
 	}
 
 	big := []Cell{{Trials: 100000}, {Trials: 100000}}
-	cw, tw = AutoSplit(big, 8)
+	cw, tw = splitCellsFirst(big, 8)
 	if cw != 2 || tw != 4 {
 		t.Errorf("2 big cells on 8 cores: split (%d, %d), want (2, 4)", cw, tw)
 	}
 
 	// The largest trial budget bounds the useful trial-level fan-out.
 	tiny := []Cell{{Trials: 2}}
-	cw, tw = AutoSplit(tiny, 16)
+	cw, tw = splitCellsFirst(tiny, 16)
 	if cw != 1 || tw != 2 {
 		t.Errorf("1 two-trial cell on 16 cores: split (%d, %d), want (1, 2)", cw, tw)
 	}
 
-	if cw, tw = AutoSplit(nil, 8); cw != 1 || tw != 1 {
+	if cw, tw = splitCellsFirst(nil, 8); cw != 1 || tw != 1 {
 		t.Errorf("no cells: split (%d, %d), want (1, 1)", cw, tw)
 	}
 	// cores <= 0 falls back to GOMAXPROCS; the split must stay positive.
-	if cw, tw = AutoSplit(small, 0); cw < 1 || tw < 1 {
+	if cw, tw = splitCellsFirst(small, 0); cw < 1 || tw < 1 {
 		t.Errorf("GOMAXPROCS fallback produced a degenerate split (%d, %d)", cw, tw)
 	}
 }
 
 // TestFaultySweepParallel runs a faulty sweep — the registered -faulty
 // variants plus a grid with explicit fault knobs — under several core
-// budgets, which AutoSplit spreads over cells and trials, and asserts
+// budgets, which Run spreads over cells and trials, and asserts
 // bit-identical statistics against the one-core run. Executed under -race in CI, it also exercises
 // the fault interpreter for data races across worker goroutines.
 func TestFaultySweepParallel(t *testing.T) {

@@ -297,10 +297,11 @@ func (a *TrialAccumulator) Merge(b *TrialAccumulator) {
 // Stats snapshots the accumulator into a TrialStats value.
 func (a *TrialAccumulator) Stats() TrialStats { return a.state.snapshot() }
 
-// minShardTrials is the smallest batch of trials worth scheduling as an
+// MinShardTrials is the smallest batch of trials worth scheduling as an
 // independent shard: below it the per-shard fixed costs (result slice,
-// engine pool round-trip, task claim) dominate the trials themselves.
-const minShardTrials = 8
+// engine pool round-trip, task claim) dominate the trials themselves. A run
+// of at least workers × MinShardTrials trials gives every worker a shard.
+const MinShardTrials = 8
 
 // shardRange returns the half-open trial range [lo, hi) of shard s when
 // trials are split into numShards contiguous, near-equal shards.
@@ -311,45 +312,26 @@ func shardRange(trials, numShards, s int) (lo, hi int) {
 }
 
 // planShards is the shard planner: it returns the number of contiguous,
-// near-equal shards a trial range is split into, batching roughly
-// trials/workers trials per shard with a minimum batch of minShardTrials.
+// near-equal shards a trial range is split into. Every worker gets one
+// shard, as long as each shard keeps at least MinShardTrials trials
+// (min(workers, trials/MinShardTrials) shards, at least one); then, if a
+// shard would still exceed stats.MergeReplayCap trials, the range is split
+// into as many shards as keep every one within the cap.
 //
 // Shards are scheduling only. The fold adds every trial's Result to one
 // accumulator in trial order, so neither the partition nor the worker count
 // is observable in the aggregate — proven by
 // TestTrialStatsPartitionInvariance and TestStreamingShardInvariance. The
-// cap of stats.MergeReplayCap trials per shard fixes the plan (cold-path
-// cells of 1025 trials fold as two shards) and bounds the results in flight:
-// the ordered streaming reduce in MonteCarlo holds O(workers) shards'
-// []Result at a time, so memory stays bounded however many shards a huge run
-// plans (about trials / stats.MergeReplayCap).
+// cap of stats.MergeReplayCap trials per shard puts a floor under the plan
+// (a 1025-trial cell folds as at least two shards, even on one worker) and
+// bounds the results in flight: the ordered streaming reduce in MonteCarlo
+// holds O(workers) shards' []Result at a time, so memory stays bounded
+// however many shards a huge run plans (about trials / stats.MergeReplayCap).
 func planShards(trials, workers int) int {
-	if trials <= minShardTrials {
-		return 1
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	batch := (trials + workers - 1) / workers
-	if batch < minShardTrials {
-		batch = minShardTrials
-	}
-	if batch > stats.MergeReplayCap {
-		batch = stats.MergeReplayCap
-	}
-	// Floor division so every shard holds at least `batch` trials — rounding
-	// the shard count up instead would cut shards below the minimum batch
-	// (e.g. 12 trials over 4 workers: batch 8, two shards of 6).
-	shards := trials / batch
-	if shards < 1 {
-		shards = 1
-	}
-	// Flooring can push the largest shard past the cap when batch already
-	// sits at it (5000 trials, 1 worker: 4 shards of up to 1250); split
-	// further until every shard fits.
+	shards := max(min(workers, trials/MinShardTrials), 1)
 	if (trials+shards-1)/shards > stats.MergeReplayCap {
 		shards = (trials + stats.MergeReplayCap - 1) / stats.MergeReplayCap
 	}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"antsearch/internal/core"
@@ -100,17 +101,27 @@ func TestTrialAccumulatorMergePanicsPastReplayCap(t *testing.T) {
 // fixed-partition regime: at least one shard; no shard ever exceeds
 // stats.MergeReplayCap trials (the hard bound that keeps the merge
 // order-preserving, and what lets MonteCarlo's ordered streaming reduce stay
-// replay-exact at every scale) and none dips below the minimum batch.
+// replay-exact at every scale), none dips below the minimum batch, and every
+// worker gets a shard when the trials fill the minimum batch of each:
+// at least min(workers, trials/MinShardTrials) shards, odd counts included.
 func TestPlanShardsInvariants(t *testing.T) {
 	t.Parallel()
 
 	workersList := []int{0, 1, 2, 3, 4, 8, 32, 256}
-	for _, trials := range []int{1, 7, 8, 9, 12, 63, 64, 100, 1023, 1024, 1025, 5000, 100000,
+	for _, trials := range []int{1, 7, 8, 9, 12, 17, 33, 63, 64, 100, 999, 1023, 1024, 1025, 5000, 100000,
 		1024 * stats.MergeReplayCap, 1024*stats.MergeReplayCap + 1, 5000 * stats.MergeReplayCap} {
 		for _, workers := range workersList {
 			shards := planShards(trials, workers)
 			if shards < 1 {
 				t.Fatalf("trials=%d workers=%d: %d shards", trials, workers, shards)
+			}
+			cores := workers
+			if cores == 0 {
+				cores = runtime.GOMAXPROCS(0)
+			}
+			if wantShards := min(cores, trials/MinShardTrials); shards < wantShards {
+				t.Errorf("trials=%d workers=%d: %d shards, want at least %d (one per worker)",
+					trials, workers, shards, wantShards)
 			}
 			maxSize, minSize := 0, trials+1
 			for s := 0; s < shards; s++ {
@@ -128,7 +139,7 @@ func TestPlanShardsInvariants(t *testing.T) {
 				t.Errorf("trials=%d workers=%d: shard of %d trials exceeds the replay cap %d",
 					trials, workers, maxSize, stats.MergeReplayCap)
 			}
-			wantMin := minShardTrials
+			wantMin := MinShardTrials
 			if trials < wantMin {
 				wantMin = trials
 			}
