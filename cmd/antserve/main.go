@@ -12,11 +12,12 @@
 //	         [-debug-addr ""]
 //
 // Every /sweep request splits a budget of -workers cores (0 = GOMAXPROCS)
-// with scenario.AutoSplit and streams its cells in order, in chunks of
-// concurrent cells: a grid whose every cell gives each core a shard of at
-// least sim.MinShardTrials trials runs one cell at a time on all cores; any
-// other grid gets the cores as cells in flight first, and the remainder as
-// trial-level fan-out. Results are bit-identical whatever the budget.
+// with scenario.AutoSplit and streams its cells in order, each row as soon as
+// its cell and every cell before it are done: a grid whose every cell gives
+// each core a shard of at least sim.MinShardTrials trials runs one cell at a
+// time on all cores; any other grid gets the cores as cells in flight first,
+// and the remainder as trial-level fan-out. Results are bit-identical
+// whatever the budget.
 // -debug-addr exposes net/http/pprof on a separate listener for live
 // profiling (disabled when empty).
 //
@@ -90,10 +91,12 @@
 //
 // Each response line carries the cell coordinates, a "cached" flag and the
 // full TrialStats aggregate (lossless JSON, including quantile summaries).
-// Mid-stream failures append a final NDJSON object with an "error" field.
-// Cancellation flows down: when a client disconnects, the request context
-// aborts the cell loop (parallel.Map) and each cell's trial fan-out
-// (parallel.ReduceOrdered inside sim.MonteCarlo).
+// A cell that fails mid-stream ends the response: every cell before it has
+// sent its result row, and a final NDJSON object carries the failing cell's
+// "index" and an "error" field. Cancellation flows down: when a client
+// disconnects, the request context aborts the cells in flight (the ordered
+// reduce that streams the rows, parallel.ReduceOrdered) and each cell's trial
+// fan-out (parallel.ReduceOrdered inside sim.MonteCarlo).
 package main
 
 import (
@@ -257,9 +260,9 @@ func run(args []string, logw io.Writer) (err error) {
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections and
 	// give in-flight sweeps a grace period to stream out; past it, close the
-	// server, which cancels every request context and thereby aborts the
-	// cell loop (parallel.Map) and the trial fan-out (parallel.ReduceOrdered
-	// inside sim.MonteCarlo).
+	// server, which cancels every request context and thereby aborts the row
+	// stream's cells in flight and their trial fan-out (both
+	// parallel.ReduceOrdered, the latter inside sim.MonteCarlo).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -497,7 +500,7 @@ type sweepRequest struct {
 
 // sweepRow is one NDJSON response line: the cell coordinates, whether the
 // result came from the cache, and the full aggregate. A row with a non-empty
-// Error field terminates the stream.
+// Error field terminates the stream; its Index is the failing cell's.
 // The coordinate fields deliberately have no omitempty: a legitimate zero
 // value (seed 0 above all, but any zero-valued coordinate) must appear
 // explicitly in every row, or clients that re-key results by coordinates see
@@ -515,12 +518,6 @@ type sweepRow struct {
 	Cached   bool            `json:"cached"`
 	Stats    *sim.TrialStats `json:"stats,omitempty"`
 	Error    string          `json:"error,omitempty"` //antlint:allow wiretag an absent error field is the row-is-a-result signal
-}
-
-// cellResult pairs a computed aggregate with its cache disposition.
-type cellResult struct {
-	stats  sim.TrialStats
-	cached bool
 }
 
 // progressRow is one opt-in intra-cell heartbeat line of a /sweep response:
@@ -664,104 +661,99 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	stream := &streamWriter{enc: json.NewEncoder(w), flusher: flusher}
-	ctx := r.Context()
 
-	// Stream the cells in order, computing up to cellWorkers of them
-	// concurrently per chunk; the request's own cells × trials shape picks
-	// that chunk width and the per-cell trial fan-out (scenario.AutoSplit).
-	// A grid whose every cell fills the cores with shards runs one cell per
-	// chunk on all cores, so no chunk waits on a slower neighbour; a
-	// dashboard grid of one-trial cells runs cores cells per chunk. Identical
-	// cells — within this request or across concurrent requests — collapse
-	// in the cache, so N simultaneous identical sweeps run one simulation.
-	// Memory per request is bounded by the chunk, never by the grid.
+	// Stream the cells in order through one ordered reduce: up to
+	// cellWorkers cells compute at once, and each row is written as soon as
+	// its cell and every cell before it are done. The request's own cells ×
+	// trials shape picks cellWorkers and the per-cell trial fan-out
+	// (scenario.AutoSplit): a grid whose every cell fills the cores with
+	// shards runs one cell at a time on all cores, so no row waits on a slower
+	// neighbour; a dashboard grid of one-trial cells keeps cores cells in
+	// flight. Identical cells — within this request or across concurrent
+	// requests — collapse in the cache, so N simultaneous identical sweeps run
+	// one simulation. Memory per request is bounded by the reduce's window of
+	// cellWorkers rows, never by the grid.
 	cellWorkers, trialWorkers := scenario.AutoSplit(cells, s.cfg.Workers)
 	runner := scenario.Runner{Workers: trialWorkers}
-	for lo := 0; lo < len(cells); lo += cellWorkers {
-		hi := min(lo+cellWorkers, len(cells))
-		chunk := cells[lo:hi]
-		base := lo
-		results, err := parallel.Map(ctx, len(chunk), cellWorkers, func(i int) (cellResult, error) {
-			cell := chunk[i]
-			key := cache.CellKey(cell, grid.Params)
-			// Each cell gets its own runner copy so the progress hook can
-			// carry the cell's stream index and the checkpointer its key.
-			// Both hooks ride the computation, so a cache hit or a joined
-			// singleflight produces neither progress rows nor checkpoints.
-			cr := runner
-			if req.Progress {
-				idx := base + i
-				cr.Progress = func(c scenario.Cell, p sim.Progress) {
-					stream.write(progressRow{
-						Type:          "progress",
-						Index:         idx,
-						Scenario:      c.Scenario,
-						K:             c.K,
-						D:             c.D,
-						ShardsDone:    p.ShardsDone,
-						TotalShards:   p.TotalShards,
-						TrialsDone:    p.TrialsDone,
-						Trials:        p.TotalTrials,
-						ResumedShards: p.ResumedShards,
-						Found:         p.Stats.Found,
-						MeanTime:      p.Stats.AllTime.Mean,
-					})
-				}
-				cr.ProgressEvery = req.ProgressEvery
-				if cr.ProgressEvery <= 0 {
-					cr.ProgressEvery = -1 // the engine's automatic ~1% stride
-				}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	next := 0 // index of the next row to stream
+	err = parallel.ReduceOrdered(ctx, len(cells), cellWorkers, func(i int) (sweepRow, error) {
+		cell := cells[i]
+		key := cache.CellKey(cell, grid.Params)
+		// Each cell gets its own runner copy so the progress hook can carry
+		// the cell's stream index and the checkpointer its key. Both hooks
+		// ride the computation, so a cache hit or a joined singleflight
+		// produces neither progress rows nor checkpoints.
+		cr := runner
+		if req.Progress {
+			cr.Progress = func(c scenario.Cell, p sim.Progress) {
+				stream.write(progressRow{
+					Type:          "progress",
+					Index:         i,
+					Scenario:      c.Scenario,
+					K:             c.K,
+					D:             c.D,
+					ShardsDone:    p.ShardsDone,
+					TotalShards:   p.TotalShards,
+					TrialsDone:    p.TrialsDone,
+					Trials:        p.TotalTrials,
+					ResumedShards: p.ResumedShards,
+					Found:         p.Stats.Found,
+					MeanTime:      p.Stats.AllTime.Mean,
+				})
 			}
-			if s.cfg.Checkpoints != nil {
-				ck := s.cfg.Checkpoints.ForCell(key)
-				cr.Checkpointer = func(scenario.Cell) sim.Checkpointer { return ck }
-				cr.CheckpointEvery = s.cfg.CheckpointEvery
+			cr.ProgressEvery = req.ProgressEvery
+			if cr.ProgressEvery <= 0 {
+				cr.ProgressEvery = -1 // the engine's automatic ~1% stride
 			}
-			st, cached, err := s.cache.Do(ctx, key, func(ctx context.Context) (sim.TrialStats, error) {
-				return cr.RunOne(ctx, cell)
-			})
-			if err != nil {
-				return cellResult{}, err
-			}
-			if !cached && s.cfg.Checkpoints != nil {
-				// This request computed the cell and its result is cached:
-				// the prefixes are dead weight. The drop is memory-only; the
-				// next beat compacts them off disk.
-				s.cfg.Checkpoints.Drop(key)
-			}
-			return cellResult{stats: st, cached: cached}, nil
+		}
+		if s.cfg.Checkpoints != nil {
+			ck := s.cfg.Checkpoints.ForCell(key)
+			cr.Checkpointer = func(scenario.Cell) sim.Checkpointer { return ck }
+			cr.CheckpointEvery = s.cfg.CheckpointEvery
+		}
+		st, cached, err := s.cache.Do(ctx, key, func(ctx context.Context) (sim.TrialStats, error) {
+			return cr.RunOne(ctx, cell)
 		})
 		if err != nil {
-			if ctx.Err() != nil {
-				// The client went away mid-computation; the context abort
-				// already stopped the remaining shards.
-				s.abandonedSweeps.Add(1)
-				return
-			}
-			// Rows already streamed are gone; report the failure in-band as
-			// the final NDJSON object.
-			stream.write(sweepRow{Index: lo, Error: err.Error()})
-			return
+			return sweepRow{}, err
 		}
-		for i, res := range results {
-			cell := chunk[i]
-			row := sweepRow{
-				Index:    lo + i,
-				Scenario: cell.Scenario,
-				K:        cell.K,
-				D:        cell.D,
-				Trials:   cell.Trials,
-				Seed:     cell.Seed,
-				Cached:   res.cached,
-				Stats:    &res.stats,
-			}
-			// A failed write or a dead context after a flushed row means the
-			// client disconnected mid-stream: count the abandonment and stop
-			// before computing the remaining cells.
-			if !stream.write(row) || ctx.Err() != nil {
-				s.abandonedSweeps.Add(1)
-				return
-			}
+		if !cached && s.cfg.Checkpoints != nil {
+			// This request computed the cell and its result is cached: the
+			// prefixes are dead weight. The drop is memory-only; the next beat
+			// compacts them off disk.
+			s.cfg.Checkpoints.Drop(key)
 		}
+		return sweepRow{
+			Index:    i,
+			Scenario: cell.Scenario,
+			K:        cell.K,
+			D:        cell.D,
+			Trials:   cell.Trials,
+			Seed:     cell.Seed,
+			Cached:   cached,
+			Stats:    &st,
+		}, nil
+	}, func(row sweepRow) {
+		// A failed write or a dead request after a flushed row means the
+		// client disconnected mid-stream: stop before computing the
+		// remaining cells. The request's own context is asked because a
+		// parent that is not one of the context package's own types
+		// reaches ctx only asynchronously.
+		if !stream.write(row) || r.Context().Err() != nil {
+			cancel()
+		}
+		next++
+	})
+	switch {
+	case ctx.Err() != nil:
+		// The client went away; the cancelled ctx stopped the cells in flight.
+		s.abandonedSweeps.Add(1)
+	case err != nil:
+		// The reduce merged exactly the cells before the failing one, so next
+		// is its index. Rows already streamed are gone; report the failure
+		// in-band as the final NDJSON object.
+		stream.write(sweepRow{Index: next, Error: err.Error()})
 	}
 }

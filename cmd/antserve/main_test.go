@@ -23,7 +23,10 @@ import (
 	"antsearch/internal/agent"
 	"antsearch/internal/cache"
 	"antsearch/internal/core"
+	"antsearch/internal/grid"
 	"antsearch/internal/scenario"
+	"antsearch/internal/trajectory"
+	"antsearch/internal/xrand"
 )
 
 // simulationsRun counts factory resolutions of the test-only scenario, i.e.
@@ -44,6 +47,35 @@ func init() {
 		},
 		Ks: []int{1}, Ds: []int{4}, Trials: 4,
 	})
+	scenario.MustRegister(scenario.Scenario{
+		Name:        "test-failing-k4",
+		Description: "test-only known-k wrapper whose k=4 searchers start off the source, which the engine rejects",
+		Build: func(scenario.Params) (agent.Factory, error) {
+			return func(k int) agent.Algorithm {
+				if k == 4 {
+					return offSourceAlgorithm{}
+				}
+				return inner(k)
+			}, nil
+		},
+		Ks: []int{4}, Ds: []int{4}, Trials: 1,
+	})
+}
+
+// offSourceAlgorithm's searchers begin one step east of the source, so every
+// trial fails with sim.ErrDiscontinuousTrajectory.
+type offSourceAlgorithm struct{}
+
+func (offSourceAlgorithm) Name() string { return "off-source" }
+
+func (offSourceAlgorithm) NewSearcher(agent.Searcher, *xrand.Stream, int) agent.Searcher {
+	return offSourceSearcher{}
+}
+
+type offSourceSearcher struct{}
+
+func (offSourceSearcher) EmitSortie(buf []trajectory.Seg) ([]trajectory.Seg, bool) {
+	return append(buf, trajectory.WalkSeg(grid.Point{X: 1}, grid.Point{X: 2})), true
 }
 
 func newTestServer(t *testing.T, cfg serverConfig) *httptest.Server {
@@ -503,8 +535,8 @@ func (c *deadlineCtx) expire() {
 }
 
 // expireAfterFirstRow expires the attached context as soon as the first
-// NDJSON row is written: between the first chunk and the next for a result
-// row, right after the fold's first merged shard for a progress row.
+// NDJSON row is written: right after the row stream's first merge for a
+// result row, right after the fold's first merged shard for a progress row.
 type expireAfterFirstRow struct {
 	*httptest.ResponseRecorder
 	ctx  *deadlineCtx
@@ -521,10 +553,10 @@ func (w *expireAfterFirstRow) Write(b []byte) (int, error) {
 }
 
 // TestSweepDeadlineTerminatesStreamCleanly pins the early-exit bugfix: a
-// request whose context dies of DeadlineExceeded between chunks must stop
-// streaming right there — no further chunks, and no trailing error row (the
-// old Canceled-only check fell through into the next chunk and exited via
-// the error-row path).
+// request whose context dies of DeadlineExceeded between two rows must stop
+// streaming right there — no further rows, and no trailing error row (a
+// Canceled-only check would fall through to the next cells and exit via the
+// error-row path).
 func TestSweepDeadlineTerminatesStreamCleanly(t *testing.T) {
 	t.Parallel()
 
@@ -541,7 +573,7 @@ func TestSweepDeadlineTerminatesStreamCleanly(t *testing.T) {
 
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
 	if len(lines) != 1 {
-		t.Fatalf("expired request streamed %d rows, want exactly the pre-expiry chunk:\n%s",
+		t.Fatalf("expired request streamed %d rows, want exactly the pre-expiry row:\n%s",
 			len(lines), rec.Body.String())
 	}
 	var row sweepRow
@@ -553,6 +585,32 @@ func TestSweepDeadlineTerminatesStreamCleanly(t *testing.T) {
 	}
 	if row.K != 1 || row.Stats == nil {
 		t.Errorf("pre-expiry row = %+v, want the first cell's result", row)
+	}
+}
+
+// TestSweepErrorRowNamesFailingCell pins the mid-stream failure contract: a
+// cell that fails ends the stream after every cell before it has sent its
+// result row, with exactly one error row that carries the failing cell's
+// index, whatever the core budget. Cell 3 (k=4) fails; cells 0–2 succeed.
+func TestSweepErrorRowNamesFailingCell(t *testing.T) {
+	t.Parallel()
+
+	body := `{"scenarios": ["test-failing-k4"], "ks": [1, 2, 3, 4, 5], "ds": [4], "trials": 1, "seed": 1}`
+	for _, w := range []int{1, 2, 4} {
+		ts := newTestServer(t, serverConfig{CacheSize: 16, Workers: w})
+		rows := decodeRows(t, postSweep(t, ts.URL, body))
+		if len(rows) != 4 {
+			t.Fatalf("Workers=%d: streamed %d rows, want 3 result rows and 1 error row: %+v", w, len(rows), rows)
+		}
+		for i, row := range rows[:3] {
+			if row.Error != "" || row.Stats == nil || row.Index != i || row.K != i+1 {
+				t.Errorf("Workers=%d: row %d = %+v, want cell %d's result", w, i, row, i)
+			}
+		}
+		last := rows[3]
+		if last.Index != 3 || last.Stats != nil || !strings.Contains(last.Error, "k=4") {
+			t.Errorf("Workers=%d: final row = %+v, want an error row for cell 3 (k=4)", w, last)
+		}
 	}
 }
 

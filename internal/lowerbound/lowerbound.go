@@ -48,11 +48,6 @@ type Config struct {
 	Scales []int
 	// Horizon is the simulated time budget 2T for every scale.
 	Horizon int
-	// Annuli are the radius breakpoints: annulus i covers distances
-	// (Annuli[i-1], Annuli[i]] (with an implicit 0 before the first entry).
-	// If empty, geometric breakpoints 2, 4, 8, ... up to the largest radius
-	// an agent could reach within the horizon are used.
-	Annuli []int
 	// Trials is the number of independent repetitions averaged per scale.
 	Trials int
 	// Seed drives all randomness.
@@ -83,11 +78,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// annuli returns the effective annulus breakpoints.
+// annuli returns the radius breakpoints: annulus i covers distances
+// (annuli[i-1], annuli[i]] (with an implicit 0 before the first entry), at
+// the geometric breakpoints 2, 4, 8, ... up to the largest radius an agent
+// could reach within the horizon.
 func (c Config) annuli() []int {
-	if len(c.Annuli) > 0 {
-		return c.Annuli
-	}
 	var out []int
 	for r := 2; r <= c.Horizon; r *= 2 {
 		out = append(out, r)

@@ -53,11 +53,6 @@ func TestConfigDefaultAnnuli(t *testing.T) {
 	if annuli[len(annuli)-1] > 40 {
 		t.Errorf("annuli exceed the horizon: %v", annuli)
 	}
-
-	custom := Config{Horizon: 40, Annuli: []int{3, 9}}
-	if got := custom.annuli(); len(got) != 2 || got[0] != 3 {
-		t.Errorf("custom annuli ignored: %v", got)
-	}
 }
 
 func TestMeasureCoverageInvariants(t *testing.T) {

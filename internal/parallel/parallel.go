@@ -108,18 +108,20 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 // goroutines and streams the results into merge in strict index order:
 // merge(v_0), merge(v_1), ... exactly as a sequential loop would, every call
 // made on the calling goroutine. Unlike Map it never materializes all the
-// results: the caller issues index i only once i-2·workers has been merged,
-// so at most 2·workers completed-but-unmerged results are held at any
-// moment. The window is twice the worker count so a worker finishing a fast
-// task just ahead of the fold can take new work instead of idling while a
-// slow predecessor holds everything back.
+// results: the caller issues index i only once i-workers has been merged, so
+// at most workers tasks are running or waiting to be merged at any moment.
+// The window is the worker count, not more: a worker that finishes ahead of
+// the merge waits for the caller to take its result instead of starting
+// another task, so a caller that streams each result as it merges it (an
+// HTTP response row by row) does not compete with a further task for a core
+// while it writes.
 //
 // Error semantics match ForEach: the first error in index order among tasks
-// that ran is returned, and merge has then been called for a contiguous
-// prefix of indices strictly below the failing one — callers that discard the
-// accumulator on error observe no difference from Map. Cancelling ctx stops
-// the fold before its next merge; every spawned goroutine is joined before
-// ReduceOrdered returns.
+// that ran is returned, and merge has then been called for exactly the
+// indices strictly below the failing one, so the number of merges is the
+// failing index — callers that discard the accumulator on error observe no
+// difference from Map. Cancelling ctx stops the fold before its next merge;
+// every spawned goroutine is joined before ReduceOrdered returns.
 func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T, error), merge func(v T)) error {
 	if n <= 0 {
 		return nil
@@ -152,11 +154,13 @@ func ReduceOrdered[T any](ctx context.Context, n, workers int, fn func(i int) (T
 		v   T
 		err error
 	}
-	window := 2 * workers
 	// Index i reports through slots[i%window]. The caller issues i only after
 	// merging i-window, the slot's previous user, so every slot holds at most
 	// one result and no worker ever blocks on a send; the ticket buffer never
-	// holds more than the window either, so issuing never blocks.
+	// holds more than the window either, so issuing never blocks. The workers
+	// read window rather than the reassigned parameter workers, which would
+	// otherwise move to the heap on the sequential path too.
+	window := workers
 	tickets := make(chan int, window)
 	slots := make([]chan result, window)
 	for s := range slots {

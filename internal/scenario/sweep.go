@@ -67,14 +67,16 @@ type Runner struct {
 }
 
 // AutoSplit divides a core budget (0 or negative = GOMAXPROCS) between
-// cross-cell and intra-cell parallelism for a stream that computes its cells
-// in ordered chunks of cellWorkers, each chunk waiting for its slowest cell,
-// as antserve's /sweep does. The two layers multiply — cellWorkers cells in
+// cross-cell and intra-cell parallelism for a stream that writes its cells in
+// order through parallel.ReduceOrdered with a window of cellWorkers cells, as
+// antserve's /sweep does: cell i starts only once cell i-cellWorkers has been
+// streamed, so a cell that finishes behind a slower one holds its core idle
+// until the slower one lands. The two layers multiply — cellWorkers cells in
 // flight, each fanning trials over trialWorkers goroutines — so the product
 // stays within the budget. When every cell holds at least cores ×
 // sim.MinShardTrials trials, each cell's trials fill every core with a shard,
 // so the grid runs one cell at a time on all cores (1, cores): the shards of
-// one cell are identically distributed and finish together, while a chunk of
+// one cell are identically distributed and finish together, while a window of
 // unlike cells idles the cores its fast cells release. Any other grid gets
 // the cells-first split Runner.Run uses (see splitCellsFirst), so a grid of
 // one-trial cells still computes cores cells at a time.
@@ -93,8 +95,9 @@ func AutoSplit(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
 // trials); only when there are fewer cells than cores does the remainder go
 // to trial-level fan-out (few big cells → trialWorkers = cores/cells),
 // capped by the largest trial budget, which bounds the useful trial
-// parallelism. Run has no chunk barrier — parallel.Map hands the next cell
-// to whichever worker frees first — so cells-first keeps its cores busy.
+// parallelism. Run streams nothing, so no cell waits for an earlier one —
+// parallel.Map hands the next cell to whichever worker frees first — and
+// cells-first keeps its cores busy.
 func splitCellsFirst(cells []Cell, cores int) (cellWorkers, trialWorkers int) {
 	cores = coreBudget(cores)
 	if len(cells) == 0 {
@@ -147,11 +150,12 @@ func (r Runner) RunOne(ctx context.Context, cell Cell) (sim.TrialStats, error) {
 // Run executes the cells and returns their statistics, index for index.
 // splitCellsFirst divides the Workers budget between cells computed
 // concurrently and the trial fan-out inside each: Run returns nothing until
-// every cell is done, so it needs no chunk barrier and keeps the cells-first
-// split rather than AutoSplit's one-cell-at-a-time regime. Every cell's
-// statistics are a pure function of its own configuration and seed, so the
-// results are identical — bit for bit — across all Workers values; only
-// wall-clock time and error selection under multiple failures differ.
+// every cell is done, so no cell waits for an earlier one to be streamed, and
+// it keeps the cells-first split rather than AutoSplit's one-cell-at-a-time
+// regime. Every cell's statistics are a pure function of its own
+// configuration and seed, so the results are identical — bit for bit —
+// across all Workers values; only wall-clock time and error selection under
+// multiple failures differ.
 func (r Runner) Run(ctx context.Context, cells []Cell) ([]sim.TrialStats, error) {
 	cellWorkers, trialWorkers := splitCellsFirst(cells, r.Workers)
 	r.Workers = trialWorkers
