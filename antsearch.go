@@ -13,7 +13,7 @@
 //     random walks, Lévy flights, a coordinated sector sweep, known-D),
 //   - two simulation engines (analytic and exact/cell-level) and a
 //     Monte-Carlo estimator of expected running times, and
-//   - the reproduction experiments E1–E10 described in DESIGN.md.
+//   - the reproduction experiments E1–E11 described in DESIGN.md.
 //
 // # Quick start
 //
@@ -37,7 +37,6 @@ import (
 	"antsearch/internal/metrics"
 	"antsearch/internal/scenario"
 	"antsearch/internal/sim"
-	"antsearch/internal/trace"
 )
 
 // Point is a node of the grid Z²; the source of every search is the origin.
@@ -222,9 +221,8 @@ func Search(alg Algorithm, k int, treasure Point, opts ...Option) (Result, error
 type Trace struct {
 	// Result is the search outcome.
 	Result Result
-	// Recorder holds per-cell visit counts and can render ASCII heat maps.
-	Recorder *trace.Recorder
-	// Coverage holds per-agent coverage and overlap statistics.
+	// Coverage holds per-cell visit counts and per-agent coverage and
+	// overlap statistics, and renders ASCII heat maps.
 	Coverage *metrics.Coverage
 }
 
@@ -239,23 +237,18 @@ func SearchWithTrace(alg Algorithm, k int, treasure Point, opts ...Option) (*Tra
 	if err := o.estimateOnly(); err != nil {
 		return nil, err
 	}
-	rec := trace.NewRecorder()
 	cov := metrics.NewCoverage(k)
 	res, err := sim.RunExact(sim.Instance{Algorithm: alg, NumAgents: k, Treasure: treasure},
-		sim.Options{Seed: o.seed, MaxTime: o.maxTime},
-		func(agentIdx, t int, p Point) {
-			rec.Visit(agentIdx, t, p)
-			cov.Visit(agentIdx, t, p)
-		})
+		sim.Options{Seed: o.seed, MaxTime: o.maxTime}, cov.Visit)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{Result: res, Recorder: rec, Coverage: cov}, nil
+	return &Trace{Result: res, Coverage: cov}, nil
 }
 
 // RenderTrace renders the trace's visit heat map clipped to the given radius.
 func (t *Trace) RenderTrace(radius int, treasure Point) string {
-	return t.Recorder.Render(radius, treasure)
+	return t.Coverage.Render(radius, treasure)
 }
 
 // --- Monte-Carlo estimation ---------------------------------------------------
@@ -306,7 +299,7 @@ func ScenarioAlgorithm(name string, p ScenarioParams, k int) (Algorithm, error) 
 
 // LowerBound returns the trivial lower bound D + D²/k on the expected search
 // time (Section 2 of the paper).
-func LowerBound(d, k int) float64 { return metrics.LowerBound(d, k) }
+func LowerBound(d, k int) float64 { return sim.LowerBound(d, k) }
 
 // Speedup returns T1/Tk.
 func Speedup(t1, tk float64) float64 { return metrics.Speedup(t1, tk) }

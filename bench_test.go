@@ -1,7 +1,7 @@
 package antsearch_test
 
 // This file contains one testing.B benchmark per reproduction experiment
-// (E1–E10, see DESIGN.md §4 and EXPERIMENTS.md). Each benchmark runs the
+// (E1–E11, see DESIGN.md §4). Each benchmark runs the
 // corresponding experiment at quick scale per iteration, so
 //
 //	go test -bench=. -benchmem
@@ -41,7 +41,7 @@ func benchExperiment(b *testing.B, id string) {
 		// A failed shape check on a single seed is reported but does not
 		// abort the benchmark: quick-scale sweeps are intentionally noisy
 		// and the authoritative pass/fail gate is cmd/antexperiments at
-		// standard scale (see EXPERIMENTS.md).
+		// standard scale (see DESIGN.md §4).
 		for _, c := range out.Checks {
 			if !c.Pass {
 				b.Logf("%s check %s failed: %s", id, c.Name, c.Detail)

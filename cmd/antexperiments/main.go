@@ -1,5 +1,5 @@
-// Command antexperiments regenerates the reproduction experiments E1–E10
-// described in DESIGN.md and EXPERIMENTS.md.
+// Command antexperiments regenerates the reproduction experiments E1–E11
+// described in DESIGN.md §4.
 //
 // Usage:
 //

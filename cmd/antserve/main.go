@@ -79,7 +79,8 @@
 // Setting "progress": true in the body interleaves
 // {"type":"progress","index":...,"shards_done":...,"trials_done":...,...}
 // heartbeat rows into the stream as each computed cell's fold advances
-// ("progress_every" sets the shard stride; 0 picks an automatic ~1% stride).
+// ("progress_every" sets the shard stride; 0 or a negative value picks an
+// automatic ~1% stride).
 // Progress rows are flushed immediately, so they double as keep-alives for
 // proxies that would time out an idle mega-cell response. Result rows carry
 // no "type" field, so clients that did not opt in are unaffected.
@@ -493,8 +494,9 @@ type sweepRequest struct {
 	// responses. Progress rows fire only for cells this request actually
 	// computes: cache hits and joined singleflights produce none.
 	Progress bool `json:"progress"`
-	// ProgressEvery is the shard stride between progress rows (0 = an
-	// automatic ~1% stride; sim counts shards of at most 1024 trials).
+	// ProgressEvery is the shard stride between progress rows (0 or
+	// negative = an automatic ~1% stride; sim counts shards of at most 1024
+	// trials).
 	ProgressEvery int `json:"progress_every"`
 }
 
@@ -704,9 +706,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				})
 			}
 			cr.ProgressEvery = req.ProgressEvery
-			if cr.ProgressEvery <= 0 {
-				cr.ProgressEvery = -1 // the engine's automatic ~1% stride
-			}
 		}
 		if s.cfg.Checkpoints != nil {
 			ck := s.cfg.Checkpoints.ForCell(key)

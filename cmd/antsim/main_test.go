@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,19 +24,22 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunTrace pins the whole -trace report, heat map included, byte for
+// byte: the summary lines and every cell of the map.
 func TestRunTrace(t *testing.T) {
 	t.Parallel()
 
 	var out bytes.Buffer
-	err := run([]string{"-alg", "uniform", "-k", "4", "-d", "8", "-trace", "-trace-radius", "10"}, &out)
+	err := run([]string{"-alg", "uniform", "-k", "4", "-d", "8", "-trace", "-trace-radius", "10", "-seed", "1"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := out.String()
-	for _, want := range []string{"heat map", "distinct cells visited", "overlap"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("trace output missing %q", want)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "trace_uniform_k4_d8_seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("trace output differs from testdata:\n%s\nwant:\n%s", got, want)
 	}
 }
 

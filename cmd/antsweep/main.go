@@ -202,7 +202,6 @@ func runWith(args []string, out, errw io.Writer) error {
 				cell.Scenario, cell.K, cell.D,
 				p.ShardsDone, p.TotalShards, p.TrialsDone, p.TotalTrials, resumed)
 		}
-		runner.ProgressEvery = -1 // automatic ~1% stride
 	}
 	var ckpts *cache.CheckpointStore
 	if *ckptDir != "" {

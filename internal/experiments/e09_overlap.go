@@ -6,6 +6,7 @@ import (
 
 	"antsearch/internal/agent"
 	"antsearch/internal/metrics"
+	"antsearch/internal/parallel"
 	"antsearch/internal/scenario"
 	"antsearch/internal/sim"
 	"antsearch/internal/table"
@@ -61,39 +62,48 @@ func runE9(ctx context.Context, cfg Config) (*Outcome, error) {
 	tbl := table.New(fmt.Sprintf("E9: overlap fraction and ball coverage at D = %d", d),
 		"algorithm", "k", "overlap fraction", "distinct nodes", "fraction of B(D) covered", "mean time")
 
+	// Every (contender, k, trial) run is one task of a single fan-out; the
+	// runs of a cell are then averaged in trial order.
+	type trialOut struct{ overlap, distinct, ballFrac, time float64 }
+	perContender := len(agents) * trials
+	outs, err := parallel.Map(ctx, len(contenders)*perContender, cfg.Workers, func(task int) (trialOut, error) {
+		c := contenders[task/perContender]
+		k := agents[task%perContender/trials]
+		trial := task % trials
+		seedStream := xrand.NewStream(cfg.Seed, hashLabel(fmt.Sprintf("E9/%s/k=%d", c.name, k)), uint64(trial))
+		treasure := seedStream.UniformRingPoint(d)
+		cov := metrics.NewCoverage(k)
+		res, err := sim.RunExact(sim.Instance{
+			Algorithm: c.factory(k),
+			NumAgents: k,
+			Treasure:  treasure,
+		}, sim.Options{
+			Seed: xrand.DeriveSeed(cfg.Seed, hashLabel(c.name), uint64(k), uint64(trial)),
+		}, cov.Visit)
+		if err != nil {
+			return trialOut{}, fmt.Errorf("E9 %s k=%d: %w", c.name, k, err)
+		}
+		return trialOut{cov.OverlapFraction(), float64(cov.DistinctNodes()), cov.FractionOfBallCovered(d), float64(res.Time)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	overlap := make(map[string]map[int]float64)
-	for _, c := range contenders {
+	for ci, c := range contenders {
 		overlap[c.name] = make(map[int]float64)
-		for _, k := range agents {
-			alg := c.factory(k)
-			var (
-				overlapSum float64
-				distinct   float64
-				ballFrac   float64
-				timeSum    float64
-			)
-			for trial := 0; trial < trials; trial++ {
-				seedStream := xrand.NewStream(cfg.Seed, hashLabel(fmt.Sprintf("E9/%s/k=%d", c.name, k)), uint64(trial))
-				treasure := seedStream.UniformRingPoint(d)
-				cov := metrics.NewCoverage(k)
-				res, err := sim.RunExact(sim.Instance{
-					Algorithm: alg,
-					NumAgents: k,
-					Treasure:  treasure,
-				}, sim.Options{
-					Seed: xrand.DeriveSeed(cfg.Seed, hashLabel(c.name), uint64(k), uint64(trial)),
-				}, cov.Visit)
-				if err != nil {
-					return nil, fmt.Errorf("E9 %s k=%d: %w", c.name, k, err)
-				}
-				overlapSum += cov.OverlapFraction()
-				distinct += float64(cov.DistinctNodes())
-				ballFrac += cov.FractionOfBallCovered(d)
-				timeSum += float64(res.Time)
+		for ki, k := range agents {
+			var sum trialOut
+			first := ci*perContender + ki*trials
+			for _, o := range outs[first : first+trials] {
+				sum.overlap += o.overlap
+				sum.distinct += o.distinct
+				sum.ballFrac += o.ballFrac
+				sum.time += o.time
 			}
 			n := float64(trials)
-			overlap[c.name][k] = overlapSum / n
-			tbl.MustAddRow(c.name, k, overlapSum/n, distinct/n, ballFrac/n, timeSum/n)
+			overlap[c.name][k] = sum.overlap / n
+			tbl.MustAddRow(c.name, k, sum.overlap/n, sum.distinct/n, sum.ballFrac/n, sum.time/n)
 		}
 	}
 	tbl.AddNote("exact (cell-level) engine, %d trials per cell; overlap = 1 − distinct nodes / total steps", trials)

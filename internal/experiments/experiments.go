@@ -4,8 +4,8 @@
 // corollary, or a modelling assertion from the introduction) into a concrete
 // measurement with an explicit pass criterion on the *shape* of the result:
 // who wins, how ratios grow with k and D, where the success-probability
-// threshold sits. The cmd/antexperiments tool runs them and regenerates the
-// tables recorded in EXPERIMENTS.md; bench_test.go exposes each one as a
+// threshold sits. The cmd/antexperiments tool runs them and prints their
+// tables (DESIGN.md §4 lists them); bench_test.go exposes each one as a
 // testing.B benchmark.
 package experiments
 
@@ -23,7 +23,8 @@ import (
 
 // Scale selects how much work an experiment performs. Quick keeps everything
 // small enough for unit tests and CI smoke runs; Standard is the default for
-// regenerating EXPERIMENTS.md; Full uses larger sweeps for tighter estimates.
+// the reproduction report (DESIGN.md §4); Full uses larger sweeps for tighter
+// estimates.
 type Scale int
 
 // The supported scales.
@@ -105,8 +106,8 @@ func (o *Outcome) addFinding(format string, args ...any) {
 
 // Experiment is one entry of the registry.
 type Experiment struct {
-	// ID is the stable identifier used by DESIGN.md, EXPERIMENTS.md, the CLI
-	// and the benchmarks (e.g. "E1").
+	// ID is the stable identifier used by DESIGN.md §4, the CLI and the
+	// benchmarks (e.g. "E1").
 	ID string
 	// Title is a one-line description.
 	Title string

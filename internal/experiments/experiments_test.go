@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -205,6 +206,43 @@ func TestQuickExperimentsCoverageHarness(t *testing.T) {
 	for _, c := range out.Checks {
 		if !c.Pass {
 			t.Errorf("E9 check %s failed: %s", c.Name, c.Detail)
+		}
+	}
+}
+
+// TestExactExperimentsWorkersParity renders the two exact-engine experiments
+// (E4's coverage harness and E9) at quick scale on 1, 2 and 4 workers: every
+// table, finding and check must read the same, because each trial derives its
+// seed from its own indices and each cell sums its trials in trial order.
+func TestExactExperimentsWorkersParity(t *testing.T) {
+	t.Parallel()
+
+	for _, id := range []string{"E4", "E9"} {
+		exp, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s missing", id)
+		}
+		var want string
+		for _, workers := range []int{1, 2, 4} {
+			out, err := exp.Run(context.Background(), Config{Seed: 5, Scale: Quick, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", id, workers, err)
+			}
+			var b strings.Builder
+			for _, tbl := range out.Tables {
+				b.WriteString(tbl.ASCII())
+			}
+			for _, f := range out.Findings {
+				fmt.Fprintln(&b, "finding:", f)
+			}
+			for _, c := range out.Checks {
+				fmt.Fprintln(&b, "check:", c.Name, c.Pass, c.Detail)
+			}
+			if workers == 1 {
+				want = b.String()
+			} else if got := b.String(); got != want {
+				t.Errorf("%s on %d workers differs from 1 worker:\n%s\nwant:\n%s", id, workers, got, want)
+			}
 		}
 	}
 }

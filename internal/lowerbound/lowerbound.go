@@ -19,9 +19,8 @@
 // The harness makes the counting empirical: it runs a (uniform or advised)
 // algorithm with k_i agents for a fixed horizon, measures the per-agent
 // distinct-node coverage of each annulus with the exact engine, and reports
-// the per-scale charges and their sum. Experiments E4 and E5 turn those
-// measurements into the divergence/competitiveness tables recorded in
-// EXPERIMENTS.md.
+// the per-scale charges and their sum. Experiment E4 (DESIGN.md §4) turns
+// those measurements into its coverage and divergence tables.
 package lowerbound
 
 import (
@@ -120,61 +119,64 @@ type Report struct {
 	Scales []ScaleReport
 }
 
-// Measure runs the coverage harness.
+// Measure runs the coverage harness. Every (scale, trial) pair is one task
+// of a single fan-out, so the workers stay busy across scales.
 func Measure(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	annuli := cfg.annuli()
-	report := &Report{Annuli: annuli, Scales: make([]ScaleReport, len(cfg.Scales))}
+	algs := make([]agent.Algorithm, len(cfg.Scales))
+	for si, k := range cfg.Scales {
+		if algs[si] = cfg.Factory(k); algs[si] == nil {
+			return nil, errors.New("lowerbound: factory returned a nil algorithm")
+		}
+	}
 
 	// The treasure is unreachable within the horizon by construction, so the
 	// simulation runs every agent for the full budget.
 	treasure := grid.Point{X: cfg.Horizon + 1}
 
+	type trialOut struct {
+		perAgent    float64
+		annulusPer  []float64
+		annulusFrac []float64
+		overlap     float64
+	}
+	outs, err := parallel.Map(ctx, len(cfg.Scales)*cfg.Trials, cfg.Workers, func(task int) (trialOut, error) {
+		si, trial := task/cfg.Trials, task%cfg.Trials
+		k := cfg.Scales[si]
+		cov := metrics.NewCoverage(k)
+		inst := sim.Instance{Algorithm: algs[si], NumAgents: k, Treasure: treasure}
+		opts := sim.Options{
+			Seed:    xrand.DeriveSeed(cfg.Seed, uint64(si), uint64(trial)),
+			MaxTime: cfg.Horizon,
+		}
+		if _, err := sim.RunExact(inst, opts, cov.Visit); err != nil {
+			return trialOut{}, fmt.Errorf("lowerbound: scale k=%d: %w", k, err)
+		}
+		visited, perAgent := cov.Annuli(annuli)
+		out := trialOut{
+			perAgent:    cov.MeanDistinctNodesPerAgent(),
+			annulusPer:  perAgent,
+			annulusFrac: make([]float64, len(annuli)),
+			overlap:     cov.OverlapFraction(),
+		}
+		inner := 0
+		for ai, outer := range annuli {
+			if size := grid.BallSize(outer) - grid.BallSize(inner); size > 0 {
+				out.annulusFrac[ai] = float64(visited[ai]) / float64(size)
+			}
+			inner = outer
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	report := &Report{Annuli: annuli, Scales: make([]ScaleReport, len(cfg.Scales))}
 	for si, k := range cfg.Scales {
-		alg := cfg.Factory(k)
-		if alg == nil {
-			return nil, errors.New("lowerbound: factory returned a nil algorithm")
-		}
-
-		type trialOut struct {
-			perAgent    float64
-			annulusPer  []float64
-			annulusFrac []float64
-			overlap     float64
-		}
-		outs, err := parallel.Map(ctx, cfg.Trials, cfg.Workers, func(trial int) (trialOut, error) {
-			cov := metrics.NewCoverage(k)
-			inst := sim.Instance{Algorithm: alg, NumAgents: k, Treasure: treasure}
-			opts := sim.Options{
-				Seed:    xrand.DeriveSeed(cfg.Seed, uint64(si), uint64(trial)),
-				MaxTime: cfg.Horizon,
-			}
-			if _, err := sim.RunExact(inst, opts, cov.Visit); err != nil {
-				return trialOut{}, err
-			}
-			out := trialOut{
-				perAgent:    cov.MeanDistinctNodesPerAgent(),
-				annulusPer:  make([]float64, len(annuli)),
-				annulusFrac: make([]float64, len(annuli)),
-				overlap:     cov.OverlapFraction(),
-			}
-			inner := 0
-			for ai, outer := range annuli {
-				out.annulusPer[ai] = cov.MeanAgentVisitedInAnnulus(inner, outer)
-				size := grid.BallSize(outer) - grid.BallSize(inner)
-				if size > 0 {
-					out.annulusFrac[ai] = float64(cov.VisitedInAnnulus(inner, outer)) / float64(size)
-				}
-				inner = outer
-			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("lowerbound: scale k=%d: %w", k, err)
-		}
-
 		sr := ScaleReport{
 			K:               k,
 			Horizon:         cfg.Horizon,
@@ -182,12 +184,12 @@ func Measure(ctx context.Context, cfg Config) (*Report, error) {
 			AnnulusCovered:  make([]float64, len(annuli)),
 		}
 		var perAgentAcc stats.Accumulator
-		for _, o := range outs {
+		for _, o := range outs[si*cfg.Trials : (si+1)*cfg.Trials] {
 			perAgentAcc.Add(o.perAgent)
-			sr.Overlap += o.overlap / float64(len(outs))
+			sr.Overlap += o.overlap / float64(cfg.Trials)
 			for ai := range annuli {
-				sr.AnnulusPerAgent[ai] += o.annulusPer[ai] / float64(len(outs))
-				sr.AnnulusCovered[ai] += o.annulusFrac[ai] / float64(len(outs))
+				sr.AnnulusPerAgent[ai] += o.annulusPer[ai] / float64(cfg.Trials)
+				sr.AnnulusCovered[ai] += o.annulusFrac[ai] / float64(cfg.Trials)
 			}
 		}
 		sr.PerAgentDistinct = perAgentAcc.Summarize()

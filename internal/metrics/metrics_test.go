@@ -2,21 +2,14 @@ package metrics
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"antsearch/internal/core"
 	"antsearch/internal/grid"
+	"antsearch/internal/sim"
 )
-
-func TestLowerBoundAndRatio(t *testing.T) {
-	t.Parallel()
-
-	if got := LowerBound(10, 4); got != 35 {
-		t.Errorf("LowerBound(10, 4) = %v, want 35", got)
-	}
-	if got := LowerBound(10, 0); !math.IsInf(got, 1) {
-		t.Errorf("LowerBound with k=0 should be +Inf, got %v", got)
-	}
-}
 
 func TestSpeedup(t *testing.T) {
 	t.Parallel()
@@ -85,23 +78,32 @@ func TestCoverageAnnuli(t *testing.T) {
 	c.Visit(0, 2, grid.Point{X: 3})
 	c.Visit(1, 0, grid.Point{Y: 2})
 
-	if got := c.VisitedInAnnulus(1, 3); got != 3 {
-		t.Errorf("VisitedInAnnulus(1, 3) = %d, want 3 (distances 2, 2 and 3)", got)
+	// Annulus 0 is (0, 1], annulus 1 is (1, 3].
+	visited, perAgent := c.Annuli([]int{1, 3})
+	if visited[1] != 3 {
+		t.Errorf("visited in (1, 3] = %d, want 3 (distances 2, 2 and 3)", visited[1])
 	}
-	if got := c.VisitedInAnnulus(0, 1); got != 1 {
-		t.Errorf("VisitedInAnnulus(0, 1) = %d, want 1", got)
+	if visited[0] != 1 {
+		t.Errorf("visited in (0, 1] = %d, want 1", visited[0])
 	}
-	if got := c.AgentVisitedInAnnulus(0, 1, 3); got != 2 {
-		t.Errorf("AgentVisitedInAnnulus(0, 1, 3) = %d, want 2", got)
+	// Agent 0 visited 2 nodes of (1, 3] and agent 1 one.
+	if perAgent[1] != 1.5 {
+		t.Errorf("mean per-agent count in (1, 3] = %v, want 1.5", perAgent[1])
 	}
-	if got := c.AgentVisitedInAnnulus(1, 1, 3); got != 1 {
-		t.Errorf("AgentVisitedInAnnulus(1, 1, 3) = %d, want 1", got)
+	if perAgent[0] != 0.5 {
+		t.Errorf("mean per-agent count in (0, 1] = %v, want 0.5", perAgent[0])
 	}
-	if got := c.AgentVisitedInAnnulus(9, 0, 10); got != 0 {
-		t.Errorf("out-of-range agent annulus count = %d, want 0", got)
+
+	// The source, nodes past the last bound and an empty annulus between
+	// equal bounds count nowhere.
+	c.Visit(0, 3, grid.Origin)
+	c.Visit(1, 1, grid.Point{X: -4})
+	visited, perAgent = c.Annuli([]int{1, 1, 3})
+	if want := []int{1, 0, 3}; !slices.Equal(visited, want) {
+		t.Errorf("visited with bounds [1 1 3] = %v, want %v", visited, want)
 	}
-	if got := c.MeanAgentVisitedInAnnulus(1, 3); got != 1.5 {
-		t.Errorf("MeanAgentVisitedInAnnulus = %v, want 1.5", got)
+	if want := []float64{0.5, 0, 1.5}; !slices.Equal(perAgent, want) {
+		t.Errorf("per-agent with bounds [1 1 3] = %v, want %v", perAgent, want)
 	}
 }
 
@@ -127,7 +129,90 @@ func TestCoverageBallFraction(t *testing.T) {
 	if got := empty.MeanDistinctNodesPerAgent(); got != 0 {
 		t.Errorf("MeanDistinctNodesPerAgent with no agents = %v, want 0", got)
 	}
-	if got := empty.MeanAgentVisitedInAnnulus(0, 5); got != 0 {
-		t.Errorf("MeanAgentVisitedInAnnulus with no agents = %v, want 0", got)
+	if _, perAgent := empty.Annuli([]int{5}); perAgent[0] != 0 {
+		t.Errorf("per-agent annulus count with no agents = %v, want 0", perAgent[0])
+	}
+}
+
+func TestCoverageCountsVisits(t *testing.T) {
+	t.Parallel()
+
+	c := NewCoverage(2)
+	if len(c.visits) != 0 {
+		t.Error("fresh coverage should be empty")
+	}
+	c.Visit(0, 0, grid.Origin)
+	c.Visit(0, 1, grid.Point{X: 1})
+	c.Visit(1, 0, grid.Origin)
+
+	if got := c.visits[grid.Origin]; got != 2 {
+		t.Errorf("visits of the origin = %d, want 2", got)
+	}
+	if got := len(c.visits); got != 2 {
+		t.Errorf("distinct nodes = %d, want 2", got)
+	}
+}
+
+func TestRenderMarksSourceAndTreasure(t *testing.T) {
+	t.Parallel()
+
+	c := NewCoverage(1)
+	c.Visit(0, 0, grid.Origin)
+	c.Visit(0, 1, grid.Point{X: 1})
+	c.Visit(0, 2, grid.Point{X: 1, Y: 1})
+	out := c.Render(2, grid.Point{X: 2, Y: 2})
+
+	if !strings.Contains(out, "S") {
+		t.Error("render missing source marker")
+	}
+	if !strings.Contains(out, "T") {
+		t.Error("render missing treasure marker")
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	// Header plus 5 rows for radius 2.
+	if len(lines) != 6 {
+		t.Errorf("render has %d lines, want 6", len(lines))
+	}
+	for _, l := range lines[1:] {
+		if len([]rune(l)) != 5 {
+			t.Errorf("row %q has %d cells, want 5", l, len([]rune(l)))
+		}
+	}
+
+	// Degenerate radius is clamped rather than panicking.
+	if small := c.Render(0, grid.Origin); !strings.Contains(small, "S") {
+		t.Error("clamped render missing source")
+	}
+}
+
+func TestCoverageWithExactEngine(t *testing.T) {
+	t.Parallel()
+
+	alg, err := core.NewKnownK(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoverage(2)
+	inst := sim.Instance{
+		Algorithm: alg,
+		NumAgents: 2,
+		Treasure:  grid.Point{X: 4, Y: 2},
+	}
+	res, err := sim.RunExact(inst, sim.Options{Seed: 3}, c.Visit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found {
+		t.Fatal("treasure not found")
+	}
+	if len(c.visits) == 0 {
+		t.Error("no visits recorded")
+	}
+	if c.visits[grid.Origin] == 0 {
+		t.Error("source never recorded")
+	}
+	out := c.Render(6, inst.Treasure)
+	if !strings.Contains(out, "heat map") {
+		t.Error("missing header")
 	}
 }

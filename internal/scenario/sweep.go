@@ -54,7 +54,7 @@ type Runner struct {
 	// concurrent use; updates for one cell never race each other.
 	Progress func(Cell, sim.Progress)
 	// ProgressEvery is the shard stride between updates (sim's semantics:
-	// 0 = every shard, negative = automatic ~1% stride).
+	// 0 or negative = automatic ~1% stride).
 	ProgressEvery int
 	// Checkpointer, when non-nil, supplies the per-cell checkpoint sink that
 	// makes mega-cells resumable (typically cache.CheckpointStore.ForCell

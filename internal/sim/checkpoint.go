@@ -175,19 +175,12 @@ func (s *trialState) UnmarshalJSON(data []byte) error {
 }
 
 // progressStride resolves TrialConfig.ProgressEvery against a plan: positive
-// values pass through, zero means every shard, and negative selects an
-// automatic ~1% stride so a mega-cell reports steadily without drowning the
-// consumer in per-shard updates.
+// values pass through, and zero or negative selects an automatic ~1% stride
+// (every shard below 256 shards) so a mega-cell reports steadily without
+// drowning the consumer in per-shard updates.
 func progressStride(every, shards int) int {
-	switch {
-	case every > 0:
+	if every > 0 {
 		return every
-	case every < 0:
-		if s := shards / 128; s > 1 {
-			return s
-		}
-		return 1
-	default:
-		return 1
 	}
+	return max(shards/128, 1)
 }

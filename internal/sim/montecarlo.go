@@ -51,8 +51,8 @@ type TrialConfig struct {
 	// A nil hook costs the hot path nothing.
 	Progress func(Progress)
 	// ProgressEvery throttles Progress to every N folded shards (the final
-	// shard always reports). Zero fires on every shard; negative selects an
-	// automatic ~1% stride for mega-cells.
+	// shard always reports). Zero or negative selects an automatic ~1%
+	// stride, which is every shard below 256 shards.
 	ProgressEvery int
 	// Checkpointer, when non-nil, makes the run resumable: the running prefix
 	// aggregate is persisted every CheckpointEvery shards, and on start the
@@ -168,10 +168,7 @@ func (s TrialStats) MeanSurvivors() float64 { return s.Survivors.Mean }
 func (s TrialStats) MeanSurvivorRatio() float64 { return s.SurvivorRatio.Mean }
 
 // LowerBound returns D + D²/k for this configuration.
-func (s TrialStats) LowerBound() float64 {
-	d := float64(s.Distance)
-	return d + d*d/float64(s.NumAgents)
-}
+func (s TrialStats) LowerBound() float64 { return LowerBound(s.Distance, s.NumAgents) }
 
 // TrialAccumulator folds per-trial results into streaming statistics in
 // bounded memory, and keeps the first stats.MergeReplayCap results it was

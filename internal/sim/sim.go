@@ -163,12 +163,17 @@ func (r Result) SurvivorCompetitiveRatio() float64 {
 	if r.Survivors < 1 || r.Distance == 0 {
 		return math.NaN()
 	}
-	return float64(r.Time) / lowerBound(r.Distance, r.Survivors)
+	return float64(r.Time) / LowerBound(r.Distance, r.Survivors)
 }
 
-// lowerBound returns D + D²/k.
-func lowerBound(d, k int) float64 {
-	return float64(d) + float64(d)*float64(d)/float64(k)
+// LowerBound returns the trivial lower bound D + D²/k on the expected
+// running time (Section 2 of the paper), and +Inf when k < 1.
+func LowerBound(d, k int) float64 {
+	if k < 1 {
+		return math.Inf(1)
+	}
+	fd := float64(d)
+	return fd + fd*fd/float64(k)
 }
 
 // ErrDiscontinuousTrajectory is returned when an algorithm emits a segment
@@ -410,7 +415,7 @@ func initialResult(in Instance, timeCap int) Result {
 		Time:       timeCap,
 		Capped:     true,
 		Distance:   in.Treasure.L1(),
-		LowerBound: lowerBound(in.Treasure.L1(), in.NumAgents),
+		LowerBound: LowerBound(in.Treasure.L1(), in.NumAgents),
 	}
 }
 

@@ -46,6 +46,20 @@ func TestInstanceValidate(t *testing.T) {
 	}
 }
 
+func TestLowerBound(t *testing.T) {
+	t.Parallel()
+
+	if got := LowerBound(10, 4); got != 35 {
+		t.Errorf("LowerBound(10, 4) = %v, want 35", got)
+	}
+	if got := LowerBound(10, 0); !math.IsInf(got, 1) {
+		t.Errorf("LowerBound with k=0 should be +Inf, got %v", got)
+	}
+	if got := (TrialStats{Distance: 10, NumAgents: 4}).LowerBound(); got != 35 {
+		t.Errorf("TrialStats.LowerBound = %v, want 35", got)
+	}
+}
+
 // TestRunExactRejectsBeforeVisiting pins that RunExact validates the instance
 // before reporting anything: a rejected instance produces zero visits, not
 // the agents' time-zero visits followed by an error.
